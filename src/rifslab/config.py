@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimension import CarpetSpec
+from .dimension import CarpetSpec, check_weights
 from .errors import (ConfigParseError, ConfigSchemaError, ConfigSemanticError,
                      UsageError)
 from .geometry import (Affine2, AmbientBox, ClosedFormMap, ContractionMap,
@@ -26,26 +26,6 @@ from .model import DeterministicIfs, Rifs, carpet_system
 from .sequences import OmegaSeq
 
 _LOG_RATIO = re.compile(r"^log\((\d+)\)/log\((\d+)\)$")
-
-TASK_TYPES = ("dim", "curve", "minimize", "boxdim", "measure-bounds",
-              "render", "splice-demo", "sample")
-
-_DEFAULT_OUTPUTS = {
-    "dim": "dim.csv",
-    "curve": "curve.csv",
-    "minimize": "minimize.csv",
-    "boxdim": "boxdim.csv",
-    "measure-bounds": "bounds.csv",
-    "render": "render.ppm",
-    "splice-demo": "splice.csv",
-    "sample": "sample.csv",
-}
-
-_DEFAULT_SUMMARIES = {
-    "boxdim": "boxdim_summary.csv",
-    "measure-bounds": "bounds_summary.csv",
-}
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -149,16 +129,21 @@ def _output_name(val, path: str) -> str:
     return name
 
 
-def _weights(val, path: str, n: int) -> tuple[float, ...]:
-    w = _real_list(val, path)
-    if len(w) != n:
-        raise _semantic(path, f"needs one weight per system ({n})")
-    if any(x < 0.0 for x in w):
-        raise _semantic(path, "weights must be non-negative")
-    total = math.fsum(w)
-    if abs(total - 1.0) > 1e-12:
-        raise _semantic(path, f"weights sum {total:g}")
-    return w
+def _positive(val, path: str) -> float:
+    x = _real(val, path)
+    if x <= 0.0:
+        raise _semantic(path, "must be > 0")
+    return x
+
+
+def _weights(obj, path: str, n: int) -> tuple[float, ...]:
+    """The optional `weights` field of obj: one per system, uniform if absent."""
+    path = f"{path}.weights"
+    w = _real_list(obj.get("weights", [1.0 / n] * n), path)
+    try:
+        return check_weights(w, n)
+    except UsageError as exc:
+        raise _semantic(path, str(exc)) from exc
 
 
 # --- geometry pieces ---------------------------------------------------------
@@ -323,134 +308,27 @@ def _parse_points(val, path: str, dim: int) -> tuple[tuple[float, ...], ...]:
 # --- task parsing ------------------------------------------------------------
 
 
-def _parse_task(obj, path: str, n_systems: int, ambient: AmbientBox,
+def _parse_task(obj, path: str, n_systems: int, dim: int,
                 all_carpets: bool) -> TaskSpec:
+    # tasks imports this module for its field helpers, so the registry is
+    # imported at call time
+    from .tasks import TASKS
+
     if not isinstance(obj, dict):
         raise _schema(path, "must be an object")
     ttype = obj.get("type")
     if not isinstance(ttype, str):
         raise _schema(f"{path}.type", "must be a string")
-    if ttype not in TASK_TYPES:
+    task = TASKS.get(ttype)
+    if task is None:
         raise _semantic(f"{path}.type", f"unknown task type {ttype!r}")
-    params: dict = {}
-
-    def out_fields(extra_required: tuple[str, ...] = (),
-                   extra_optional: tuple[str, ...] = (),
-                   with_summary: bool = False) -> None:
-        optional = ("output",) + (("summary",) if with_summary else ())
-        _check_keys(obj, path, ("type",) + extra_required,
-                    extra_optional + optional)
-        params["output"] = _output_name(
-            obj.get("output", _DEFAULT_OUTPUTS[ttype]), f"{path}.output")
-        if with_summary:
-            params["summary"] = _output_name(
-                obj.get("summary", _DEFAULT_SUMMARIES[ttype]),
-                f"{path}.summary")
-
-    if ttype == "dim":
-        out_fields(extra_optional=("weights",))
-        params["weights"] = _weights(
-            obj.get("weights", [1.0 / n_systems] * n_systems),
-            f"{path}.weights", n_systems)
-    elif ttype in ("curve", "minimize"):
-        if n_systems != 2:
-            raise _semantic(path, f"{ttype} task needs exactly 2 systems")
-        if not all_carpets:
-            raise _semantic(path, f"{ttype} task needs carpet systems")
-        if ttype == "curve":
-            out_fields(extra_optional=("grid",))
-            params["grid"] = _int_field(obj.get("grid", 101),
-                                        f"{path}.grid", minimum=2)
-        else:
-            out_fields(extra_optional=("tol",))
-            tol = _real(obj.get("tol", 1e-10), f"{path}.tol")
-            if tol <= 0.0:
-                raise _semantic(f"{path}.tol", "must be > 0")
-            params["tol"] = tol
-    elif ttype == "boxdim":
-        out_fields(extra_required=("ladder",), with_summary=True)
-        ladder = obj["ladder"]
-        lpath = f"{path}.ladder"
-        _check_keys(ladder, lpath, ("base", "exponents"))
-        base = _real(ladder["base"], f"{lpath}.base")
-        if base <= 1.0:
-            raise _semantic(f"{lpath}.base", "must be > 1")
-        exps = ladder["exponents"]
-        if not isinstance(exps, list) or not exps:
-            raise _schema(f"{lpath}.exponents", "must be a non-empty array")
-        evals = [_int_field(e, f"{lpath}.exponents[{i}]", minimum=1)
-                 for i, e in enumerate(exps)]
-        if any(b <= a for a, b in zip(evals, evals[1:])):
-            raise _semantic(f"{lpath}.exponents",
-                            "must be strictly increasing")
-        params["deltas"] = tuple(base ** -e for e in evals)
-    elif ttype == "measure-bounds":
-        out_fields(extra_required=("s", "radii", "points"),
-                   extra_optional=("exponents",), with_summary=True)
-        s = _real(obj["s"], f"{path}.s")
-        if s <= 0.0:
-            raise _semantic(f"{path}.s", "must be > 0")
-        params["s"] = s
-        radii = _real_list(obj["radii"], f"{path}.radii")
-        if not radii or any(r <= 0.0 for r in radii):
-            raise _semantic(f"{path}.radii", "must be positive and non-empty")
-        params["radii"] = radii
-        params["points"] = _parse_points(obj["points"], f"{path}.points",
-                                         ambient.dim)
-        if "exponents" in obj:
-            params["exponents"] = _real_list(obj["exponents"],
-                                             f"{path}.exponents", n_systems)
-    elif ttype == "render":
-        out_fields(extra_required=("width", "height"),
-                   extra_optional=("target_error", "depth", "foreground",
-                                   "background"))
-        params["width"] = _int_field(obj["width"], f"{path}.width")
-        params["height"] = _int_field(obj["height"], f"{path}.height")
-        if "depth" in obj:
-            params["depth"] = _int_field(obj["depth"], f"{path}.depth",
-                                         minimum=1)
-        if "target_error" in obj:
-            te = _real(obj["target_error"], f"{path}.target_error")
-            if te <= 0.0:
-                raise _semantic(f"{path}.target_error", "must be > 0")
-            params["target_error"] = te
-        elif "depth" not in obj:
-            raise _schema(path, "needs 'target_error' or 'depth'")
-        for field in ("foreground", "background"):
-            if field in obj:
-                rgb = obj[field]
-                if (not isinstance(rgb, list) or len(rgb) != 3 or
-                        any(isinstance(v, bool) or not isinstance(v, int)
-                            for v in rgb)):
-                    raise _schema(f"{path}.{field}",
-                                  "must be three integer channels")
-                if any(not (0 <= v <= 255) for v in rgb):
-                    raise _semantic(f"{path}.{field}",
-                                    "channels must lie in 0..255")
-                params[field] = tuple(rgb)
-    elif ttype == "splice-demo":
-        out_fields(extra_required=("epsilon", "tail", "seed_set", "gauge"),
-                   extra_optional=("max_depth",))
-        eps = _real(obj["epsilon"], f"{path}.epsilon")
-        if not (0.0 < eps <= 1.0):
-            raise _semantic(f"{path}.epsilon", "must lie in (0, 1]")
-        params["epsilon"] = eps
-        params["tail"] = _parse_omega(obj["tail"], f"{path}.tail", n_systems)
-        params["seed_set"] = _parse_points(obj["seed_set"],
-                                           f"{path}.seed_set", ambient.dim)
-        params["gauge"] = _parse_gauge(obj["gauge"], f"{path}.gauge")
-        params["max_depth"] = _int_field(obj.get("max_depth", 10),
-                                         f"{path}.max_depth", minimum=1)
-    elif ttype == "sample":
-        out_fields(extra_required=("horizon",), extra_optional=("weights",))
-        params["horizon"] = _int_field(obj["horizon"], f"{path}.horizon",
-                                       minimum=1)
-        params["weights"] = _weights(
-            obj.get("weights", [1.0 / n_systems] * n_systems),
-            f"{path}.weights", n_systems)
-
-    if ttype == "render" and (params["width"] < 1 or params["height"] < 1):
-        raise _semantic(path, "render resolution must be at least 1x1")
+    names = {"output": task.output}
+    if task.summary is not None:
+        names["summary"] = task.summary
+    fields = {k: v for k, v in obj.items() if k != "type" and k not in names}
+    params = task.parse(fields, path, n_systems, dim, all_carpets)
+    for key, default in names.items():
+        params[key] = _output_name(obj.get(key, default), f"{path}.{key}")
     return TaskSpec(ttype, params)
 
 
@@ -482,8 +360,8 @@ def parse_config(doc, source: str = "<config>") -> ExperimentConfig:
         carpets.append(carpet)
 
     omega = _parse_omega(doc["omega"], f"{source}.omega", len(systems))
-    task = _parse_task(doc["task"], f"{source}.task", len(systems), ambient,
-                       all(c is not None for c in carpets))
+    task = _parse_task(doc["task"], f"{source}.task", len(systems),
+                       ambient.dim, all(c is not None for c in carpets))
     try:
         rifs = Rifs(tuple(systems), ambient)
     except UsageError as exc:

@@ -34,11 +34,12 @@ class DimensionReport:
 def check_weights(weights: Sequence[float], n: int | None = None) -> tuple[float, ...]:
     w = tuple(float(x) for x in weights)
     if n is not None and len(w) != n:
-        raise UsageError(f"expected {n} weights, got {len(w)}")
+        raise UsageError(f"one weight per system: expected {n}, got {len(w)}")
     if any(x < 0.0 for x in w):
         raise UsageError("weights must be non-negative")
-    if abs(sum(w) - 1.0) > 1e-12:
-        raise UsageError(f"weights sum {sum(w):.17g}, expected 1")
+    total = math.fsum(w)
+    if abs(total - 1.0) > 1e-12:
+        raise UsageError(f"weights sum {total:.17g}, expected 1")
     return w
 
 

@@ -11,6 +11,7 @@ order with the first symbol most significant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +21,7 @@ import numpy as np
 from .dimension import CarpetSpec, check_weights
 from .errors import ResourceError, UsageError
 from .geometry import (Affine2, AmbientBox, ContractionMap, MapComposition,
-                       Similarity, compose, _kronecker_points, _MULTS_A)
+                       Similarity, compose)
 from .sequences import OmegaSeq, omega_distance, splice
 
 DEFAULT_BUDGET = 10 ** 7
@@ -55,13 +56,17 @@ class Rifs:
     def __post_init__(self) -> None:
         if not self.systems:
             raise UsageError("a RIFS needs at least one system")
+        box = self.ambient.as_array()[None]
         for sys_ in self.systems:
             if sys_.dim != self.ambient.dim:
                 raise UsageError(
                     f"system {sys_.label!r} dimension {sys_.dim} does not match "
                     f"ambient dimension {self.ambient.dim}")
             for m in sys_.maps:
-                _check_contains(m, self.ambient, sys_.label)
+                # image_box_array is the exact image range for every map kind
+                if not self.ambient.contains(m.image_box_array(box)[0].T):
+                    raise UsageError(f"map {m.describe()} of system "
+                                     f"{sys_.label!r} leaves the ambient box")
 
     @property
     def n_systems(self) -> int:
@@ -72,14 +77,6 @@ class Rifs:
         if not (1 <= idx <= len(self.systems)):
             raise UsageError(f"sequence entry {idx} has no system")
         return self.systems[idx - 1]
-
-
-def _check_contains(m: ContractionMap, box: AmbientBox, label: str) -> None:
-    probes = np.vstack([box.corners(),
-                        _kronecker_points(box, 1000, _MULTS_A, 0.5)])
-    if not box.contains(m.apply_array(probes)):
-        raise UsageError(
-            f"map {m.describe()} of system {label!r} leaves the ambient box")
 
 
 def carpet_system(carpet: CarpetSpec, label: str) -> DeterministicIfs:
@@ -103,14 +100,12 @@ def _level_counts(rifs: Rifs, omega: OmegaSeq, depth: int) -> list[int]:
             for l in range(1, depth + 1)]
 
 
-def _guard_budget(counts: list[int], budget: int) -> int:
-    total = 1
-    for c in counts:
-        total *= c
+def _guard_budget(rifs: Rifs, omega: OmegaSeq, depth: int,
+                  budget: int) -> None:
+    total = math.prod(_level_counts(rifs, omega, depth))
     if total > budget:
         raise ResourceError(
             f"cylinder count {total} exceeds budget {budget}", count=total)
-    return total
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,6 @@ class CylinderCover:
     depth: int
     boxes: np.ndarray          # (count, dim, 2)
     lip_hi_prods: np.ndarray   # (count,)
-    lip_lo_prods: np.ndarray   # (count,)
     error_bound: float
 
     @property
@@ -172,18 +166,15 @@ def cylinder_cover(rifs: Rifs, omega: OmegaSeq, depth: int,
     """Enumerate all depth-k cylinders along omega."""
     if depth < 1:
         raise UsageError("depth must be >= 1")
-    counts = _level_counts(rifs, omega, depth)
-    _guard_budget(counts, budget)
+    _guard_budget(rifs, omega, depth, budget)
     boxes = rifs.ambient.as_array()[None, :, :]
     hi = np.ones(1)
-    lo = np.ones(1)
     for level in range(depth, 0, -1):
         maps = rifs.system_for_level(omega, level).maps
         boxes = np.concatenate([m.image_box_array(boxes) for m in maps])
         hi = np.concatenate([m.lip_hi * hi for m in maps])
-        lo = np.concatenate([m.lip_lo * lo for m in maps])
-    err = float(hi.max()) * rifs.ambient.diameter
-    return CylinderCover(rifs, omega, depth, boxes, hi, lo, err)
+    return CylinderCover(rifs, omega, depth, boxes, hi,
+                         _error_bound(rifs, omega, depth))
 
 
 def cylinder_images(rifs: Rifs, omega: OmegaSeq, depth: int, seeds: np.ndarray,
@@ -196,13 +187,31 @@ def cylinder_images(rifs: Rifs, omega: OmegaSeq, depth: int, seeds: np.ndarray,
     if depth < 0:
         raise UsageError("depth must be >= 0")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    counts = _level_counts(rifs, omega, depth)
-    _guard_budget(counts, budget)
+    _guard_budget(rifs, omega, depth, budget)
     pts = seeds
     for level in range(depth, 0, -1):
         maps = rifs.system_for_level(omega, level).maps
         pts = np.concatenate([m.apply_array(pts) for m in maps])
     return pts
+
+
+def _level_bounds(rifs: Rifs, omega: OmegaSeq):
+    """Yield (maps, bound) for levels 1, 2, ...: the level's maps and the
+    error bound of the cover down to that level, which is the level-1-first
+    product of per-level max lip_hi times the ambient diameter."""
+    scale = 1.0
+    for level in itertools.count(1):
+        maps = rifs.system_for_level(omega, level).maps
+        scale *= max(m.lip_hi for m in maps)
+        yield maps, scale * rifs.ambient.diameter
+
+
+def _error_bound(rifs: Rifs, omega: OmegaSeq, depth: int) -> float:
+    """Hausdorff-metric error bound of the depth-k cover along omega."""
+    bound = rifs.ambient.diameter
+    for _, bound in itertools.islice(_level_bounds(rifs, omega), depth):
+        pass
+    return bound
 
 
 def resolution_depth(rifs: Rifs, omega: OmegaSeq, target_error: float,
@@ -214,26 +223,23 @@ def resolution_depth(rifs: Rifs, omega: OmegaSeq, target_error: float,
     """
     if target_error <= 0.0:
         raise UsageError("target error must be > 0")
-    depth = 0
     bound = rifs.ambient.diameter
     count = 1
-    while depth < 1 or bound > target_error:
-        maps = rifs.system_for_level(omega, depth + 1).maps
-        next_count = count * len(maps)
-        if next_count > budget:
+    for depth, (maps, next_bound) in enumerate(_level_bounds(rifs, omega), 1):
+        count *= len(maps)
+        if count > budget:
             raise ResourceError(
-                f"cylinder count {next_count} at depth {depth + 1} exceeds "
+                f"cylinder count {count} at depth {depth} exceeds "
                 f"budget {budget} before reaching error {target_error:.6g}; "
                 f"best achievable error {bound:.6g}",
-                count=next_count, best_error=bound)
-        depth += 1
-        count = next_count
-        bound *= max(m.lip_hi for m in maps)
+                count=count, best_error=bound)
+        bound = next_bound
         if depth > 10_000:
             raise ResourceError(
                 "contraction too weak to reach target error",
                 best_error=bound)
-    return depth
+        if bound <= target_error:
+            return depth
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,7 @@ def attractor_points(rifs: Rifs, omega: OmegaSeq, target_error: float,
     bound of the attractor in the Hausdorff metric.
     """
     depth = resolution_depth(rifs, omega, target_error, budget)
-    bound = _max_scale(rifs, omega, depth) * rifs.ambient.diameter
+    bound = _error_bound(rifs, omega, depth)
     center = np.asarray(rifs.ambient.center)[None, :]
     pts = cylinder_images(rifs, omega, depth, center, budget)
     return AttractorPoints(pts, depth, bound)
@@ -425,24 +431,16 @@ def continuity_probe(rifs: Rifs, omega: OmegaSeq, k: int,
         raise UsageError("probe depth must be >= splice depth k")
     center = np.asarray(rifs.ambient.center)[None, :]
     base_pts = cylinder_images(rifs, omega, depth, center, budget)
-    scale_k = _max_scale(rifs, omega, k)
-    base_err = _max_scale(rifs, omega, depth) * rifs.ambient.diameter
+    base_err = _error_bound(rifs, omega, depth)
+    splice_err = _error_bound(rifs, omega, k)
     rows = []
     for tail in tails:
         spliced = splice(omega, k, tail)
         d_om = omega_distance(omega, spliced)
         pts = cylinder_images(rifs, spliced, depth, center, budget)
         d_h = hausdorff_distance(base_pts, pts)
-        err = max(base_err,
-                  _max_scale(rifs, spliced, depth) * rifs.ambient.diameter)
-        bound = 2.0 * scale_k * rifs.ambient.diameter + 2.0 * err
+        err = max(base_err, _error_bound(rifs, spliced, depth))
+        bound = 2.0 * splice_err + 2.0 * err
         rows.append(ProbeRow(tail, d_om, d_h, bound))
     return rows
 
-
-def _max_scale(rifs: Rifs, omega: OmegaSeq, depth: int) -> float:
-    """Largest composed lip_hi over depth-k words: per-level maxima multiply."""
-    scale = 1.0
-    for level in range(1, depth + 1):
-        scale *= max(m.lip_hi for m in rifs.system_for_level(omega, level).maps)
-    return scale

@@ -1,9 +1,10 @@
-"""Task execution and deterministic file emission.
+"""Task registry, execution and deterministic file emission.
 
-Every handler turns a validated config into (filename, bytes) pairs; run()
-writes them atomically (temp file + rename) under the output directory.
-Numbers are formatted with 12 significant digits and LF line endings so
-repeated runs are byte-identical.
+Each task type is one `TASKS` entry: its default output names, a parser for
+its config fields, and a handler that turns a validated config into
+(filename, bytes) pairs.  run() writes them atomically (temp file + rename)
+under the output directory.  Numbers are formatted with 12 significant
+digits and LF line endings so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,12 +13,17 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .boxcount import estimate_box_dims
-from .config import ExperimentConfig
-from .dimension import (minimize_carpet_dimension, random_carpet_dimension,
+from .config import (ExperimentConfig, _check_keys, _int_field, _parse_gauge,
+                     _parse_omega, _parse_points, _positive, _real,
+                     _real_list, _schema, _semantic, _weights)
+from .dimension import (carpet_dimension_curve, minimize_carpet_dimension,
+                        random_carpet_dimension,
                         randomized_similarity_dimension)
 from .errors import UsageError
 from .measure import CylinderMeasure, mdp_bounds
@@ -49,18 +55,17 @@ def _seq_text(seq) -> str:
             + " ".join(str(s) for s in seq.cycle))
 
 
-def _all_carpets(cfg: ExperimentConfig) -> bool:
-    return all(c is not None for c in cfg.carpets)
+def _parse_dim(obj, path, n_systems, dim, all_carpets) -> dict:
+    _check_keys(obj, path, (), ("weights",))
+    return {"weights": _weights(obj, path, n_systems)}
 
 
 def _task_dim(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
     weights = params["weights"]
-    if _all_carpets(cfg):
+    if all(c is not None for c in cfg.carpets):
         value = random_carpet_dimension(list(cfg.carpets), weights)
-        rows = [("dimension", value),
-                ("equation", "carpet_product_formula"),
-                ("residual", 0.0)]
+        equation, residual = "carpet_product_formula", 0.0
     else:
         for sys_ in cfg.systems:
             if any(m.kind != "similarity" for m in sys_.maps):
@@ -68,21 +73,40 @@ def _task_dim(cfg: ExperimentConfig, budget: int):
                     "dim task needs all-similarity or all-carpet systems")
         rep = randomized_similarity_dimension(
             [[m.lip_hi for m in s.maps] for s in cfg.systems], weights)
-        rows = [("dimension", rep.value),
-                ("equation", rep.equation),
-                ("residual", rep.residual)]
+        value, equation, residual = rep.value, rep.equation, rep.residual
+    rows = [("dimension", value), ("equation", equation),
+            ("residual", residual)]
     return [(params["output"], _csv(("name", "value"), rows))]
+
+
+def _need_carpet_pair(path, ttype, n_systems, all_carpets) -> None:
+    if n_systems != 2:
+        raise _semantic(path, f"{ttype} task needs exactly 2 systems")
+    if not all_carpets:
+        raise _semantic(path, f"{ttype} task needs carpet systems")
+
+
+def _parse_curve(obj, path, n_systems, dim, all_carpets) -> dict:
+    _need_carpet_pair(path, "curve", n_systems, all_carpets)
+    _check_keys(obj, path, (), ("grid",))
+    return {"grid": _int_field(obj.get("grid", 101), f"{path}.grid",
+                               minimum=2)}
 
 
 def _task_curve(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
     grid = params["grid"]
-    carpets = list(cfg.carpets)
-    rows = []
-    for i in range(grid):
-        p = i / (grid - 1)
-        rows.append((p, random_carpet_dimension(carpets, (p, 1.0 - p))))
+    ps = [i / (grid - 1) for i in range(grid)]
+    curve = carpet_dimension_curve(list(cfg.carpets),
+                                   [(p, 1.0 - p) for p in ps])
+    rows = [(w[0], value) for w, value in curve]
     return [(params["output"], _csv(("p", "dimension"), rows))]
+
+
+def _parse_minimize(obj, path, n_systems, dim, all_carpets) -> dict:
+    _need_carpet_pair(path, "minimize", n_systems, all_carpets)
+    _check_keys(obj, path, (), ("tol",))
+    return {"tol": _positive(obj.get("tol", 1e-10), f"{path}.tol")}
 
 
 def _task_minimize(cfg: ExperimentConfig, budget: int):
@@ -91,6 +115,24 @@ def _task_minimize(cfg: ExperimentConfig, budget: int):
                                               params["tol"])
     rows = [("p_star", p_star), ("dimension", value), ("tol", params["tol"])]
     return [(params["output"], _csv(("name", "value"), rows))]
+
+
+def _parse_boxdim(obj, path, n_systems, dim, all_carpets) -> dict:
+    _check_keys(obj, path, ("ladder",))
+    ladder = obj["ladder"]
+    lpath = f"{path}.ladder"
+    _check_keys(ladder, lpath, ("base", "exponents"))
+    base = _real(ladder["base"], f"{lpath}.base")
+    if base <= 1.0:
+        raise _semantic(f"{lpath}.base", "must be > 1")
+    exps = ladder["exponents"]
+    if not isinstance(exps, list) or not exps:
+        raise _schema(f"{lpath}.exponents", "must be a non-empty array")
+    evals = [_int_field(e, f"{lpath}.exponents[{i}]", minimum=1)
+             for i, e in enumerate(exps)]
+    if any(b <= a for a, b in zip(evals, evals[1:])):
+        raise _semantic(f"{lpath}.exponents", "must be strictly increasing")
+    return {"deltas": tuple(base ** -e for e in evals)}
 
 
 def _task_boxdim(cfg: ExperimentConfig, budget: int):
@@ -108,6 +150,20 @@ def _task_boxdim(cfg: ExperimentConfig, budget: int):
     return [(params["output"],
              _csv(("delta", "count", "depth", "exponent"), rows)),
             (params["summary"], _csv(("name", "value"), summary))]
+
+
+def _parse_measure_bounds(obj, path, n_systems, dim, all_carpets) -> dict:
+    _check_keys(obj, path, ("s", "radii", "points"), ("exponents",))
+    params = {"s": _positive(obj["s"], f"{path}.s")}
+    radii = _real_list(obj["radii"], f"{path}.radii")
+    if not radii or any(r <= 0.0 for r in radii):
+        raise _semantic(f"{path}.radii", "must be positive and non-empty")
+    params["radii"] = radii
+    params["points"] = _parse_points(obj["points"], f"{path}.points", dim)
+    if "exponents" in obj:
+        params["exponents"] = _real_list(obj["exponents"],
+                                         f"{path}.exponents", n_systems)
+    return params
 
 
 def _task_measure_bounds(cfg: ExperimentConfig, budget: int):
@@ -128,22 +184,64 @@ def _task_measure_bounds(cfg: ExperimentConfig, budget: int):
             (params["summary"], _csv(("name", "value"), summary))]
 
 
+def _parse_render(obj, path, n_systems, dim, all_carpets) -> dict:
+    _check_keys(obj, path, ("width", "height"),
+                ("target_error", "depth", "foreground", "background"))
+    params = {"width": _int_field(obj["width"], f"{path}.width", minimum=1),
+              "height": _int_field(obj["height"], f"{path}.height",
+                                   minimum=1)}
+    if "depth" in obj:
+        params["depth"] = _int_field(obj["depth"], f"{path}.depth", minimum=1)
+    if "target_error" in obj:
+        params["target_error"] = _positive(obj["target_error"],
+                                           f"{path}.target_error")
+    elif "depth" not in obj:
+        raise _schema(path, "needs 'target_error' or 'depth'")
+    for field in ("foreground", "background"):
+        if field in obj:
+            rgb = obj[field]
+            if (not isinstance(rgb, list) or len(rgb) != 3 or
+                    any(isinstance(v, bool) or not isinstance(v, int)
+                        for v in rgb)):
+                raise _schema(f"{path}.{field}",
+                              "must be three integer channels")
+            if any(not (0 <= v <= 255) for v in rgb):
+                raise _semantic(f"{path}.{field}",
+                                "channels must lie in 0..255")
+            params[field] = tuple(rgb)
+    return params
+
+
 def _task_render(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
     if "depth" in params:
         center = np.asarray(cfg.ambient.center)[None, :]
         pts = cylinder_images(cfg.rifs, cfg.omega, params["depth"], center,
                               budget)
-        target = params.get("target_error", 1.0)
     else:
-        approx = attractor_points(cfg.rifs, cfg.omega,
-                                  params["target_error"], budget)
-        pts = approx.points
-        target = params["target_error"]
-    spec = RenderSpec(params["width"], params["height"], target,
+        pts = attractor_points(cfg.rifs, cfg.omega, params["target_error"],
+                               budget).points
+    spec = RenderSpec(params["width"], params["height"],
+                      params.get("target_error", 1.0),
                       params.get("foreground", (0, 0, 0)),
                       params.get("background", (255, 255, 255)))
     return [(params["output"], render_ppm(pts, spec, cfg.ambient))]
+
+
+def _parse_splice_demo(obj, path, n_systems, dim, all_carpets) -> dict:
+    _check_keys(obj, path, ("epsilon", "tail", "seed_set", "gauge"),
+                ("max_depth",))
+    eps = _real(obj["epsilon"], f"{path}.epsilon")
+    if not (0.0 < eps <= 1.0):
+        raise _semantic(f"{path}.epsilon", "must lie in (0, 1]")
+    return {
+        "epsilon": eps,
+        "tail": _parse_omega(obj["tail"], f"{path}.tail", n_systems),
+        "seed_set": _parse_points(obj["seed_set"], f"{path}.seed_set", dim),
+        "gauge": _parse_gauge(obj["gauge"], f"{path}.gauge"),
+        "max_depth": _int_field(obj.get("max_depth", 10),
+                                f"{path}.max_depth", minimum=1),
+    }
 
 
 def _task_splice_demo(cfg: ExperimentConfig, budget: int):
@@ -176,6 +274,14 @@ def _task_splice_demo(cfg: ExperimentConfig, budget: int):
     return [(params["output"], _csv(header, rows))]
 
 
+def _parse_sample(obj, path, n_systems, dim, all_carpets) -> dict:
+    _check_keys(obj, path, ("horizon",), ("weights",))
+    return {
+        "horizon": _int_field(obj["horizon"], f"{path}.horizon", minimum=1),
+        "weights": _weights(obj, path, n_systems),
+    }
+
+
 def _task_sample(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
     sampler = BernoulliSampler(tuple(params["weights"]), cfg.seed)
@@ -184,15 +290,29 @@ def _task_sample(cfg: ExperimentConfig, budget: int):
     return [(params["output"], _csv(("index", "symbol"), rows))]
 
 
-_HANDLERS = {
-    "dim": _task_dim,
-    "curve": _task_curve,
-    "minimize": _task_minimize,
-    "boxdim": _task_boxdim,
-    "measure-bounds": _task_measure_bounds,
-    "render": _task_render,
-    "splice-demo": _task_splice_demo,
-    "sample": _task_sample,
+@dataclass(frozen=True)
+class Task:
+    """One task type; config parses its type, output and summary fields."""
+
+    output: str                 # default output file name
+    # (fields, path, n_systems, dim, all_carpets) -> params
+    parse: Callable[..., dict]
+    # (cfg, budget) -> [(file name, bytes), ...]
+    handler: Callable[[ExperimentConfig, int], list[tuple[str, bytes]]]
+    summary: str | None = None  # default summary file name, if written
+
+
+TASKS = {
+    "dim": Task("dim.csv", _parse_dim, _task_dim),
+    "curve": Task("curve.csv", _parse_curve, _task_curve),
+    "minimize": Task("minimize.csv", _parse_minimize, _task_minimize),
+    "boxdim": Task("boxdim.csv", _parse_boxdim, _task_boxdim,
+                   "boxdim_summary.csv"),
+    "measure-bounds": Task("bounds.csv", _parse_measure_bounds,
+                           _task_measure_bounds, "bounds_summary.csv"),
+    "render": Task("render.ppm", _parse_render, _task_render),
+    "splice-demo": Task("splice.csv", _parse_splice_demo, _task_splice_demo),
+    "sample": Task("sample.csv", _parse_sample, _task_sample),
 }
 
 
@@ -214,7 +334,7 @@ def _write_atomic(path: str, data: bytes) -> None:
 def run(cfg: ExperimentConfig, out_dir: str = ".",
         budget: int = DEFAULT_BUDGET) -> list[str]:
     """Execute the config's task, write its outputs, return written paths."""
-    handler = _HANDLERS[cfg.task.type]
+    handler = TASKS[cfg.task.type].handler
     label = cfg.description or cfg.task.type
     print(f"rifslab: running {label!r} (task {cfg.task.type}, "
           f"seed {cfg.seed}, budget {budget})", file=sys.stderr)

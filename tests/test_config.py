@@ -191,6 +191,12 @@ def test_render_task_needs_a_stopping_rule():
         parse_config(d)
 
 
+def test_render_size_checked_at_parse_time():
+    d = doc(task={"type": "render", "width": 0, "height": 8, "depth": 1})
+    with pytest.raises(ConfigSemanticError, match=r"task\.width: must be >= 1"):
+        parse_config(d)
+
+
 def test_render_color_checks():
     d = doc(task={"type": "render", "width": 4, "height": 4, "depth": 1,
                   "foreground": [0, 0]})

@@ -7,7 +7,7 @@ from rifslab import (BernoulliSampler, CarpetSpec, OmegaSeq, ResourceError,
                      Rifs, UsageError, attractor_points, carpet_system,
                      continuity_probe, cylinder_cover, cylinder_images,
                      hausdorff_distance, resolution_depth, sample_omega)
-from rifslab.geometry import AmbientBox, Similarity, unit_box
+from rifslab.geometry import AmbientBox, ClosedFormMap, Similarity, unit_box
 from rifslab.model import DeterministicIfs
 
 THIRD = 1.0 / 3.0
@@ -33,8 +33,12 @@ def test_system_needs_maps_of_one_dimension():
 
 def test_rifs_rejects_maps_leaving_the_box():
     runaway = DeterministicIfs((Similarity(0.5, (0.9,)),), "runaway")
-    with pytest.raises(UsageError, match="leaves the ambient box"):
-        Rifs((runaway,), unit_box(1))
+    # only points near the top edge leave: (0.5, 1.2498) -> (0.5, 1.2499)
+    arch = DeterministicIfs((ClosedFormMap("arch_top_mid"),), "arch")
+    for system, box in ((runaway, unit_box(1)),
+                        (arch, AmbientBox((0.0, 0.0), (1.0, 1.2498)))):
+        with pytest.raises(UsageError, match="leaves the ambient box"):
+            Rifs((system,), box)
 
 
 def test_rifs_accepts_boundary_touching_maps():
