@@ -219,7 +219,9 @@ def minimize_carpet_dimension(carpets: Sequence[CarpetSpec],
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = val(c), val(d)
-    while b - a > tol:
+    # a one-ulp bracket stops shrinking, so also stop once c, d no longer
+    # fall strictly inside it
+    while b - a > tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -267,7 +267,8 @@ def attractor_points(rifs: Rifs, omega: OmegaSeq, target_error: float,
 
 # --- Hausdorff distance ------------------------------------------------------
 
-_BRUTE_CHUNK = 4_000_000  # pair evaluations per chunk
+_BRUTE_CHUNK = 1 << 13    # pair evaluations per chunk or sweep step
+_SWEEP_BLOCK = 1024       # points of a per sweep block
 
 
 def _directed_sq_brute(a: np.ndarray, b: np.ndarray) -> float:
@@ -281,101 +282,76 @@ def _directed_sq_brute(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def _nearest_sq_sorted(a: np.ndarray, b_sorted: np.ndarray) -> np.ndarray:
-    """Exact nearest squared distances in one dimension via a sorted array."""
-    pos = np.searchsorted(b_sorted, a)
-    left = np.clip(pos - 1, 0, b_sorted.size - 1)
-    right = np.clip(pos, 0, b_sorted.size - 1)
-    d2l = (a - b_sorted[left]) ** 2
-    d2r = (a - b_sorted[right]) ** 2
-    return np.minimum(d2l, d2r)
+def _directed_sq_sweep(a: np.ndarray, b: np.ndarray) -> float:
+    """_directed_sq_brute by sort-and-sweep on the first coordinate.
 
-
-def _directed_sq_bucket(a: np.ndarray, b: np.ndarray) -> float:
-    """Grid-bucket exact directed distance for planar point sets.
-
-    Points of b are grouped into square cells; each group of a sharing a cell
-    scans Chebyshev rings of cells outward until no farther ring can improve
-    its worst minimum.  The per-pair arithmetic matches the brute force path,
-    so minima agree exactly.
+    Each point of a scans b, sorted by first then last coordinate, outward
+    from its own sort position in windows of doubling width.  It stops once
+    the squared first-coordinate gap to the next unscanned point on each
+    side is >= its best so far: float subtraction and squaring are
+    monotone and dx^2 <= dx^2 + dy^2, so no farther point is nearer.  It
+    is dropped once its best is <= the running maximum, which it then
+    cannot raise (the early break of Taha & Hanbury, IEEE TPAMI 37(11),
+    2015).  Pairs use the brute-force arithmetic, so the value is the same
+    bit for bit.
     """
-    lo = b.min(axis=0)
-    span = float(max((b.max(axis=0) - lo).max(), 1e-300))
-    ncell = max(1, int(math.sqrt(b.shape[0] / 4.0)))
-    h = span / ncell
-
-    def keys_of(pts: np.ndarray) -> np.ndarray:
-        k = np.floor((pts - lo) / h).astype(np.int64)
-        return np.clip(k, -(1 << 30), 1 << 30)
-
-    bk = keys_of(b)
-    border = {}
-    for i, key in enumerate(map(tuple, bk)):
-        border.setdefault(key, []).append(i)
-    bgroups = {k: b[np.asarray(v)] for k, v in border.items()}
-
-    ak = keys_of(a)
-    order = np.lexsort((ak[:, 1], ak[:, 0]))
+    n = b.shape[0]
+    key = b[:, 0] + 1j * b[:, -1]
+    order = np.argsort(key)
+    key = key[order]
+    # rows 0 and n + 1 are sentinels at infinity, so no index needs a mask
+    pad = np.full((1, b.shape[1]), np.inf)
+    b = np.concatenate((pad, b[order], pad))
     worst = 0.0
-    start = 0
-    while start < a.shape[0]:
-        stop = start
-        key = tuple(ak[order[start]])
-        while stop < a.shape[0] and tuple(ak[order[stop]]) == key:
-            stop += 1
-        group = a[order[start:stop]]
-        best2 = np.full(group.shape[0], np.inf)
-        r = 0
-        max_r = 2 * ncell + 2
-        while True:
-            cells = _ring_cells(key, r)
-            cands = [bgroups[c] for c in cells if c in bgroups]
-            if cands:
-                cand = np.concatenate(cands)
-                d2 = ((group[:, None, :] - cand[None, :, :]) ** 2).sum(axis=-1)
-                best2 = np.minimum(best2, d2.min(axis=1))
-            # any cell at ring >= r+1 is at least r*h away from this cell
-            if best2.max() <= (r * h) ** 2 or r > max_r:
-                break
-            r += 1
-        worst = max(worst, float(best2.max()))
-        start = stop
+    for start in range(0, a.shape[0], _SWEEP_BLOCK):
+        p = a[start:start + _SWEEP_BLOCK]
+        pos = np.searchsorted(key, p[:, 0] + 1j * p[:, -1])
+        best = np.full(p.shape[0], np.inf)
+        live = np.arange(p.shape[0])
+        reach, width = 0, 1
+        while live.size:
+            offs = np.arange(reach, reach + width)
+            rows = max(1, _BRUTE_CHUNK // (2 * width))
+            for s in range(0, live.size, rows):
+                i = live[s:s + rows]
+                cols = np.concatenate((pos[i, None] - offs,
+                                       pos[i, None] + 1 + offs), axis=1)
+                q = b[np.clip(cols, 0, n + 1)]
+                d2 = ((p[i, None, :] - q) ** 2).sum(axis=-1)
+                best[i] = np.minimum(best[i], d2.min(axis=1))
+            reach += width
+            width = min(2 * width, _BRUTE_CHUNK // 2)
+            x, near = p[live, 0], best[live]
+            gap_lo = x - b[np.maximum(pos[live] - reach, 0), 0]
+            gap_hi = x - b[np.minimum(pos[live] + 1 + reach, n + 1), 0]
+            done = (gap_lo ** 2 >= near) & (gap_hi ** 2 >= near)
+            if done.any():
+                worst = max(worst, float(near[done].max()))
+            live = live[~done & (near > worst)]
     return worst
 
 
-def _ring_cells(key: tuple[int, int], r: int) -> list[tuple[int, int]]:
-    ci, cj = key
-    if r == 0:
-        return [key]
-    cells = []
-    for di in range(-r, r + 1):
-        for dj in range(-r, r + 1):
-            if max(abs(di), abs(dj)) == r:
-                cells.append((ci + di, cj + dj))
-    return cells
-
-
 def hausdorff_distance(a, b, method: str = "auto") -> float:
-    """Exact symmetric Hausdorff distance between finite point sets."""
+    """Exact symmetric Hausdorff distance between finite point sets.
+
+    `method` "auto" (the default) sweeps the points sorted on one axis, at
+    every size and in one or two dimensions, holding at most `_BRUTE_CHUNK`
+    pairs at a time; "brute" compares every pair and is the reference the
+    sweep equals bit for bit.
+    """
+    directed = {"auto": _directed_sq_sweep,
+                "brute": _directed_sq_brute}.get(method)
+    if directed is None:
+        raise UsageError(f"Hausdorff method must be 'auto' or 'brute', "
+                         f"got {method!r}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise UsageError("Hausdorff distance needs non-empty point sets")
     if a.shape[1] != b.shape[1]:
         raise UsageError("point sets must share a dimension")
-
-    def directed(x: np.ndarray, y: np.ndarray) -> float:
-        if method == "brute":
-            return _directed_sq_brute(x, y)
-        accelerate = method == "bucket" or (
-            method == "auto" and x.shape[0] > 10_000 and y.shape[0] > 10_000)
-        if accelerate and x.shape[1] == 1:
-            ys = np.sort(y[:, 0])
-            return float(_nearest_sq_sorted(x[:, 0], ys).max())
-        if accelerate and x.shape[1] == 2:
-            return _directed_sq_bucket(x, y)
-        return _directed_sq_brute(x, y)
-
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise UsageError("Hausdorff distance needs finite coordinates")
     return math.sqrt(max(directed(a, b), directed(b, a)))
 
 

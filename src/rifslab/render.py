@@ -30,15 +30,12 @@ def _check_rgb(name: str, rgb) -> tuple[int, int, int]:
 class RenderSpec:
     width: int
     height: int
-    target_error: float
     foreground: tuple[int, int, int] = _BLACK
     background: tuple[int, int, int] = _WHITE
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise UsageError("render resolution must be at least 1x1")
-        if self.target_error <= 0.0:
-            raise UsageError("target_error must be > 0")
         object.__setattr__(self, "foreground",
                            _check_rgb("foreground", self.foreground))
         object.__setattr__(self, "background",

@@ -222,7 +222,6 @@ def _task_render(cfg: ExperimentConfig, budget: int):
         pts = attractor_points(cfg.rifs, cfg.omega, params["target_error"],
                                budget).points
     spec = RenderSpec(params["width"], params["height"],
-                      params.get("target_error", 1.0),
                       params.get("foreground", (0, 0, 0)),
                       params.get("background", (255, 255, 255)))
     return [(params["output"], render_ppm(pts, spec, cfg.ambient))]

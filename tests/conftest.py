@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 
@@ -39,5 +40,29 @@ def run_cli():
         return subprocess.run(
             [sys.executable, "-m", "rifslab", *args],
             capture_output=True, text=True, env=env, cwd=cwd)
+
+    return _run
+
+
+@pytest.fixture
+def run_isolated():
+    """Run Python code in a fresh interpreter with a timeout.
+
+    `max_bytes` caps the child's address space, so a runaway allocation
+    fails there instead of exhausting the machine; a hang raises
+    `subprocess.TimeoutExpired` after `timeout` seconds.  One BLAS thread
+    keeps numpy's import well inside any such cap.
+    """
+
+    def _run(code, timeout, max_bytes=None):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=timeout,
+            preexec_fn=None if max_bytes is None else cap)
 
     return _run

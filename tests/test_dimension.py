@@ -168,6 +168,18 @@ def test_minimize_finds_the_analytic_minimum():
     assert value < min(mix_curve_closed_form(0.0), mix_curve_closed_form(1.0))
 
 
+def test_minimize_stops_when_tol_is_below_float_spacing(run_isolated):
+    # the bracket stops shrinking at one ulp, far above this tol
+    code = """
+from rifslab import load_corpus, minimize_carpet_dimension
+carpets = [c for c in load_corpus("carpet-minimize").carpets if c is not None]
+print(repr(minimize_carpet_dimension(carpets, tol=1e-300)[0]))
+"""
+    res = run_isolated(code, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout) == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-6)
+
+
 def test_minimize_flat_curve_returns_midpoint():
     c = CarpetSpec(2, 3, ((0, 0), (0, 2), (1, 0), (1, 2)))
     p_star, value = minimize_carpet_dimension((c, c))

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rifslab import (BernoulliSampler, CarpetSpec, OmegaSeq, ResourceError,
                      Rifs, UsageError, attractor_points, carpet_system,
                      continuity_probe, cylinder_cover, cylinder_images,
                      hausdorff_distance, resolution_depth, sample_omega)
 from rifslab.geometry import AmbientBox, ClosedFormMap, Similarity, unit_box
-from rifslab.model import DeterministicIfs
+from rifslab.model import (DeterministicIfs, _directed_sq_brute,
+                           _directed_sq_sweep)
 
 THIRD = 1.0 / 3.0
 
@@ -161,6 +164,10 @@ def test_hausdorff_input_checks():
         hausdorff_distance(np.empty((0, 1)), [[0.0]])
     with pytest.raises(UsageError):
         hausdorff_distance([[0.0]], [[0.0, 0.0]])
+    with pytest.raises(UsageError, match="finite"):
+        hausdorff_distance([[0.0, math.nan]], [[0.0, 0.0]])
+    with pytest.raises(UsageError, match="'auto' or 'brute'"):
+        hausdorff_distance([[0.0]], [[1.0]], method="bogus")
 
 
 def test_hausdorff_methods_agree_exactly_2d():
@@ -168,15 +175,14 @@ def test_hausdorff_methods_agree_exactly_2d():
     a = rng.random((400, 2))
     b = rng.random((350, 2)) * 1.2 - 0.1
     brute = hausdorff_distance(a, b, method="brute")
-    bucket = hausdorff_distance(a, b, method="bucket")
-    assert bucket == brute
+    assert hausdorff_distance(a, b) == brute
 
 
 def test_hausdorff_methods_agree_exactly_1d():
     rng = np.random.default_rng(12)
     a = rng.random((500, 1))
     b = rng.random((450, 1))
-    assert hausdorff_distance(a, b, method="bucket") == \
+    assert hausdorff_distance(a, b) == \
         hausdorff_distance(a, b, method="brute")
 
 
@@ -188,6 +194,82 @@ def test_hausdorff_against_scipy():
     want = max(scipy_spatial.distance.directed_hausdorff(a, b)[0],
                scipy_spatial.distance.directed_hausdorff(b, a)[0])
     assert hausdorff_distance(a, b) == pytest.approx(want, rel=1e-12)
+
+
+LAYOUTS = ("free", "grid", "cluster", "outlier", "duplicates", "vertical",
+           "horizontal", "diagonal")
+
+
+@st.composite
+def point_set(draw, dim):
+    n = draw(st.integers(1, 40))
+    pts = draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-1e5, 1e5)))
+    layout = draw(st.sampled_from(LAYOUTS))
+    if layout == "grid":            # ties in both coordinates and distances
+        pts = np.round(pts / 2e4)
+    elif layout == "cluster":       # spread below 1e-6
+        pts = pts[0] + pts * 1e-11
+    elif layout == "outlier":
+        far = draw(st.sampled_from((-1e6, 1e6)))
+        pts = np.vstack((pts * 1e-3, np.full((1, dim), far)))
+    elif layout == "duplicates":
+        pts = pts[draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=60))]
+    elif dim == 2 and layout == "vertical":
+        pts[:, 0] = pts[0, 0]
+    elif dim == 2 and layout == "horizontal":
+        pts[:, 1] = pts[0, 1]
+    elif dim == 2 and layout == "diagonal":
+        pts[:, 1] = pts[:, 0]
+    return pts
+
+
+@st.composite
+def point_set_pairs(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    return draw(point_set(dim)), draw(point_set(dim))
+
+
+# more points than one sweep block, half of them in a dense cluster
+_rng = np.random.default_rng(14)
+_many = np.vstack((_rng.random((1500, 2)), 0.5 + 1e-9 * _rng.random((1500, 2))))
+
+
+@given(point_set_pairs())
+@example((_many, _rng.random((700, 2)) * 3.0))
+@settings(deadline=None)
+def test_hausdorff_sweep_equals_brute(sets):
+    a, b = sets
+    assert _directed_sq_sweep(a, b) == _directed_sq_brute(a, b)
+    assert hausdorff_distance(a, b) == hausdorff_distance(a, b, method="brute")
+
+
+def test_hausdorff_sweep_scans_past_every_window_edge():
+    # k points tied at the origin fill the first windows on one side; the
+    # nearest point comes right after them in sorted order, for every k
+    for k in range(1, 70):
+        ties = np.zeros((k, 2))
+        right = np.vstack((ties, [[1.0, -1.0]]))
+        left = np.vstack(([[-1.0, 1.0]], ties))
+        assert _directed_sq_sweep(np.array([[0.0, -2.0]]), right) == 2.0
+        assert _directed_sq_sweep(np.array([[0.0, 2.0]]), left) == 2.0
+
+
+def test_hausdorff_outlier_exact_in_bounded_memory(run_isolated):
+    # 20k points plus a far outlier: a grid of cells sized to the point
+    # count returned inf here and held one dense cell against every point
+    code = """
+import numpy as np
+from rifslab import hausdorff_distance
+s = np.random.default_rng(15).random((20_000, 2))
+o = np.array([[100.0, 100.0]])
+print(repr(hausdorff_distance(s, np.vstack((s, o)))),
+      repr(float(np.sqrt(((s - o) ** 2).sum(axis=-1).min()))))
+"""
+    res = run_isolated(code, timeout=120, max_bytes=1 << 30)
+    assert res.returncode == 0, res.stderr
+    got, want = res.stdout.split()
+    assert got == want
 
 
 def test_sampler_reproducible_and_in_range():

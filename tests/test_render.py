@@ -17,20 +17,18 @@ def pixels_of(data: bytes, spec: RenderSpec) -> np.ndarray:
 
 def test_spec_validation():
     with pytest.raises(UsageError):
-        RenderSpec(0, 4, 0.1)
+        RenderSpec(0, 4)
     with pytest.raises(UsageError):
-        RenderSpec(4, 4, 0.0)
+        RenderSpec(4, 4, foreground=(0, 0))
     with pytest.raises(UsageError):
-        RenderSpec(4, 4, 0.1, foreground=(0, 0))
-    with pytest.raises(UsageError):
-        RenderSpec(4, 4, 0.1, background=(0, 0, 256))
-    spec = RenderSpec(4, 2, 0.5)
+        RenderSpec(4, 4, background=(0, 0, 256))
+    spec = RenderSpec(4, 2)
     assert spec.foreground == (0, 0, 0)
     assert spec.background == (255, 255, 255)
 
 
 def test_single_center_point():
-    spec = RenderSpec(3, 3, 1.0)
+    spec = RenderSpec(3, 3)
     data = render_ppm(np.array([[0.5, 0.5]]), spec, unit_box(2))
     assert header_of(data) == b"P6\n3 3\n255\n"
     img = pixels_of(data, spec)
@@ -40,7 +38,7 @@ def test_single_center_point():
 
 def test_vertical_axis_points_up():
     # larger y lands on an earlier (higher) pixel row
-    spec = RenderSpec(1, 4, 1.0)
+    spec = RenderSpec(1, 4)
     img = pixels_of(render_ppm(np.array([[0.5, 0.99]]), spec, unit_box(2)),
                     spec)
     assert (img[0, 0] == 0).all()
@@ -50,7 +48,7 @@ def test_vertical_axis_points_up():
 
 
 def test_one_dimensional_points_use_row_zero():
-    spec = RenderSpec(8, 3, 1.0)
+    spec = RenderSpec(8, 3)
     img = pixels_of(render_ppm(np.array([[0.0], [0.99]]), spec, unit_box(1)),
                     spec)
     fg_rows = sorted(set(np.argwhere((img == 0).all(axis=2))[:, 0]))
@@ -59,7 +57,7 @@ def test_one_dimensional_points_use_row_zero():
 
 
 def test_custom_colors_and_determinism():
-    spec = RenderSpec(5, 5, 1.0, foreground=(10, 20, 30),
+    spec = RenderSpec(5, 5, foreground=(10, 20, 30),
                       background=(200, 100, 0))
     pts = np.array([[0.1, 0.1], [0.9, 0.9]])
     a = render_ppm(pts, spec, unit_box(2))
@@ -71,14 +69,14 @@ def test_custom_colors_and_determinism():
 
 
 def test_points_clamped_to_edge_pixels():
-    spec = RenderSpec(4, 4, 1.0)
+    spec = RenderSpec(4, 4)
     box = AmbientBox((0.0, 0.0), (1.0, 1.0))
     img = pixels_of(render_ppm(np.array([[1.0, 0.0]]), spec, box), spec)
     assert (img[3, 3] == 0).all()
 
 
 def test_render_input_checks():
-    spec = RenderSpec(4, 4, 1.0)
+    spec = RenderSpec(4, 4)
     with pytest.raises(UsageError, match="nothing to render"):
         render_ppm(np.zeros((0, 2)), spec, unit_box(2))
     with pytest.raises(UsageError):
