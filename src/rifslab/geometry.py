@@ -70,17 +70,20 @@ def _affine_image_boxes(linear: np.ndarray, shift: np.ndarray,
                         boxes: np.ndarray) -> np.ndarray:
     """Exact bounding boxes of affine images of axis-aligned boxes.
 
-    boxes has shape (n, dim, 2); the image bounding box is the min/max of the
-    transformed corners, which is exact for affine maps.
+    boxes has shape (n, dim, 2).  A diagonal linear part maps each axis on
+    its own, so an axis's image is its two mapped ends in order; otherwise
+    the image box is the min/max of the transformed corners.  Both are
+    exact for affine maps.
     """
-    n, dim, _ = boxes.shape
-    if dim == 1:
-        ends = boxes[:, 0, :] * linear[0, 0] + shift[0]  # (n, 2)
+    diag = np.diagonal(linear)
+    if np.array_equal(linear, np.diag(diag)):
+        ends = boxes * diag[:, None] + shift[:, None]
         out = np.empty_like(boxes)
-        out[:, 0, 0] = np.minimum(ends[:, 0], ends[:, 1])
-        out[:, 0, 1] = np.maximum(ends[:, 0], ends[:, 1])
+        np.minimum(ends[..., 0], ends[..., 1], out=out[..., 0])
+        np.maximum(ends[..., 0], ends[..., 1], out=out[..., 1])
         return out
-    # 2D: four corners per box
+    # four corners per box; only 2-D maps get here, as 1-D ones are diagonal
+    n = boxes.shape[0]
     corners = np.empty((n, 4, 2))
     corners[:, 0] = boxes[:, :, 0]
     corners[:, 1, 0] = boxes[:, 0, 0]

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rifslab import (BoxCountTable, OmegaSeq, UsageError, count_boxes,
-                     estimate_box_dims)
-from rifslab.geometry import unit_box
+from rifslab import (BoxCountTable, OmegaSeq, UsageError, boxcount,
+                     count_boxes, estimate_box_dims)
+from rifslab.boxcount import SNAP_TOL
+from rifslab.geometry import AmbientBox, unit_box
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -53,6 +56,101 @@ def test_wide_boxes_enumerate_all_cells():
     assert count_boxes(items, 0.25, unit_box(2)) == 3 * 2 + 1
 
 
+def test_non_finite_inputs_rejected():
+    box = unit_box(1)
+    with pytest.raises(UsageError, match="finite"):
+        count_boxes(np.array([[np.nan], [0.2]]), 0.25, box)
+    with pytest.raises(UsageError, match="finite"):
+        count_boxes(np.array([[[0.0, np.inf]]]), 0.25, box)
+    with pytest.raises(UsageError, match="finite"):
+        count_boxes(np.array([[0.5]]), np.nan, box)
+
+
+def test_grid_too_fine_for_an_int64_index_rejected():
+    pts = np.array([[0.1, 0.3], [0.35, 0.3]])
+    assert count_boxes(pts, 2.0 ** -20, unit_box(2)) == 2
+    with pytest.raises(UsageError, match=f"{2 ** 66} cells overflows"):
+        count_boxes(pts, 2.0 ** -33, unit_box(2))
+
+
+def test_far_off_items_clamp_to_the_edge_cells():
+    box = unit_box(1)
+    assert count_boxes(np.array([[1e30], [0.9]]), 0.25, box) == 1
+    assert count_boxes(np.array([[[-1e30, -1e29]], [[0.1, 0.2]]]),
+                       0.25, box) == 1
+
+
+def _oracle_count(items, delta, ambient):
+    """The per-box itertools.product loop count_boxes once ran, with the
+    per-axis cell rule as it stood then."""
+    arr = np.asarray(items, dtype=float)
+    if arr.ndim == 2:
+        arr = np.stack([arr, arr], axis=-1)
+    shape = boxcount._grid_shape(ambient, delta)
+    cells = set()
+    for box in arr:
+        ranges = []
+        for ax, (a, b) in enumerate(box):
+            s = float(boxcount._snap(np.asarray((a - ambient.lo[ax]) / delta)))
+            e = float(boxcount._snap(np.asarray((b - ambient.lo[ax]) / delta)))
+            js = math.floor(s)
+            je = math.floor(e) - 1 if e == math.floor(e) else math.floor(e)
+            if je < js:
+                js = je = max(je, 0)
+            n = shape[ax]
+            ranges.append(range(min(max(js, 0), n - 1),
+                                min(max(je, 0), n - 1) + 1))
+        cells.update(itertools.product(*ranges))
+    return len(cells)
+
+
+@st.composite
+def count_inputs(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    if draw(st.booleans()):
+        ambient, scale = unit_box(dim), 1.0
+    else:
+        scale = draw(st.floats(0.25, 4.0))
+        lo = [draw(st.floats(-3.0, 3.0)) for _ in range(dim)]
+        hi = [l + scale * draw(st.floats(1.0, 2.0)) for l in lo]
+        ambient = AmbientBox(tuple(lo), tuple(hi))
+    delta = scale / draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        delta *= draw(st.floats(0.7, 1.3))
+    n_cells = 2 * scale / delta
+
+    def coordinate(ax):
+        # in grid units: on a line, within or just past SNAP_TOL of one,
+        # or anywhere, including beyond the grid edges
+        j = draw(st.integers(-3, int(n_cells) + 3))
+        kind = draw(st.sampled_from(("line", "near", "free")))
+        if kind == "near":
+            j += draw(st.sampled_from((-2.0, -0.5, 0.5, 2.0))) * SNAP_TOL
+        elif kind == "free":
+            j = draw(st.floats(-3.0, n_cells + 3.0))
+        return ambient.lo[ax] + j * delta
+
+    n = draw(st.integers(1, 12))
+    ends = np.array([[sorted((coordinate(ax), coordinate(ax)))
+                      for ax in range(dim)] for _ in range(n)])
+    items = ends[:, :, 0] if draw(st.booleans()) else ends
+    # repeats land in different chunks once the chunk is small
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30))
+    items = np.concatenate((items, items[picks]))
+    chunk = draw(st.sampled_from((1, 2, 3, 7, boxcount._BOX_CHUNK)))
+    return items, delta, ambient, chunk
+
+
+@given(count_inputs())
+@settings(deadline=None)
+def test_count_boxes_equals_the_per_box_loop(case):
+    items, delta, ambient, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boxcount, "_BOX_CHUNK", chunk)
+        assert count_boxes(items, delta, ambient) == \
+            _oracle_count(items, delta, ambient)
+
+
 def test_table_validation():
     BoxCountTable(((0.5, 2), (0.25, 4)), source="ok")
     with pytest.raises(UsageError):
@@ -70,6 +168,24 @@ def test_estimate_rejects_bad_ladders(cantor_cfg):
         estimate_box_dims(cantor_cfg.rifs, cantor_cfg.omega, [])
     with pytest.raises(UsageError):
         estimate_box_dims(cantor_cfg.rifs, cantor_cfg.omega, [1.5, 0.5])
+    with pytest.raises(UsageError, match=r"lie in \(0, 1\)"):
+        estimate_box_dims(cantor_cfg.rifs, cantor_cfg.omega, [0.5, math.nan])
+
+
+def test_estimate_checks_ladder_order_before_any_cover(cantor_cfg,
+                                                      monkeypatch):
+    calls = []
+    real_cover = boxcount.cylinder_cover
+
+    def counting_cover(*args, **kwargs):
+        calls.append(args)
+        return real_cover(*args, **kwargs)
+
+    monkeypatch.setattr(boxcount, "cylinder_cover", counting_cover)
+    for ladder in ([1 / 9, 1 / 3], [1 / 3, 1 / 9, 1 / 9]):
+        with pytest.raises(UsageError, match="strictly decreasing"):
+            estimate_box_dims(cantor_cfg.rifs, cantor_cfg.omega, ladder)
+    assert calls == []
 
 
 def test_triadic_ladder_counts_are_powers_of_two(cantor_cfg):

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rifslab import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                      UsageError, apply, compose, unit_box,
@@ -80,6 +83,51 @@ def test_rotated_image_box_bounds_corners():
     assert np.all(moved[:, 0] <= out[0, 1] + 1e-12)
     assert np.all(moved[:, 1] >= out[1, 0] - 1e-12)
     assert np.all(moved[:, 1] <= out[1, 1] + 1e-12)
+
+
+def _corner_image_boxes(linear, shift, boxes):
+    """Min/max of every mapped corner of each box."""
+    dim = boxes.shape[1]
+    corners = np.stack([boxes[:, np.arange(dim), np.array(pick)]
+                        for pick in itertools.product((0, 1), repeat=dim)],
+                       axis=1)
+    moved = corners @ linear.T + shift
+    return np.stack([moved.min(axis=1), moved.max(axis=1)], axis=-1)
+
+
+@st.composite
+def diagonal_map_cases(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    ratios = [draw(st.floats(0.05, 0.95)) for _ in range(dim)]
+    flips = [draw(st.booleans()) for _ in range(dim)]
+    shift = tuple(draw(st.just(0.0) | st.floats(-1.0, 1.0))
+                  for _ in range(dim))
+    similarity = dim == 1 or draw(st.booleans())
+    if similarity and dim == 2:
+        # one ratio, and only the x axis may be reflected
+        ratios[1], flips[1] = ratios[0], False
+    linear = np.diag([-r if f else r for r, f in zip(ratios, flips)])
+    m = (Similarity(ratios[0], shift, reflect=flips[0]) if similarity
+         else Affine2(linear, shift))
+    n = draw(st.integers(1, 8))
+    ends = draw(hnp.arrays(np.float64, (n, dim, 2),
+                           elements=st.just(0.0) | st.floats(-2.0, 2.0)))
+    return m, linear, np.asarray(shift), np.sort(ends, axis=-1)
+
+
+@given(diagonal_map_cases())
+@settings(deadline=None)
+def test_diagonal_maps_image_boxes_equal_the_corner_formula(case):
+    m, linear, shift, boxes = case
+    assert np.array_equal(m.image_box_array(boxes),
+                          _corner_image_boxes(linear, shift, boxes))
+
+
+def test_shear_image_boxes_bound_every_corner():
+    m = Affine2([[0.5, 0.25], [0.0, 0.5]], (0.1, 0.2))
+    boxes = np.sort(np.random.default_rng(3).uniform(-1, 1, (50, 2, 2)))
+    assert np.array_equal(m.image_box_array(boxes),
+                          _corner_image_boxes(m.matrix, m._shift, boxes))
 
 
 def test_apply_rejects_outside_points():
