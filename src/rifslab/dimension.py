@@ -143,17 +143,17 @@ class CarpetSpec:
 
 
 def bedford_mcmullen_dimension(carpet: CarpetSpec) -> float:
-    """(1/log m) * log(sum_j C_j^(log m / log n)); empty columns contribute 0."""
+    """(1/log m) * log(sum_j C_j^(log m / log n)); empty columns contribute 0.
+
+    For m >= 2 this is the one-carpet case of `random_carpet_dimension`.
+    """
     m, n = carpet.m, carpet.n
-    counts = carpet.column_counts
     if m == 1 and n == 1:
         raise GeometryDomainError("1x1 grid has no contraction")
     if m == 1:
         # continuous limit of the formula: a single column of n-adic cells
-        return math.log(counts[0]) / math.log(n)
-    e = math.log(m) / math.log(n)
-    total = math.fsum(c ** e for c in counts if c > 0)
-    return math.log(total) / math.log(m)
+        return math.log(carpet.column_counts[0]) / math.log(n)
+    return random_carpet_dimension([carpet], (1.0,))
 
 
 def random_carpet_dimension(carpets: Sequence[CarpetSpec],

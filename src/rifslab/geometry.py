@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -197,11 +199,18 @@ class Affine2(ContractionMap):
 
 # --- closed-form catalog -----------------------------------------------------
 #
-# Each entry is a hand-derived formula with its exact per-axis range function,
-# so cylinder boxes nest exactly.  Declared Lipschitz bounds come from the
-# derivative ranges; the quadratic planar maps have derivative ranges touching
-# 0 and 1, so their declarations are clamped to the open interval and they are
-# kept away from error-certified operations.
+# Each entry writes its formula once: per output axis, an ordered list of
+# one-variable terms (input axis, function, turning point or None), each
+# monotone on either side of its turning point.  Points add the terms up in
+# that order.  Boxes add up each term's range over its input interval, the
+# min/max of the term at both ends and, when the interval holds the turning
+# point, at that point too; the variables are independent, so the sum of the
+# ranges is the exact image range, and a degenerate box [p, p] maps to the
+# point formula's own value bit for bit.
+# Declared Lipschitz bounds come from the derivative ranges; the quadratic
+# planar maps have derivative ranges touching 0 and 1, so their declarations
+# are clamped to the open interval and they are kept away from
+# error-certified operations.
 
 _CLAMP_LO = 1e-12
 _CLAMP_HI = 1.0 - 1e-12
@@ -211,152 +220,79 @@ _ARCH_LIP_LO = math.sqrt((22.0 - math.sqrt(340.0)) / 72.0)
 _ARCH_LIP_HI = math.sqrt((22.0 + math.sqrt(340.0)) / 72.0)
 
 
-def _interval_affine(vals: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Range of a*t + b over [lo, hi] columns, exact."""
-    lo = vals[..., 0] * a + b
-    hi = vals[..., 1] * a + b
-    return np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=-1)
+def _half(t):
+    return t / 2.0
 
 
-def _interval_halfsquare(vals: np.ndarray) -> np.ndarray:
-    # t^2/2 is increasing on [0, 1]
-    return np.stack([vals[..., 0] ** 2 / 2.0, vals[..., 1] ** 2 / 2.0], axis=-1)
+def _half_square(t):
+    return t * t / 2.0
 
 
-def _arch_profile(x: np.ndarray) -> np.ndarray:
-    return x * (1.0 - x) / 2.0
+def _arch(t):
+    return t * (1.0 - t) / 2.0
 
 
-def _interval_arch(vals: np.ndarray) -> np.ndarray:
-    """Range of x(1-x)/2 over [lo, hi] within [0, 1]; peak 1/8 at x = 1/2."""
-    lo, hi = vals[..., 0], vals[..., 1]
-    at_lo = _arch_profile(lo)
-    at_hi = _arch_profile(hi)
-    rmin = np.minimum(at_lo, at_hi)
-    rmax = np.maximum(at_lo, at_hi)
-    covers_peak = (lo <= 0.5) & (hi >= 0.5)
-    rmax = np.where(covers_peak, 0.125, rmax)
-    return np.stack([rmin, rmax], axis=-1)
-
-
-def _cookie_25_left(x):
-    return 0.5 - 0.5 * np.sqrt(1.0 - 0.8 * x)
-
-
-def _cookie_25_right(x):
-    return 0.5 + 0.5 * np.sqrt(1.0 - 0.8 * x)
-
-
-def _cookie_69_left(x):
-    return 0.5 - np.sqrt(1.0 + x) / 3.0
-
-
-def _cookie_69_right(x):
-    return 0.5 + np.sqrt(1.0 + x) / 3.0
-
-
+@dataclass(frozen=True)
 class _Entry:
-    __slots__ = ("dim", "lip_lo", "lip_hi", "fn", "box_fn", "note")
-
-    def __init__(self, dim, lip_lo, lip_hi, fn, box_fn, note):
-        self.dim = dim
-        self.lip_lo = lip_lo
-        self.lip_hi = lip_hi
-        self.fn = fn
-        self.box_fn = box_fn
-        self.note = note
+    lip_lo: float
+    lip_hi: float
+    axes: tuple   # per output axis, the terms (input axis, fn, turn) in order
 
 
-def _mono1d(fn, increasing: bool):
-    def box_fn(boxes: np.ndarray) -> np.ndarray:
-        a = fn(boxes[:, 0, 0])
-        b = fn(boxes[:, 0, 1])
-        lo, hi = (a, b) if increasing else (b, a)
-        return np.stack([lo, hi], axis=-1)[:, None, :]
-    return box_fn
+def _x(fn, turn=None):
+    return (0, fn, turn)
 
 
-def _planar(fx, fy):
-    def fn(pts: np.ndarray) -> np.ndarray:
-        return np.stack([fx(pts[:, 0], pts[:, 1]), fy(pts[:, 0], pts[:, 1])],
-                        axis=-1)
-    return fn
-
-
-def _quad_boxes(x_rule, y_rule):
-    def box_fn(boxes: np.ndarray) -> np.ndarray:
-        return np.stack([x_rule(boxes), y_rule(boxes)], axis=1)
-    return box_fn
+def _y(fn, turn=None):
+    return (1, fn, turn)
 
 
 CLOSED_FORMS: dict[str, _Entry] = {
     # inverse branches of an expanding interval map with |slope| in [2, 5]
-    "cookie_branch_2_5_left": _Entry(
-        1, 0.2, 0.5, _cookie_25_left, _mono1d(_cookie_25_left, True),
-        "increasing branch onto the left of [0,1]"),
-    "cookie_branch_2_5_right": _Entry(
-        1, 0.2, 0.5, _cookie_25_right, _mono1d(_cookie_25_right, False),
-        "decreasing branch onto the right of [0,1]"),
+    "cookie_branch_2_5_left": _Entry(0.2, 0.5, (
+        (_x(lambda x: 0.5 - 0.5 * np.sqrt(1.0 - 0.8 * x)),),)),
+    "cookie_branch_2_5_right": _Entry(0.2, 0.5, (
+        (_x(lambda x: 0.5 + 0.5 * np.sqrt(1.0 - 0.8 * x)),),)),
     # inverse branches of an expanding interval map with |slope| in [6, 9]
-    "cookie_branch_6_9_left": _Entry(
-        1, 1.0 / 9.0, 1.0 / 6.0, _cookie_69_left,
-        _mono1d(_cookie_69_left, False), "decreasing branch, tight"),
-    "cookie_branch_6_9_right": _Entry(
-        1, 1.0 / 9.0, 1.0 / 6.0, _cookie_69_right,
-        _mono1d(_cookie_69_right, True), "increasing branch, tight"),
+    "cookie_branch_6_9_left": _Entry(1.0 / 9.0, 1.0 / 6.0, (
+        (_x(lambda x: 0.5 - np.sqrt(1.0 + x) / 3.0),),)),
+    "cookie_branch_6_9_right": _Entry(1.0 / 9.0, 1.0 / 6.0, (
+        (_x(lambda x: 0.5 + np.sqrt(1.0 + x) / 3.0),),)),
     # planar maps with one quadratic component; derivative range hits 0 and 1
-    "quad_y_bottom_left": _Entry(
-        2, _CLAMP_LO, _CLAMP_HI,
-        _planar(lambda x, y: x / 2.0, lambda x, y: y * y / 2.0),
-        _quad_boxes(lambda b: _interval_affine(b[:, 0], 0.5, 0.0),
-                    lambda b: _interval_halfsquare(b[:, 1])),
-        "halves x, square-halves y"),
-    "quad_x_top_left": _Entry(
-        2, _CLAMP_LO, _CLAMP_HI,
-        _planar(lambda x, y: x * x / 2.0, lambda x, y: y / 2.0 + 0.5),
-        _quad_boxes(lambda b: _interval_halfsquare(b[:, 0]),
-                    lambda b: _interval_affine(b[:, 1], 0.5, 0.5)),
-        "square-halves x, lifts y"),
-    "quad_x_bottom_left": _Entry(
-        2, _CLAMP_LO, _CLAMP_HI,
-        _planar(lambda x, y: x * x / 2.0, lambda x, y: y / 2.0),
-        _quad_boxes(lambda b: _interval_halfsquare(b[:, 0]),
-                    lambda b: _interval_affine(b[:, 1], 0.5, 0.0)),
-        "square-halves x, halves y"),
+    "quad_y_bottom_left": _Entry(_CLAMP_LO, _CLAMP_HI, (
+        (_x(_half),),
+        (_y(_half_square, 0.0),))),
+    "quad_x_top_left": _Entry(_CLAMP_LO, _CLAMP_HI, (
+        (_x(_half_square, 0.0),),
+        (_y(lambda y: y / 2.0 + 0.5),))),
+    "quad_x_bottom_left": _Entry(_CLAMP_LO, _CLAMP_HI, (
+        (_x(_half_square, 0.0),),
+        (_y(_half),))),
     # planar maps bending the square along a parabolic arch
-    "arch_left": _Entry(
-        2, _ARCH_LIP_LO, _ARCH_LIP_HI,
-        _planar(lambda x, y: x / 3.0,
-                lambda x, y: _arch_profile(x) + y / 2.0),
-        _quad_boxes(
-            lambda b: _interval_affine(b[:, 0], 1.0 / 3.0, 0.0),
-            lambda b: _sum_ranges(_interval_arch(b[:, 0]),
-                                  _interval_affine(b[:, 1], 0.5, 0.0))),
-        "thirds x, arches y"),
-    "arch_right": _Entry(
-        2, _ARCH_LIP_LO, _ARCH_LIP_HI,
-        _planar(lambda x, y: 1.0 - x / 3.0,
-                lambda x, y: _arch_profile(x) + y / 2.0),
-        _quad_boxes(
-            lambda b: _interval_affine(b[:, 0], -1.0 / 3.0, 1.0),
-            lambda b: _sum_ranges(_interval_arch(b[:, 0]),
-                                  _interval_affine(b[:, 1], 0.5, 0.0))),
-        "mirrored thirds x, arches y"),
-    "arch_top_mid": _Entry(
-        2, _ARCH_LIP_LO, _ARCH_LIP_HI,
-        _planar(lambda x, y: x / 3.0 + 1.0 / 3.0,
-                lambda x, y: _arch_profile(x) + y / 2.0 + 0.5),
-        _quad_boxes(
-            lambda b: _interval_affine(b[:, 0], 1.0 / 3.0, 1.0 / 3.0),
-            lambda b: _sum_ranges(_interval_arch(b[:, 0]),
-                                  _interval_affine(b[:, 1], 0.5, 0.5))),
-        "thirds x shifted, arches y, lifted"),
+    "arch_left": _Entry(_ARCH_LIP_LO, _ARCH_LIP_HI, (
+        (_x(lambda x: x / 3.0),),
+        (_x(_arch, 0.5), _y(_half)))),
+    "arch_right": _Entry(_ARCH_LIP_LO, _ARCH_LIP_HI, (
+        (_x(lambda x: 1.0 - x / 3.0),),
+        (_x(_arch, 0.5), _y(_half)))),
+    "arch_top_mid": _Entry(_ARCH_LIP_LO, _ARCH_LIP_HI, (
+        (_x(lambda x: x / 3.0 + 1.0 / 3.0),),
+        (_x(_arch, 0.5), _y(_half), _y(lambda y: 0.5)))),
 }
 
 
-def _sum_ranges(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # exact range of f(x) + g(y) when the variables are independent
-    return np.stack([a[..., 0] + b[..., 0], a[..., 1] + b[..., 1]], axis=-1)
+def _term_range(vals: np.ndarray, fn, turn) -> tuple:
+    """Exact (min, max) of fn over each [lo, hi] row of vals."""
+    at_lo = fn(vals[:, 0])
+    at_hi = fn(vals[:, 1])
+    lo = np.minimum(at_lo, at_hi)
+    hi = np.maximum(at_lo, at_hi)
+    if turn is not None:
+        holds = (vals[:, 0] <= turn) & (turn <= vals[:, 1])
+        at_turn = fn(turn)
+        lo = np.where(holds, np.minimum(lo, at_turn), lo)
+        hi = np.where(holds, np.maximum(hi, at_turn), hi)
+    return lo, hi
 
 
 class ClosedFormMap(ContractionMap):
@@ -370,17 +306,26 @@ class ClosedFormMap(ContractionMap):
         except KeyError:
             raise UsageError(f"unknown closed-form map {name!r}") from None
         self.name = name
-        self.dim = entry.dim
+        self.dim = len(entry.axes)
         self.lip_lo = entry.lip_lo
         self.lip_hi = entry.lip_hi
-        self._entry = entry
+        self._axes = entry.axes
         self._check_lips()
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        return self._entry.fn(pts)
+        out = np.empty_like(pts, dtype=float)
+        for k, terms in enumerate(self._axes):
+            out[:, k] = reduce(add, (fn(pts[:, a]) for a, fn, _ in terms))
+        return out
 
     def image_box_array(self, boxes: np.ndarray) -> np.ndarray:
-        return self._entry.box_fn(boxes)
+        out = np.empty_like(boxes, dtype=float)
+        for k, terms in enumerate(self._axes):
+            los, his = zip(*(_term_range(boxes[:, a], fn, turn)
+                             for a, fn, turn in terms))
+            out[:, k, 0] = reduce(add, los)
+            out[:, k, 1] = reduce(add, his)
+        return out
 
     def describe(self) -> str:
         return f"closed_form({self.name})"

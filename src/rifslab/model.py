@@ -331,19 +331,13 @@ def _directed_sq_sweep(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def hausdorff_distance(a, b, method: str = "auto") -> float:
+def hausdorff_distance(a, b) -> float:
     """Exact symmetric Hausdorff distance between finite point sets.
 
-    `method` "auto" (the default) sweeps the points sorted on one axis, at
-    every size and in one or two dimensions, holding at most `_BRUTE_CHUNK`
-    pairs at a time; "brute" compares every pair and is the reference the
-    sweep equals bit for bit.
+    Sweeps the points sorted on one axis, at every size and in one or two
+    dimensions, holding at most `_BRUTE_CHUNK` pairs at a time; the value
+    equals brute force over every pair (`_directed_sq_brute`) bit for bit.
     """
-    directed = {"auto": _directed_sq_sweep,
-                "brute": _directed_sq_brute}.get(method)
-    if directed is None:
-        raise UsageError(f"Hausdorff method must be 'auto' or 'brute', "
-                         f"got {method!r}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
@@ -352,7 +346,7 @@ def hausdorff_distance(a, b, method: str = "auto") -> float:
         raise UsageError("point sets must share a dimension")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise UsageError("Hausdorff distance needs finite coordinates")
-    return math.sqrt(max(directed(a, b), directed(b, a)))
+    return math.sqrt(max(_directed_sq_sweep(a, b), _directed_sq_sweep(b, a)))
 
 
 # --- Bernoulli sampling ------------------------------------------------------

@@ -58,10 +58,6 @@ class OmegaSeq:
         return f"({p}|{c})" if p else f"(|{c})"
 
 
-def constant(symbol: int) -> OmegaSeq:
-    return OmegaSeq((), (symbol,))
-
-
 def _equality_horizon(u: OmegaSeq, v: OmegaSeq) -> int:
     return (len(u.prefix) + len(v.prefix)
             + math.lcm(len(u.cycle), len(v.cycle)))

@@ -194,6 +194,62 @@ def test_closed_form_box_arithmetic_covers_images(name):
             assert img[:, ax].max() <= out[ax, 1] + 1e-12
 
 
+def _arch_y(x, y):
+    return x * (1.0 - x) / 2.0 + y / 2.0
+
+
+# each catalog map as one plain expression; its terms must add up to the
+# same floats, bit for bit
+REFERENCE_FORMS = {
+    "cookie_branch_2_5_left": lambda x: (0.5 - 0.5 * np.sqrt(1.0 - 0.8 * x),),
+    "cookie_branch_2_5_right": lambda x: (0.5 + 0.5 * np.sqrt(1.0 - 0.8 * x),),
+    "cookie_branch_6_9_left": lambda x: (0.5 - np.sqrt(1.0 + x) / 3.0,),
+    "cookie_branch_6_9_right": lambda x: (0.5 + np.sqrt(1.0 + x) / 3.0,),
+    "quad_y_bottom_left": lambda x, y: (x / 2.0, y * y / 2.0),
+    "quad_x_top_left": lambda x, y: (x * x / 2.0, y / 2.0 + 0.5),
+    "quad_x_bottom_left": lambda x, y: (x * x / 2.0, y / 2.0),
+    "arch_left": lambda x, y: (x / 3.0, _arch_y(x, y)),
+    "arch_right": lambda x, y: (1.0 - x / 3.0, _arch_y(x, y)),
+    "arch_top_mid": lambda x, y: (x / 3.0 + 1.0 / 3.0, _arch_y(x, y) + 0.5),
+}
+
+
+def _catalog_points(dim):
+    rng = np.random.default_rng(17)
+    grid = np.linspace(0.0, 1.0, 33)
+    edges = (grid[:, None] if dim == 1 else
+             np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2))
+    return np.vstack((edges, rng.random((20_000, dim))))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_points_match_the_reference_formulas(name):
+    m = ClosedFormMap(name)
+    pts = _catalog_points(m.dim)
+    want = np.stack(REFERENCE_FORMS[name](*pts.T), axis=-1)
+    got = m.apply_array(pts)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_point_boxes_are_the_points(name):
+    # the image box of [p, p] is the point formula's own value, bit for bit
+    m = ClosedFormMap(name)
+    pts = _catalog_points(m.dim)
+    out = m.image_box_array(np.stack((pts, pts), axis=-1))
+    img = m.apply_array(pts)
+    assert out[..., 0].tobytes() == img.tobytes()
+    assert out[..., 1].tobytes() == img.tobytes()
+
+
+def test_square_term_range_holds_its_turning_point():
+    # y*y/2 over [-1, 1/2] ranges over [0, 1/2], not between its end values
+    m = ClosedFormMap("quad_y_bottom_left")
+    out = m.image_box_array(np.array([[[0.0, 1.0], [-1.0, 0.5]]]))[0]
+    assert out.tolist() == [[0.0, 0.5], [0.0, 0.5]]
+
+
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
 def test_declared_lipschitz_bounds_hold(name):
     rep = validate_lip_bounds(ClosedFormMap(name), 2000)

@@ -166,24 +166,24 @@ def test_hausdorff_input_checks():
         hausdorff_distance([[0.0]], [[0.0, 0.0]])
     with pytest.raises(UsageError, match="finite"):
         hausdorff_distance([[0.0, math.nan]], [[0.0, 0.0]])
-    with pytest.raises(UsageError, match="'auto' or 'brute'"):
-        hausdorff_distance([[0.0]], [[1.0]], method="bogus")
+
+
+def _brute_hausdorff(a, b):
+    return math.sqrt(max(_directed_sq_brute(a, b), _directed_sq_brute(b, a)))
 
 
 def test_hausdorff_methods_agree_exactly_2d():
     rng = np.random.default_rng(11)
     a = rng.random((400, 2))
     b = rng.random((350, 2)) * 1.2 - 0.1
-    brute = hausdorff_distance(a, b, method="brute")
-    assert hausdorff_distance(a, b) == brute
+    assert hausdorff_distance(a, b) == _brute_hausdorff(a, b)
 
 
 def test_hausdorff_methods_agree_exactly_1d():
     rng = np.random.default_rng(12)
     a = rng.random((500, 1))
     b = rng.random((450, 1))
-    assert hausdorff_distance(a, b) == \
-        hausdorff_distance(a, b, method="brute")
+    assert hausdorff_distance(a, b) == _brute_hausdorff(a, b)
 
 
 def test_hausdorff_against_scipy():
@@ -241,7 +241,7 @@ _many = np.vstack((_rng.random((1500, 2)), 0.5 + 1e-9 * _rng.random((1500, 2))))
 def test_hausdorff_sweep_equals_brute(sets):
     a, b = sets
     assert _directed_sq_sweep(a, b) == _directed_sq_brute(a, b)
-    assert hausdorff_distance(a, b) == hausdorff_distance(a, b, method="brute")
+    assert hausdorff_distance(a, b) == _brute_hausdorff(a, b)
 
 
 def test_hausdorff_sweep_scans_past_every_window_edge():
