@@ -93,6 +93,16 @@ def _str_field(val, path: str) -> str:
 
 
 def _real(val, path: str) -> float:
+    try:
+        x = _parse_real(val, path)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise _semantic(path, "must be finite")
+    return x
+
+
+def _parse_real(val, path: str) -> float:
     if isinstance(val, bool):
         raise _schema(path, "must be a number")
     if isinstance(val, (int, float)):

@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GeometryDomainError, ResourceError, UsageError
+from .errors import GeometryDomainError, UsageError
 from .dimension import CarpetSpec, similarity_dimension
-from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, cylinder_cover,
-                    resolution_depth)
+from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _bottom_up,
+                    cylinder_cover, resolution_depth)
 from .sequences import OmegaSeq
 
 
@@ -247,16 +247,8 @@ def level_masses(cm: CylinderMeasure, depth: int,
     """Masses of all depth-k cylinders, aligned with cylinder_cover order."""
     if depth < 1:
         raise UsageError("depth must be >= 1")
-    masses = np.ones(1)
-    total = 1
-    for level in range(depth, 0, -1):
-        fac = cm.factors(cm.omega.entry(level))
-        total *= fac.size
-        if total > budget:
-            raise ResourceError(
-                f"mass table of size {total} exceeds budget", count=total)
-        masses = np.concatenate([f * masses for f in fac])
-    return masses
+    levels = [cm.factors(cm.omega.entry(l)) for l in range(1, depth + 1)]
+    return _bottom_up(levels, np.ones(1), lambda f, m: f * m, budget)
 
 
 @dataclass(frozen=True)
@@ -283,14 +275,16 @@ _INNER_SLACK = 1.0 + 1e-12
 
 def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
                budget: int = DEFAULT_BUDGET) -> MdpReport:
-    if s <= 0.0:
-        raise UsageError("exponent s must be > 0")
+    if not 0.0 < s < math.inf:
+        raise UsageError("exponent s must be positive and finite")
     radii = tuple(float(r) for r in radii)
-    if not radii or any(r <= 0.0 for r in radii):
-        raise UsageError("radii must be positive")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise UsageError("radii must be positive and finite")
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if pts.shape[1] != cm.rifs.ambient.dim:
         raise UsageError("sample points do not match the ambient dimension")
+    if not np.isfinite(pts).all():
+        raise UsageError("sample points must be finite")
 
     depth = resolution_depth(cm.rifs, cm.omega, min(radii) / 4.0, budget)
     cover = cylinder_cover(cm.rifs, cm.omega, depth, budget)

@@ -14,14 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .dimension import CarpetSpec, check_weights
 from .errors import ResourceError, UsageError
-from .geometry import (Affine2, AmbientBox, ContractionMap, MapComposition,
-                       Similarity, compose)
+from .geometry import Affine2, AmbientBox, ContractionMap, Similarity
 from .sequences import OmegaSeq, omega_distance, splice
 
 DEFAULT_BUDGET = 10 ** 7
@@ -68,10 +66,6 @@ class Rifs:
                     raise UsageError(f"map {m.describe()} of system "
                                      f"{sys_.label!r} leaves the ambient box")
 
-    @property
-    def n_systems(self) -> int:
-        return len(self.systems)
-
     def system_for_level(self, omega: OmegaSeq, level: int) -> DeterministicIfs:
         idx = omega.entry(level)
         if not (1 <= idx <= len(self.systems)):
@@ -95,17 +89,25 @@ def carpet_system(carpet: CarpetSpec, label: str) -> DeterministicIfs:
     return DeterministicIfs(tuple(maps), label)
 
 
-def _level_counts(rifs: Rifs, omega: OmegaSeq, depth: int) -> list[int]:
-    return [len(rifs.system_for_level(omega, l).maps)
-            for l in range(1, depth + 1)]
+def _bottom_up(levels, leaf, image, budget: int):
+    """The depth-k family grown from `leaf`, deepest level first.
 
-
-def _guard_budget(rifs: Rifs, omega: OmegaSeq, depth: int,
-                  budget: int) -> None:
-    total = math.prod(_level_counts(rifs, omega, depth))
-    if total > budget:
+    `levels` lists each level's items (maps, or per-map factors) from level
+    1 down, and `image(item, batch)` maps a whole batch.  Every per-cylinder
+    array is built here, in word order, after one check of the cylinder
+    count against the budget.
+    """
+    count = math.prod(len(items) for items in levels)
+    if count > budget:
         raise ResourceError(
-            f"cylinder count {total} exceeds budget {budget}", count=total)
+            f"cylinder count {count} exceeds budget {budget}", count=count)
+    for items in reversed(levels):
+        leaf = np.concatenate([image(item, leaf) for item in items])
+    return leaf
+
+
+def _level_maps(rifs: Rifs, omega: OmegaSeq, depth: int):
+    return [rifs.system_for_level(omega, l).maps for l in range(1, depth + 1)]
 
 
 @dataclass(frozen=True)
@@ -113,52 +115,31 @@ class CylinderCover:
     """Depth-k cover of the attractor by composed images of the ambient box.
 
     Boxes are exact per-axis ranges propagated through the factor maps, so a
-    child box always sits inside its parent.  `words` holds 0-based map
-    indices, lexicographically ordered.
+    child box always sits inside its parent.  Rows are in lexicographic word
+    order, first symbol most significant.
     """
 
     rifs: Rifs
     omega: OmegaSeq
     depth: int
     boxes: np.ndarray          # (count, dim, 2)
-    lip_hi_prods: np.ndarray   # (count,)
     error_bound: float
 
     @property
     def count(self) -> int:
         return self.boxes.shape[0]
 
-    @cached_property
-    def words(self) -> np.ndarray:
-        counts = _level_counts(self.rifs, self.omega, self.depth)
-        total = self.count
-        out = np.empty((total, self.depth), dtype=np.int32)
-        stride = total
-        idx = np.arange(total)
-        for pos, c in enumerate(counts):
-            stride //= c
-            out[:, pos] = (idx // stride) % c
-        return out
-
     def diameters(self) -> np.ndarray:
         # Similarities scale diameters exactly, so the ratio product is the
         # true cylinder diameter; otherwise fall back to the box diagonal.
         if all(m.kind == "similarity"
                for sys_ in self.rifs.systems for m in sys_.maps):
-            return self.lip_hi_prods * self.rifs.ambient.diameter
+            ratios = _bottom_up(_level_maps(self.rifs, self.omega, self.depth),
+                                np.ones(1), lambda m, r: m.lip_hi * r,
+                                self.count)
+            return ratios * self.rifs.ambient.diameter
         spans = self.boxes[:, :, 1] - self.boxes[:, :, 0]
         return np.linalg.norm(spans, axis=1)
-
-    def composition(self, word) -> MapComposition:
-        factors = [self.rifs.system_for_level(self.omega, l + 1).maps[i]
-                   for l, i in enumerate(word)]
-        return compose(factors)
-
-    def cylinders(self):
-        """Iterate (word, composition, box) triples; meant for small covers."""
-        for row, box in zip(self.words, self.boxes):
-            word = tuple(int(i) for i in row)
-            yield word, self.composition(word), box
 
 
 def cylinder_cover(rifs: Rifs, omega: OmegaSeq, depth: int,
@@ -166,14 +147,10 @@ def cylinder_cover(rifs: Rifs, omega: OmegaSeq, depth: int,
     """Enumerate all depth-k cylinders along omega."""
     if depth < 1:
         raise UsageError("depth must be >= 1")
-    _guard_budget(rifs, omega, depth, budget)
-    boxes = rifs.ambient.as_array()[None, :, :]
-    hi = np.ones(1)
-    for level in range(depth, 0, -1):
-        maps = rifs.system_for_level(omega, level).maps
-        boxes = np.concatenate([m.image_box_array(boxes) for m in maps])
-        hi = np.concatenate([m.lip_hi * hi for m in maps])
-    return CylinderCover(rifs, omega, depth, boxes, hi,
+    boxes = _bottom_up(_level_maps(rifs, omega, depth),
+                       rifs.ambient.as_array()[None, :, :],
+                       lambda m, b: m.image_box_array(b), budget)
+    return CylinderCover(rifs, omega, depth, boxes,
                          _error_bound(rifs, omega, depth))
 
 
@@ -187,12 +164,8 @@ def cylinder_images(rifs: Rifs, omega: OmegaSeq, depth: int, seeds: np.ndarray,
     if depth < 0:
         raise UsageError("depth must be >= 0")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    _guard_budget(rifs, omega, depth, budget)
-    pts = seeds
-    for level in range(depth, 0, -1):
-        maps = rifs.system_for_level(omega, level).maps
-        pts = np.concatenate([m.apply_array(pts) for m in maps])
-    return pts
+    return _bottom_up(_level_maps(rifs, omega, depth), seeds,
+                      lambda m, p: m.apply_array(p), budget)
 
 
 def _level_bounds(rifs: Rifs, omega: OmegaSeq):

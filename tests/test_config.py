@@ -1,11 +1,13 @@
 import copy
 import json
 import math
+import re
 
 import pytest
 
 from rifslab import (ConfigParseError, ConfigSchemaError, ConfigSemanticError,
-                     corpus_names, load_config, load_corpus, parse_config)
+                     cli, corpus_names, load_config, load_corpus,
+                     parse_config)
 
 BASE = {
     "version": 1,
@@ -71,6 +73,34 @@ def test_real_value_forms():
     d["task"]["s"] = True
     with pytest.raises(ConfigSchemaError):
         parse_config(d)
+
+
+def _finite_probe(field):
+    """A valid document with the string "X" at one real field."""
+    d = doc(task={"type": "measure-bounds", "s": 0.5, "radii": [0.1],
+                  "points": [[0.5]]})
+    if field == "ambient.hi[0]":
+        d["ambient"]["hi"] = ["X"]
+    elif field == "systems[0].maps[0].ratio":
+        d["systems"][0]["maps"][0]["ratio"] = "X"
+    else:
+        d["task"]["points"] = [["X"]]
+    return d
+
+
+# Python's json accepts NaN, Infinity and numbers beyond the float range
+@pytest.mark.parametrize("literal", [
+    "NaN", "Infinity", "-Infinity", "1e999", "\"1e999\"",
+    pytest.param("1" + "0" * 400, id="1e400-int")])
+@pytest.mark.parametrize("field", ["ambient.hi[0]", "systems[0].maps[0].ratio",
+                                   "task.points[0][0]"])
+def test_real_fields_must_be_finite(tmp_path, literal, field):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(_finite_probe(field)).replace('"X"', literal))
+    with pytest.raises(ConfigSemanticError,
+                       match=re.escape(f".{field}: must be finite")):
+        load_config(path)
+    assert cli.main(["validate", str(path)]) == 1
 
 
 def test_ambient_checks():

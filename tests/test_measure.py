@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from rifslab import (CarpetSpec, CylinderMeasure, OmegaSeq, PowerGauge,
-                     PowerLogGauge, TableGauge, ResourceError, UsageError,
-                     check_msc_grid, cylinder_cover, cylinder_mass,
-                     doubling_constants, hausdorff_upper_bound, level_masses,
-                     mdp_bounds, packing_lower_bound)
+                     PowerLogGauge, TableGauge, ResourceError, Rifs,
+                     Similarity, UsageError, check_msc_grid, cylinder_cover,
+                     cylinder_mass, doubling_constants, hausdorff_upper_bound,
+                     level_masses, mdp_bounds, packing_lower_bound)
+from rifslab.model import DeterministicIfs
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -160,12 +162,21 @@ def test_halving_measure_on_column_carpets(packing_cfg):
 
 
 def test_level_masses_align_with_cover(cantor_cfg):
-    cm = CylinderMeasure(cantor_cfg.rifs, cantor_cfg.omega)
-    masses = level_masses(cm, 4)
-    cover = cylinder_cover(cantor_cfg.rifs, cantor_cfg.omega, 4)
+    # unequal ratios along a non-constant sequence, so every level's order
+    # shows in the masses
+    uneven = DeterministicIfs(
+        (Similarity(0.5, (0.0,)), Similarity(0.25, (0.75,))), "uneven")
+    rifs = Rifs((uneven, cantor_cfg.rifs.systems[1]), cantor_cfg.rifs.ambient)
+    om = OmegaSeq((2,), (1, 1, 2))
+    cm = CylinderMeasure(rifs, om)
+    masses = level_masses(cm, 5)
+    cover = cylinder_cover(rifs, om, 5)
     assert masses.shape[0] == cover.count
-    for row, m in zip(cover.words[:8], masses[:8]):
-        assert m == pytest.approx(cylinder_mass(cm, tuple(row)), rel=1e-12)
+    counts = [len(rifs.system_for_level(om, l).maps) for l in range(1, 6)]
+    words = list(itertools.product(*(range(c) for c in counts)))
+    assert len(words) == cover.count
+    for word, m in zip(words, masses):
+        assert m == pytest.approx(cylinder_mass(cm, word), rel=1e-12)
 
 
 def test_parent_mass_equals_child_sum(cantor_cfg):
@@ -208,6 +219,15 @@ def test_mdp_input_checks(cantor_cfg):
         mdp_bounds(cm, 1.0, (), [(0.5,)])
     with pytest.raises(UsageError):
         mdp_bounds(cm, 1.0, (0.1,), [(0.5, 0.5)])
+    # a NaN point or radius fails every ball test and would zero lambda_inf
+    for s, radii, points in ((math.nan, (0.1,), [(0.5,)]),
+                             (math.inf, (0.1,), [(0.5,)]),
+                             (1.0, (math.nan,), [(0.5,)]),
+                             (1.0, (0.1, math.inf), [(0.5,)]),
+                             (1.0, (0.1,), [(math.nan,)]),
+                             (1.0, (0.1,), [(0.5,), (-math.inf,)])):
+        with pytest.raises(UsageError, match="finite"):
+            mdp_bounds(cm, s, radii, points)
 
 
 # --- grid separation ------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rifslab import (BernoulliSampler, CarpetSpec, OmegaSeq, ResourceError,
-                     Rifs, UsageError, attractor_points, carpet_system,
-                     continuity_probe, cylinder_cover, cylinder_images,
-                     hausdorff_distance, resolution_depth, sample_omega)
-from rifslab.geometry import AmbientBox, ClosedFormMap, Similarity, unit_box
+from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure, OmegaSeq,
+                     ResourceError, Rifs, UsageError, attractor_points,
+                     carpet_system, continuity_probe, cylinder_cover,
+                     cylinder_images, hausdorff_distance, level_masses,
+                     resolution_depth, sample_omega)
+from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
+                              compose, unit_box)
 from rifslab.model import (DeterministicIfs, _directed_sq_brute,
                            _directed_sq_sweep)
 
@@ -62,27 +65,56 @@ def test_carpet_system_grid_cells():
     assert square.maps[0].kind == "similarity"
 
 
+def _words(rifs, om, depth):
+    """Every depth-k word, lexicographic with the first symbol most
+    significant: the order the covers promise."""
+    return list(itertools.product(
+        *(range(len(rifs.system_for_level(om, l).maps))
+          for l in range(1, depth + 1))))
+
+
+def _composition(rifs, om, word):
+    return compose(rifs.system_for_level(om, l).maps[i]
+                   for l, i in enumerate(word, start=1))
+
+
 def test_cylinder_cover_counts_and_order():
     rifs = cantor_rifs()
     om = OmegaSeq((2,), (1,))
     cover = cylinder_cover(rifs, om, 3)
     # level 1 has 3 maps, levels 2..3 have 2
     assert cover.count == 3 * 2 * 2
-    assert cover.words.shape == (12, 3)
-    # lexicographic order, first symbol most significant
-    assert cover.words[0].tolist() == [0, 0, 0]
-    assert cover.words[1].tolist() == [0, 0, 1]
-    assert cover.words[-1].tolist() == [2, 1, 1]
+    words = _words(rifs, om, 3)
+    assert words[0] == (0, 0, 0)
+    assert words[1] == (0, 0, 1)
+    assert words[-1] == (2, 1, 1)
+    # row j is word j: its left end has ternary digits (i1, 2 i2, 2 i3)
+    lefts = [(a + 2 * b * THIRD + 2 * c * THIRD ** 2) * THIRD
+             for a, b, c in words]
+    assert cover.boxes[:, 0, 0] == pytest.approx(lefts, abs=1e-15)
+
+
+def mixed_rifs():
+    rot = Similarity(0.4, (0.3, 0.4), rotation_deg=30.0)
+    shear = Affine2([[0.4, 0.2], [0.0, 0.5]], (0.1, 0.2))
+    carpet = carpet_system(CarpetSpec(2, 3, ((0, 0), (1, 2))), "cells")
+    closed = DeterministicIfs((ClosedFormMap("arch_left"),
+                               ClosedFormMap("quad_x_top_left")), "closed")
+    return Rifs((DeterministicIfs((rot, shear), "linear"), carpet, closed),
+                unit_box(2))
 
 
 def test_cylinder_boxes_match_compositions():
-    rifs = cantor_rifs()
-    om = OmegaSeq((), (1,))
-    cover = cylinder_cover(rifs, om, 2)
-    ambient = rifs.ambient.as_array()[None, :, :]
-    for word, comp, box in cover.cylinders():
-        direct = comp.image_box_array(ambient)[0]
-        assert np.allclose(direct, box, atol=0.0)
+    for rifs, om, depth in ((cantor_rifs(), OmegaSeq((), (1,)), 2),
+                            (cantor_rifs(), OmegaSeq((2,), (1, 2)), 4),
+                            (mixed_rifs(), OmegaSeq((3, 1), (2, 1, 3)), 4)):
+        cover = cylinder_cover(rifs, om, depth)
+        ambient = rifs.ambient.as_array()[None, :, :]
+        words = _words(rifs, om, depth)
+        assert cover.count == len(words)
+        for word, box in zip(words, cover.boxes):
+            comp = _composition(rifs, om, word)
+            assert np.array_equal(comp.image_box_array(ambient)[0], box)
 
 
 def test_cylinder_cover_nests():
@@ -110,6 +142,35 @@ def test_cylinder_budget_enforced():
     with pytest.raises(ResourceError) as exc:
         cylinder_cover(rifs, om, 10, budget=100)
     assert exc.value.count == 3 ** 10
+
+
+# each builder returns the number of cylinders it built
+@pytest.mark.parametrize("build", [
+    lambda rifs, om, k, budget: cylinder_cover(rifs, om, k, budget).count,
+    lambda rifs, om, k, budget: len(
+        cylinder_images(rifs, om, k, [[0.5]], budget)),
+    lambda rifs, om, k, budget: len(
+        level_masses(CylinderMeasure(rifs, om), k, budget)),
+], ids=["cylinder_cover", "cylinder_images", "level_masses"])
+def test_every_cylinder_family_checks_the_budget(build):
+    rifs = cantor_rifs()
+    om = OmegaSeq((2,), (1,))
+    count = 3 * 2 * 2 * 2
+    with pytest.raises(ResourceError) as exc:
+        build(rifs, om, 4, count - 1)
+    assert exc.value.count == count
+    assert build(rifs, om, 4, count) == count
+
+
+def test_similarity_diameters_are_ratio_products():
+    uneven = DeterministicIfs(
+        (Similarity(0.5, (0.0,)), Similarity(0.25, (0.75,))), "uneven")
+    rifs = Rifs((uneven, cantor_rifs().systems[1]), AmbientBox((0.0,), (2.0,)))
+    om = OmegaSeq((2,), (1,))
+    cover = cylinder_cover(rifs, om, 4)
+    expect = [2.0 * _composition(rifs, om, w).lip_hi_bound
+              for w in _words(rifs, om, 4)]
+    assert cover.diameters() == pytest.approx(expect, rel=1e-15, abs=0.0)
 
 
 def test_cylinder_images_block_layout():
