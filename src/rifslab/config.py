@@ -110,7 +110,11 @@ def _parse_real(val, path: str) -> float:
     if isinstance(val, str):
         m = _LOG_RATIO.match(val.strip())
         if m:
-            a, b = int(m.group(1)), int(m.group(2))
+            try:
+                a, b = int(m.group(1)), int(m.group(2))
+            except ValueError:             # over Python's int-string limit
+                raise _schema(path, "log-ratio argument has too many "
+                                    "digits") from None
             if a < 1 or b <= 1:
                 raise _semantic(path, "log-ratio arguments out of range")
             return math.log(a) / math.log(b)
@@ -397,4 +401,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValueError as exc:              # over Python's int-string limit
+        raise ConfigParseError(f"{path}: number too long: {exc}") from exc
     return parse_config(doc, source=str(path))

@@ -273,6 +273,84 @@ class MdpReport:
 _INNER_SLACK = 1.0 + 1e-12
 
 
+def _scale(r: float, s: float) -> float:
+    """r**s, which divides the masses of the balls of radius r."""
+    try:
+        scale = r ** s
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise UsageError(f"radius {r!r} to the power s = {s!r} is not a "
+                         f"positive finite float")
+    return scale
+
+
+def _reach2(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Squared distances from each point of `x` to the nearest and the
+    farthest point of its box [lo, hi].  Both are monotone in the box ends
+    in floats: a box holding another is no farther and no nearer."""
+    gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+    far = np.maximum(np.abs(x - lo), np.abs(hi - x))
+    return (gap ** 2).sum(axis=1), (far ** 2).sum(axis=1)
+
+
+def _hull_tree(cover: CylinderCover) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(lo, hi) of every level-l prefix's leaves, for l = 0 .. depth.
+
+    Rows are in word order, so a prefix's leaves are one contiguous block
+    and its hull is the min/max over that block: exact in floats, so a
+    hull holds its leaf boxes for every map kind.
+    """
+    lo, hi = cover.boxes[:, :, 0], cover.boxes[:, :, 1]
+    tree = [(lo, hi)]
+    for level in range(cover.depth, 0, -1):
+        fan = len(cover.rifs.system_for_level(cover.omega, level).maps)
+        lo = lo.reshape(-1, fan, lo.shape[1]).min(axis=1)
+        hi = hi.reshape(-1, fan, hi.shape[1]).max(axis=1)
+        tree.append((lo, hi))
+    return tree[::-1]
+
+
+def _ball_sums(tree, masses: np.ndarray, centres: np.ndarray,
+               limits: np.ndarray, outer: np.ndarray) -> list[float]:
+    """Per query q, the mass of the leaves with near2 <= limits[q] (outer)
+    or far2 <= limits[q] (inner), found by descent through the hull tree.
+
+    A hull with near2 > limit holds no such leaf; one with far2 <= limit
+    holds only such leaves, since near2 <= far2; only hulls the sphere cuts
+    descend.  Each sum is `masses[idx].sum()` with idx in word order: the
+    same array a full scan's `masses[mask]` would be, so the same bits.
+    """
+    q = np.arange(limits.size)
+    node = np.zeros_like(q)
+    blocks = []                        # (query, first leaf, leaf count)
+    for level, (lo, hi) in enumerate(tree[:-1]):
+        near2, far2 = _reach2(centres[q], lo[node], hi[node])
+        span = masses.size // lo.shape[0]
+        full = far2 <= limits[q]
+        blocks.append((q[full], node[full] * span, np.full(full.sum(), span)))
+        cut = (near2 <= limits[q]) & ~full
+        fan = tree[level + 1][0].shape[0] // lo.shape[0]
+        q = np.repeat(q[cut], fan)
+        node = (node[cut][:, None] * fan + np.arange(fan)).ravel()
+    lo, hi = tree[-1]
+    near2, far2 = _reach2(centres[q], lo[node], hi[node])
+    take = np.where(outer[q], near2, far2) <= limits[q]
+    blocks.append((q[take], node[take], np.ones(take.sum(), dtype=int)))
+
+    qs, firsts, counts = (np.concatenate(col) for col in zip(*blocks))
+    order = np.lexsort((firsts, qs))
+    qs, firsts, counts = qs[order], firsts[order], counts[order]
+    edges = np.searchsorted(qs, np.arange(limits.size + 1))
+    sums = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        first, count = firsts[a:b], counts[a:b]
+        idx = (np.repeat(first - (np.cumsum(count) - count), count)
+               + np.arange(count.sum()))
+        sums.append(float(masses[idx].sum()))
+    return sums
+
+
 def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
                budget: int = DEFAULT_BUDGET) -> MdpReport:
     if not 0.0 < s < math.inf:
@@ -285,26 +363,28 @@ def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
         raise UsageError("sample points do not match the ambient dimension")
     if not np.isfinite(pts).all():
         raise UsageError("sample points must be finite")
+    scales = [_scale(r, s) for r in radii]
 
     depth = resolution_depth(cm.rifs, cm.omega, min(radii) / 4.0, budget)
     cover = cylinder_cover(cm.rifs, cm.omega, depth, budget)
     masses = level_masses(cm, depth, budget)
-    lo = cover.boxes[:, :, 0]
-    hi = cover.boxes[:, :, 1]
+
+    # one query per point, radius and rule, in row order: outer, then inner
+    limits = []
+    for r in radii:
+        rin = r * _INNER_SLACK
+        limits += [r * r, rin * rin]
+    sums = iter(_ball_sums(_hull_tree(cover), masses,
+                           np.repeat(pts, len(limits), axis=0),
+                           np.tile(limits, len(pts)),
+                           np.arange(len(pts) * len(limits)) % 2 == 0))
 
     rows = []
     lam_sup = 0.0
     lam_inf = math.inf
     for x in pts:
-        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-        near2 = (gap ** 2).sum(axis=1)
-        far = np.maximum(np.abs(x - lo), np.abs(hi - x))
-        far2 = (far ** 2).sum(axis=1)
-        for r in radii:
-            outer = float(masses[near2 <= r * r].sum())
-            rin = r * _INNER_SLACK
-            inner = float(masses[far2 <= rin * rin].sum())
-            scale = r ** s
+        for r, scale in zip(radii, scales):
+            outer, inner = next(sums), next(sums)
             lam_sup = max(lam_sup, outer / scale)
             lam_inf = min(lam_inf, inner / scale)
             rows.append((tuple(float(v) for v in x), r, outer, inner))
@@ -313,7 +393,10 @@ def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
         raise GeometryDomainError(
             "no cylinder mass met any probed ball; bracket is empty")
     h_lower = 1.0 / lam_sup
-    p_upper = math.inf if lam_inf <= 0.0 else 2.0 ** s / lam_inf
+    try:
+        p_upper = math.inf if lam_inf <= 0.0 else 2.0 ** s / lam_inf
+    except OverflowError:              # 2**s alone exceeds every float
+        p_upper = math.inf
     return MdpReport(s, depth, lam_sup, lam_inf, h_lower, p_upper,
                      tuple(rows))
 

@@ -102,7 +102,11 @@ def _bottom_up(levels, leaf, image, budget: int):
         raise ResourceError(
             f"cylinder count {count} exceeds budget {budget}", count=count)
     for items in reversed(levels):
-        leaf = np.concatenate([image(item, leaf) for item in items])
+        n = len(leaf)
+        level = np.empty((len(items) * n,) + leaf.shape[1:], dtype=leaf.dtype)
+        for i, item in enumerate(items):
+            level[i * n:(i + 1) * n] = image(item, leaf)
+        leaf = level
     return leaf
 
 

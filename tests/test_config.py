@@ -103,6 +103,22 @@ def test_real_fields_must_be_finite(tmp_path, literal, field):
     assert cli.main(["validate", str(path)]) == 1
 
 
+def test_numbers_beyond_the_int_string_limit(tmp_path):
+    # Python refuses int <-> str conversions above 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc(seed="X")).replace('"X"', "9" * 5000))
+    with pytest.raises(ConfigParseError, match="number too long"):
+        load_config(path)
+    assert cli.main(["validate", str(path)]) == 1
+    probe = _finite_probe("systems[0].maps[0].ratio")
+    path.write_text(json.dumps(probe).replace(
+        '"X"', '"log(' + "9" * 5000 + ')/log(3)"'))
+    with pytest.raises(ConfigSchemaError, match=re.escape(
+            ".systems[0].maps[0].ratio: log-ratio argument has too many")):
+        load_config(path)
+    assert cli.main(["validate", str(path)]) == 1
+
+
 def test_ambient_checks():
     with pytest.raises(ConfigSemanticError, match="must be 1 or 2"):
         parse_config(doc(ambient={"lo": [0, 0, 0], "hi": [1, 1, 1]}))

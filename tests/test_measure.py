@@ -1,14 +1,22 @@
 import itertools
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rifslab import (CarpetSpec, CylinderMeasure, OmegaSeq, PowerGauge,
                      PowerLogGauge, TableGauge, ResourceError, Rifs,
-                     Similarity, UsageError, check_msc_grid, cylinder_cover,
-                     cylinder_mass, doubling_constants, hausdorff_upper_bound,
-                     level_masses, mdp_bounds, packing_lower_bound)
+                     Similarity, UsageError, carpet_system, check_msc_grid,
+                     cli, corpus_path, cylinder_cover, cylinder_mass,
+                     doubling_constants, hausdorff_upper_bound, level_masses,
+                     load_corpus, mdp_bounds, packing_lower_bound,
+                     resolution_depth)
+from rifslab.geometry import unit_box
+from rifslab.measure import _INNER_SLACK
 from rifslab.model import DeterministicIfs
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
@@ -228,6 +236,131 @@ def test_mdp_input_checks(cantor_cfg):
                              (1.0, (0.1,), [(0.5,), (-math.inf,)])):
         with pytest.raises(UsageError, match="finite"):
             mdp_bounds(cm, s, radii, points)
+
+
+@pytest.mark.parametrize("s, radius", [(300.0, 1.0 / 81.0), (2.0, 1e200)])
+def test_mdp_rejects_scale_out_of_float_range(cantor_cfg, s, radius):
+    # r**s underflows to 0 or overflows; a budget of 1 shows the check
+    # comes before any cover is built
+    cm = CylinderMeasure(cantor_cfg.rifs, cantor_cfg.omega)
+    message = re.escape(f"radius {radius!r} to the power s")
+    with pytest.raises(UsageError, match=message):
+        mdp_bounds(cm, s, (0.5, radius), [(0.5,)], budget=1)
+
+
+@pytest.mark.parametrize("s, radii", [("300", None), ("2", ["1e200"])])
+def test_cli_rejects_scale_out_of_float_range(tmp_path, capsys, s, radii):
+    doc = json.loads(Path(corpus_path("cantor-measure")).read_text())
+    doc["task"]["s"] = s
+    if radii is not None:
+        doc["task"]["radii"] = radii
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 1
+    assert "is not a positive finite float" in capsys.readouterr().err
+
+
+def test_mdp_packing_bound_beyond_float_range(cantor_cfg):
+    # 2**s overflows while every r**s is a positive float
+    cm = CylinderMeasure(cantor_cfg.rifs, cantor_cfg.omega)
+    rep = mdp_bounds(cm, 2000.0, (0.999,), [(0.5,)])
+    assert rep.p_upper == math.inf
+
+
+# --- pruned ball masses against the flat scan -----------------------------
+
+
+def _flat_mdp(cm, radii, points):
+    """The flat scan that mdp_bounds replaced: every cylinder against every
+    ball.  Returns the depth and the report rows."""
+    depth = resolution_depth(cm.rifs, cm.omega, min(radii) / 4.0)
+    cover = cylinder_cover(cm.rifs, cm.omega, depth)
+    masses = level_masses(cm, depth)
+    lo = cover.boxes[:, :, 0]
+    hi = cover.boxes[:, :, 1]
+    rows = []
+    for x in np.atleast_2d(np.asarray(points, dtype=float)):
+        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+        near2 = (gap ** 2).sum(axis=1)
+        far = np.maximum(np.abs(x - lo), np.abs(hi - x))
+        far2 = (far ** 2).sum(axis=1)
+        for r in radii:
+            outer = float(masses[near2 <= r * r].sum())
+            rin = r * _INNER_SLACK
+            inner = float(masses[far2 <= rin * rin].sum())
+            rows.append((tuple(float(v) for v in x), r, outer, inner))
+    return depth, tuple(rows)
+
+
+def _carpet_mix():
+    sierpinski = tuple((c, r) for r in range(3) for c in range(3)
+                       if (c, r) != (1, 1))
+    return Rifs((carpet_system(CarpetSpec(3, 3, sierpinski), "sierpinski"),
+                 carpet_system(CarpetSpec(2, 3, ((0, 0), (1, 1), (0, 2))),
+                               "grid")), unit_box(2))
+
+
+MDP_SYSTEMS = {
+    "cantor": lambda: (load_corpus("cantor").rifs, False),
+    "carpet-mix": lambda: (_carpet_mix(), False),
+    "shear-arch": lambda: (load_corpus("pictorial-b").rifs, True),
+}
+
+
+@pytest.mark.parametrize("system", sorted(MDP_SYSTEMS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pruned_mdp_bounds_equal_flat_scan(system, data):
+    rifs, explicit = MDP_SYSTEMS[system]()
+    n = len(rifs.systems)
+    omega = OmegaSeq(
+        tuple(data.draw(st.lists(st.integers(1, n), max_size=4))),
+        tuple(data.draw(st.permutations(range(1, n + 1)))))
+    exponents = tuple(data.draw(st.lists(st.floats(0.3, 2.5), min_size=n,
+                                         max_size=n))) if explicit else ()
+    cm = CylinderMeasure(rifs, omega, exponents)
+    diam = rifs.ambient.diameter
+    # smallest radius from twice the ambient diameter down to diam/48
+    r0 = diam * 2.0 ** data.draw(st.floats(-5.6, 1.0))
+    depth = resolution_depth(rifs, omega, r0 / 4.0)
+    boxes = cylinder_cover(rifs, omega, depth).boxes
+    dim = rifs.ambient.dim
+    index = st.integers(0, len(boxes) - 1)
+
+    def corner():
+        i = data.draw(index)
+        return np.array([boxes[i, a, data.draw(st.integers(0, 1))]
+                         for a in range(dim)])
+
+    lo = np.array(rifs.ambient.lo) - diam / 2
+    hi = np.array(rifs.ambient.hi) + diam / 2
+    outside = [np.array([data.draw(st.floats(lo[a], hi[a]))
+                         for a in range(dim)]) for _ in range(2)]
+    points = [corner() for _ in range(3)] + outside
+    # radii equal to exact corner distances: along one axis, and Euclidean
+    radii = [r0]
+    for p in points[:3]:
+        c = corner()
+        a = data.draw(st.integers(0, dim - 1))
+        radii += [abs(float(p[a] - c[a])),
+                  float(np.sqrt(((p - c) ** 2).sum()))]
+    radii = [r for r in radii if r >= r0]
+
+    rep = mdp_bounds(cm, 1.5, radii, points)
+    assert (rep.depth, rep.rows) == _flat_mdp(cm, radii, points)
+
+
+def test_pruned_mdp_bounds_keep_tangent_cylinders(cantor_cfg):
+    # a ball about 0 whose radius is the float left end of a depth-5
+    # cylinder touches it (near2 == r*r exactly), so that cylinder and the
+    # hulls holding it count in the outer mass
+    cm = CylinderMeasure(cantor_cfg.rifs, OmegaSeq((), (1, 2)))
+    boxes = cylinder_cover(cm.rifs, cm.omega, 5).boxes
+    radii = (float(boxes[-1, 0, 0]), float(boxes[len(boxes) // 2, 0, 0]),
+             1.0 / 27.0)
+    rep = mdp_bounds(cm, LOG2_3, radii, [(0.0,), (1.0,)])
+    assert rep.depth == 5
+    assert rep.rows == _flat_mdp(cm, radii, [(0.0,), (1.0,)])[1]
 
 
 # --- grid separation ------------------------------------------------------
