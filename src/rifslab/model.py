@@ -269,38 +269,44 @@ def _directed_sq_sweep(a: np.ndarray, b: np.ndarray) -> float:
     monotone and dx^2 <= dx^2 + dy^2, so no farther point is nearer.  It
     is dropped once its best is <= the running maximum, which it then
     cannot raise (the early break of Taha & Hanbury, IEEE TPAMI 37(11),
-    2015).  Pairs use the brute-force arithmetic, so the value is the same
-    bit for bit.
+    2015).  b is held as one contiguous column per axis, and a window adds
+    the squared differences axis by axis in axis order: the order in which
+    brute force's `.sum(axis=-1)` adds them below eight axes, so each pair
+    value is the same bit for bit.
     """
-    n = b.shape[0]
-    key = b[:, 0] + 1j * b[:, -1]
-    order = np.argsort(key)
-    key = key[order]
-    # rows 0 and n + 1 are sentinels at infinity, so no index needs a mask
-    pad = np.full((1, b.shape[1]), np.inf)
-    b = np.concatenate((pad, b[order], pad))
+    n, dim = b.shape
+    order = np.lexsort((b[:, -1], b[:, 0]))
+    # entries 0 and n + 1 of each column are sentinels at infinity, so an
+    # index clipped to them needs no mask
+    cols = np.full((dim, n + 2), np.inf)
+    cols[:, 1:-1] = b[order].T
+    x = cols[0]
+    pos_all = np.searchsorted(x[1:-1] + 1j * cols[-1, 1:-1],
+                              a[:, 0] + 1j * a[:, -1])
     worst = 0.0
     for start in range(0, a.shape[0], _SWEEP_BLOCK):
-        p = a[start:start + _SWEEP_BLOCK]
-        pos = np.searchsorted(key, p[:, 0] + 1j * p[:, -1])
-        best = np.full(p.shape[0], np.inf)
-        live = np.arange(p.shape[0])
+        p = a[start:start + _SWEEP_BLOCK].T
+        pos = pos_all[start:start + _SWEEP_BLOCK]
+        best = np.full(p.shape[1], np.inf)
+        live = np.arange(p.shape[1])
         reach, width = 0, 1
         while live.size:
             offs = np.arange(reach, reach + width)
             rows = max(1, _BRUTE_CHUNK // (2 * width))
             for s in range(0, live.size, rows):
                 i = live[s:s + rows]
-                cols = np.concatenate((pos[i, None] - offs,
-                                       pos[i, None] + 1 + offs), axis=1)
-                q = b[np.clip(cols, 0, n + 1)]
-                d2 = ((p[i, None, :] - q) ** 2).sum(axis=-1)
+                idx = np.concatenate((pos[i, None] - offs,
+                                      pos[i, None] + 1 + offs), axis=1)
+                np.clip(idx, 0, n + 1, out=idx)
+                d2 = (p[0, i, None] - x.take(idx)) ** 2
+                for d in range(1, dim):
+                    d2 += (p[d, i, None] - cols[d].take(idx)) ** 2
                 best[i] = np.minimum(best[i], d2.min(axis=1))
             reach += width
             width = min(2 * width, _BRUTE_CHUNK // 2)
-            x, near = p[live, 0], best[live]
-            gap_lo = x - b[np.maximum(pos[live] - reach, 0), 0]
-            gap_hi = x - b[np.minimum(pos[live] + 1 + reach, n + 1), 0]
+            px, near = p[0, live], best[live]
+            gap_lo = px - x[np.maximum(pos[live] - reach, 0)]
+            gap_hi = px - x[np.minimum(pos[live] + 1 + reach, n + 1)]
             done = (gap_lo ** 2 >= near) & (gap_hi ** 2 >= near)
             if done.any():
                 worst = max(worst, float(near[done].max()))
@@ -311,12 +317,15 @@ def _directed_sq_sweep(a: np.ndarray, b: np.ndarray) -> float:
 def hausdorff_distance(a, b) -> float:
     """Exact symmetric Hausdorff distance between finite point sets.
 
-    Sweeps the points sorted on one axis, at every size and in one or two
-    dimensions, holding at most `_BRUTE_CHUNK` pairs at a time; the value
-    equals brute force over every pair (`_directed_sq_brute`) bit for bit.
+    Sweeps the points sorted on one axis, at every size and in any
+    dimension, holding at most `_BRUTE_CHUNK` pairs at a time; below eight
+    dimensions the value equals brute force over every pair
+    (`_directed_sq_brute`) bit for bit.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.ndim > 2 or b.ndim > 2:
+        raise UsageError("point sets must be (points, dim) arrays")
     if a.size == 0 or b.size == 0:
         raise UsageError("Hausdorff distance needs non-empty point sets")
     if a.shape[1] != b.shape[1]:

@@ -10,7 +10,7 @@ from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure, OmegaSeq,
                      ResourceError, Rifs, UsageError, attractor_points,
                      carpet_system, continuity_probe, cylinder_cover,
                      cylinder_images, hausdorff_distance, level_masses,
-                     resolution_depth, sample_omega)
+                     resolution_depth, sample_omega, splice)
 from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                               compose, unit_box)
 from rifslab.model import (DeterministicIfs, _directed_sq_brute,
@@ -227,6 +227,11 @@ def test_hausdorff_input_checks():
         hausdorff_distance([[0.0]], [[0.0, 0.0]])
     with pytest.raises(UsageError, match="finite"):
         hausdorff_distance([[0.0, math.nan]], [[0.0, 0.0]])
+    for shape in ((5, 2, 2), (1, 1, 1)):
+        with pytest.raises(UsageError, match="dim"):
+            hausdorff_distance(np.zeros(shape), np.zeros(shape))
+        with pytest.raises(UsageError, match="dim"):
+            hausdorff_distance([[0.0, 0.0]], np.zeros(shape))
 
 
 def _brute_hausdorff(a, b):
@@ -276,18 +281,18 @@ def point_set(draw, dim):
     elif layout == "duplicates":
         pts = pts[draw(st.lists(st.integers(0, n - 1), min_size=1,
                                 max_size=60))]
-    elif dim == 2 and layout == "vertical":
+    elif dim > 1 and layout == "vertical":
         pts[:, 0] = pts[0, 0]
-    elif dim == 2 and layout == "horizontal":
+    elif dim > 1 and layout == "horizontal":
         pts[:, 1] = pts[0, 1]
-    elif dim == 2 and layout == "diagonal":
+    elif dim > 1 and layout == "diagonal":
         pts[:, 1] = pts[:, 0]
     return pts
 
 
 @st.composite
 def point_set_pairs(draw):
-    dim = draw(st.sampled_from((1, 2)))
+    dim = draw(st.sampled_from((1, 2, 3)))
     return draw(point_set(dim)), draw(point_set(dim))
 
 
@@ -296,8 +301,26 @@ _rng = np.random.default_rng(14)
 _many = np.vstack((_rng.random((1500, 2)), 0.5 + 1e-9 * _rng.random((1500, 2))))
 
 
+def _carpet_mix_points(omega):
+    # 3x3 Sierpinski carpet alternating with cells of a 2x3 grid, depth 5
+    sierpinski = tuple((c, r) for r in range(3) for c in range(3)
+                       if (c, r) != (1, 1))
+    rifs = Rifs((carpet_system(CarpetSpec(3, 3, sierpinski), "sierpinski"),
+                 carpet_system(CarpetSpec(2, 3, ((0, 0), (1, 1), (0, 2))),
+                               "grid")), unit_box(2))
+    return cylinder_images(rifs, omega, 5, np.full((1, 2), 0.5))
+
+
+# 4608 points in 108 columns of tied x, over more than four sweep blocks
+_mix = OmegaSeq((), (1, 2))
+_mix_ties = (_carpet_mix_points(_mix),
+             _carpet_mix_points(splice(_mix, 2, OmegaSeq((2, 2, 1, 1),
+                                                         (1, 2)))))
+
+
 @given(point_set_pairs())
 @example((_many, _rng.random((700, 2)) * 3.0))
+@example(_mix_ties)
 @settings(deadline=None)
 def test_hausdorff_sweep_equals_brute(sets):
     a, b = sets
