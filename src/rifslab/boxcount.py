@@ -12,6 +12,7 @@ delta.  Conventions, chosen so counts of grid-aligned covers are exact:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,11 +20,12 @@ import numpy as np
 
 from .errors import UsageError
 from .geometry import AmbientBox
-from .model import DEFAULT_BUDGET, Rifs, cylinder_cover, resolution_depth
+from .model import DEFAULT_BUDGET, Rifs, _cover_chunks, resolution_depth
 from .sequences import OmegaSeq
 
 SNAP_TOL = 1e-9
-_BOX_CHUNK = 1 << 15       # boxes expanded into cells per step
+_BOX_CHUNK = 1 << 15       # boxes per step of count_boxes
+_CELL_CHUNK = 1 << 17      # cells expanded per step
 _MAX_CELLS = np.iinfo(np.int64).max   # cells an int64 index can number
 
 
@@ -63,14 +65,19 @@ def _grid_shape(ambient: AmbientBox, delta: float) -> tuple[int, ...]:
     return tuple(shape)
 
 
-def _cell_ids(js: np.ndarray, je: np.ndarray,
-              strides: np.ndarray) -> np.ndarray:
-    """Linear indices of every cell in each box's index ranges js..je."""
-    span = je - js + 1
-    sizes = span.prod(axis=1)
-    owner = np.repeat(np.arange(js.shape[0]), sizes)
+def _cell_ids(js: np.ndarray, span: np.ndarray, sizes: np.ndarray,
+              ends: np.ndarray, strides: np.ndarray, start: int,
+              stop: int) -> np.ndarray:
+    """Linear indices of cells start..stop-1 of the boxes' index ranges
+    js..js+span-1, numbered box after box with the last axis fastest;
+    box i holds sizes[i] cells, ending at ends[i], the running total."""
+    first, last = np.searchsorted(ends, (start, stop - 1), side="right")
+    end = ends[first:last + 1]
+    begin = end - sizes[first:last + 1]
+    count = np.minimum(end, stop) - np.maximum(begin, start)
+    owner = np.repeat(np.arange(first, last + 1), count)
     # k: position of each cell within its box, last axis fastest
-    k = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    k = np.arange(start, stop) - np.repeat(begin, count)
     ids = np.zeros(owner.size, dtype=np.int64)
     for ax in range(js.shape[1] - 1, -1, -1):
         s = span[owner, ax]
@@ -80,10 +87,52 @@ def _cell_ids(js: np.ndarray, je: np.ndarray,
 
 
 def _distinct(ids: np.ndarray) -> np.ndarray:
-    """Sorted distinct values, by a sort and a neighbour compare.  On
-    numpy 2.4 this is 4-50x quicker than np.unique, which hashes integers."""
-    ids = np.sort(ids)
+    """Sorted distinct values, by an in-place sort of `ids` and a neighbour
+    compare.  On numpy 2.4 this is 4-50x quicker than np.unique, which
+    hashes integers."""
+    ids.sort()
     return ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+
+
+def _add_cells(found: list, boxes: np.ndarray, delta: float,
+               ambient: AmbientBox, shape: tuple[int, ...]) -> None:
+    """Add the cells meeting `boxes` to `found`, a list of sorted distinct
+    runs of cell indices, expanding at most `_CELL_CHUNK` cells at a time.
+    Once the later runs outnumber the first, all are folded into the
+    first, so memory follows the distinct cells, not the cells the boxes
+    span, and each fold at least doubles what the next one sorts."""
+    dim = len(shape)
+    strides = np.ones(dim, dtype=np.int64)
+    for ax in range(dim - 2, -1, -1):
+        strides[ax] = strides[ax + 1] * shape[ax + 1]
+    js = np.empty((boxes.shape[0], dim), dtype=np.int64)
+    je = np.empty_like(js)
+    for ax in range(dim):
+        js[:, ax], je[:, ax] = _axis_cells(
+            shape[ax], ambient.lo[ax], boxes[:, ax, 0], boxes[:, ax, 1], delta)
+    span = je - js + 1
+    sizes = span.prod(axis=1)
+    if sizes.sum(dtype=float) > _MAX_CELLS:
+        raise UsageError("the boxes span more cells than an int64 can count")
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
+    for start in range(0, total, _CELL_CHUNK):
+        stop = min(start + _CELL_CHUNK, total)
+        found.append(_distinct(
+            _cell_ids(js, span, sizes, ends, strides, start, stop)))
+        if sum(run.size for run in found[1:]) >= found[0].size:
+            runs = np.concatenate(found)
+            found.clear()
+            found.append(_distinct(runs))
+
+
+def _count(found: list) -> int:
+    """Number of distinct indices in `found`, which holds at least one
+    (every box meets a cell); empties `found`."""
+    ids = np.concatenate(found)
+    found.clear()
+    ids.sort()
+    return 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
 
 
 def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox) -> int:
@@ -102,22 +151,11 @@ def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox) -> int:
         raise UsageError("items must have finite coordinates")
 
     shape = _grid_shape(ambient, delta)
-    dim = ambient.dim
-    strides = np.ones(dim, dtype=np.int64)
-    for ax in range(dim - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * shape[ax + 1]
-
     found = []
     for start in range(0, arr.shape[0], _BOX_CHUNK):
-        chunk = arr[start:start + _BOX_CHUNK]
-        js = np.empty((chunk.shape[0], dim), dtype=np.int64)
-        je = np.empty_like(js)
-        for ax in range(dim):
-            js[:, ax], je[:, ax] = _axis_cells(
-                shape[ax], ambient.lo[ax], chunk[:, ax, 0], chunk[:, ax, 1],
-                delta)
-        found.append(_distinct(_cell_ids(js, je, strides)))
-    return int(_distinct(np.concatenate(found)).size)
+        _add_cells(found, arr[start:start + _BOX_CHUNK], delta, ambient,
+                   shape)
+    return _count(found)
 
 
 @dataclass(frozen=True)
@@ -175,17 +213,21 @@ def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise UsageError("deltas must be strictly decreasing")
 
-    # depths never decrease down the ladder, so one cover is live at a time
+    # resolve each rung to cylinders no larger than a quarter cell; depths
+    # never decrease down the ladder, so each depth's rungs are adjacent and
+    # share one streamed cover, and only their cell sets are held
+    depths = [resolution_depth(rifs, omega, d / 4.0, budget) for d in deltas]
     rows = []
-    depths = []
-    for delta in deltas:
-        # resolve each rung to cylinders no larger than a quarter cell
-        depth = resolution_depth(rifs, omega, delta / 4.0, budget)
-        if not depths or depth != depths[-1]:
-            boxes = None    # free the last cover before building the next
-            boxes = cylinder_cover(rifs, omega, depth, budget).boxes
-        rows.append((delta, count_boxes(boxes, delta, rifs.ambient)))
-        depths.append(depth)
+    for depth, rungs in itertools.groupby(zip(deltas, depths),
+                                          key=lambda rung: rung[1]):
+        rungs = [(delta, _grid_shape(rifs.ambient, delta))
+                 for delta, _ in rungs]
+        found = [[] for _ in rungs]
+        for _, boxes in _cover_chunks(rifs, omega, depth, budget):
+            for cells, (delta, shape) in zip(found, rungs):
+                _add_cells(cells, boxes, delta, rifs.ambient, shape)
+        rows += [(delta, _count(cells))
+                 for cells, (delta, _) in zip(found, rungs)]
 
     table = BoxCountTable(tuple(rows), source="cylinder cover")
     exps = tuple(math.log(c) / -math.log(d) for d, c in rows)

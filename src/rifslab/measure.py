@@ -18,7 +18,7 @@ import numpy as np
 from .errors import GeometryDomainError, UsageError
 from .dimension import CarpetSpec, similarity_dimension
 from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _bottom_up,
-                    cylinder_cover, resolution_depth)
+                    _cover_chunks, resolution_depth)
 from .sequences import OmegaSeq
 
 
@@ -294,41 +294,49 @@ def _reach2(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return (gap ** 2).sum(axis=1), (far ** 2).sum(axis=1)
 
 
-def _hull_tree(cover: CylinderCover) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(lo, hi) of every level-l prefix's leaves, for l = 0 .. depth.
+def _hull_tree(boxes: np.ndarray, fans) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(lo, hi) of every prefix's leaves within one chunk of leaf boxes,
+    root first; `fans` lists the levels' branching from the leaves up.
 
     Rows are in word order, so a prefix's leaves are one contiguous block
-    and its hull is the min/max over that block: exact in floats, so a
-    hull holds its leaf boxes for every map kind.
+    and its hull is the min/max over that block, folded from the fan's
+    strided slices of the level below: exact in floats, so a hull holds
+    its leaf boxes for every map kind.
     """
-    lo, hi = cover.boxes[:, :, 0], cover.boxes[:, :, 1]
-    tree = [(lo, hi)]
-    for level in range(cover.depth, 0, -1):
-        fan = len(cover.rifs.system_for_level(cover.omega, level).maps)
-        lo = lo.reshape(-1, fan, lo.shape[1]).min(axis=1)
-        hi = hi.reshape(-1, fan, hi.shape[1]).max(axis=1)
+    tree = [(boxes[:, :, 0], boxes[:, :, 1])]
+    for fan in fans:
+        below_lo, below_hi = tree[-1]
+        if below_lo.shape[0] == 1:
+            break
+        lo, hi = below_lo[::fan].copy(), below_hi[::fan].copy()
+        for i in range(1, fan):
+            np.minimum(lo, below_lo[i::fan], out=lo)
+            np.maximum(hi, below_hi[i::fan], out=hi)
         tree.append((lo, hi))
     return tree[::-1]
 
 
-def _ball_sums(tree, masses: np.ndarray, centres: np.ndarray,
-               limits: np.ndarray, outer: np.ndarray) -> list[float]:
-    """Per query q, the mass of the leaves with near2 <= limits[q] (outer)
-    or far2 <= limits[q] (inner), found by descent through the hull tree.
+def _ball_blocks(tree, first: int, centres: np.ndarray, limits: np.ndarray,
+                 outer: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Per query q, the leaves of one chunk with near2 <= limits[q] (outer)
+    or far2 <= limits[q] (inner), as (query, first leaf, leaf count)
+    blocks numbered from the chunk's `first` leaf, found by descent
+    through the chunk's hull tree.
 
     A hull with near2 > limit holds no such leaf; one with far2 <= limit
     holds only such leaves, since near2 <= far2; only hulls the sphere cuts
-    descend.  Each sum is `masses[idx].sum()` with idx in word order: the
-    same array a full scan's `masses[mask]` would be, so the same bits.
+    descend.  So the leaves found do not depend on where the chunks start.
     """
+    leaves = tree[-1][0].shape[0]
     q = np.arange(limits.size)
     node = np.zeros_like(q)
-    blocks = []                        # (query, first leaf, leaf count)
+    blocks = []
     for level, (lo, hi) in enumerate(tree[:-1]):
         near2, far2 = _reach2(centres[q], lo[node], hi[node])
-        span = masses.size // lo.shape[0]
+        span = leaves // lo.shape[0]
         full = far2 <= limits[q]
-        blocks.append((q[full], node[full] * span, np.full(full.sum(), span)))
+        blocks.append((q[full], first + node[full] * span,
+                       np.full(full.sum(), span)))
         cut = (near2 <= limits[q]) & ~full
         fan = tree[level + 1][0].shape[0] // lo.shape[0]
         q = np.repeat(q[cut], fan)
@@ -336,12 +344,19 @@ def _ball_sums(tree, masses: np.ndarray, centres: np.ndarray,
     lo, hi = tree[-1]
     near2, far2 = _reach2(centres[q], lo[node], hi[node])
     take = np.where(outer[q], near2, far2) <= limits[q]
-    blocks.append((q[take], node[take], np.ones(take.sum(), dtype=int)))
+    blocks.append((q[take], first + node[take],
+                   np.ones(take.sum(), dtype=int)))
+    return blocks
 
+
+def _block_sums(blocks, masses: np.ndarray, queries: int) -> list[float]:
+    """Per query, `masses[idx].sum()` over its blocks' leaves with idx in
+    word order: the same array a full scan's `masses[mask]` would be, so
+    the same bits."""
     qs, firsts, counts = (np.concatenate(col) for col in zip(*blocks))
     order = np.lexsort((firsts, qs))
     qs, firsts, counts = qs[order], firsts[order], counts[order]
-    edges = np.searchsorted(qs, np.arange(limits.size + 1))
+    edges = np.searchsorted(qs, np.arange(queries + 1))
     sums = []
     for a, b in zip(edges[:-1], edges[1:]):
         first, count = firsts[a:b], counts[a:b]
@@ -366,7 +381,6 @@ def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
     scales = [_scale(r, s) for r in radii]
 
     depth = resolution_depth(cm.rifs, cm.omega, min(radii) / 4.0, budget)
-    cover = cylinder_cover(cm.rifs, cm.omega, depth, budget)
     masses = level_masses(cm, depth, budget)
 
     # one query per point, radius and rule, in row order: outer, then inner
@@ -374,10 +388,17 @@ def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
     for r in radii:
         rin = r * _INNER_SLACK
         limits += [r * r, rin * rin]
-    sums = iter(_ball_sums(_hull_tree(cover), masses,
-                           np.repeat(pts, len(limits), axis=0),
-                           np.tile(limits, len(pts)),
-                           np.arange(len(pts) * len(limits)) % 2 == 0))
+    centres = np.repeat(pts, len(limits), axis=0)
+    outer = np.arange(len(pts) * len(limits)) % 2 == 0
+    limits = np.tile(limits, len(pts))
+    # the cover is streamed: only the masses and one chunk's tree are held
+    fans = [len(cm.rifs.system_for_level(cm.omega, level).maps)
+            for level in range(depth, 0, -1)]
+    blocks = []
+    for first, boxes in _cover_chunks(cm.rifs, cm.omega, depth, budget):
+        blocks += _ball_blocks(_hull_tree(boxes, fans), first, centres,
+                               limits, outer)
+    sums = iter(_block_sums(blocks, masses, limits.size))
 
     rows = []
     lam_sup = 0.0

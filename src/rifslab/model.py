@@ -89,18 +89,23 @@ def carpet_system(carpet: CarpetSpec, label: str) -> DeterministicIfs:
     return DeterministicIfs(tuple(maps), label)
 
 
-def _bottom_up(levels, leaf, image, budget: int):
-    """The depth-k family grown from `leaf`, deepest level first.
-
-    `levels` lists each level's items (maps, or per-map factors) from level
-    1 down, and `image(item, batch)` maps a whole batch.  Every per-cylinder
-    array is built here, in word order, after one check of the cylinder
-    count against the budget.
-    """
+def _check_budget(levels, budget: int) -> int:
     count = math.prod(len(items) for items in levels)
     if count > budget:
         raise ResourceError(
             f"cylinder count {count} exceeds budget {budget}", count=count)
+    return count
+
+
+def _bottom_up(levels, leaf, image, budget: int):
+    """The depth-k family grown from `leaf`, deepest level first.
+
+    `levels` lists each level's items (maps, or per-map factors) from level
+    1 down, and `image(item, batch)` maps a whole batch.  Every
+    materialized per-cylinder array is built here, in word order, after one
+    check of the cylinder count against the budget.
+    """
+    _check_budget(levels, budget)
     for items in reversed(levels):
         n = len(leaf)
         level = np.empty((len(items) * n,) + leaf.shape[1:], dtype=leaf.dtype)
@@ -146,16 +151,52 @@ class CylinderCover:
         return np.linalg.norm(spans, axis=1)
 
 
+def _box_image(m: ContractionMap, boxes: np.ndarray) -> np.ndarray:
+    return m.image_box_array(boxes)
+
+
 def cylinder_cover(rifs: Rifs, omega: OmegaSeq, depth: int,
                    budget: int = DEFAULT_BUDGET) -> CylinderCover:
     """Enumerate all depth-k cylinders along omega."""
     if depth < 1:
         raise UsageError("depth must be >= 1")
     boxes = _bottom_up(_level_maps(rifs, omega, depth),
-                       rifs.ambient.as_array()[None, :, :],
-                       lambda m, b: m.image_box_array(b), budget)
+                       rifs.ambient.as_array()[None, :, :], _box_image, budget)
     return CylinderCover(rifs, omega, depth, boxes,
                          _error_bound(rifs, omega, depth))
+
+
+_CHUNK_LEAVES = 1 << 15    # most leaf boxes per chunk of a streamed cover
+
+
+def _cover_chunks(rifs: Rifs, omega: OmegaSeq, depth: int,
+                  budget: int = DEFAULT_BUDGET):
+    """cylinder_cover's boxes streamed in word order, as (index of the
+    first leaf, boxes) for one prefix's subtree at a time.
+
+    The prefix length j is the smallest whose subtrees have at most
+    `_CHUNK_LEAVES` leaves.  The depth-(k-j) family of the deeper levels is
+    built once; each level-j prefix maps it through its own maps, innermost
+    first: the float operations _bottom_up performs, row by row, so the
+    leaves are cylinder_cover's bit for bit.  Only that family and one
+    chunk are held.  The full count is checked against the budget before
+    any box is built.
+    """
+    if depth < 1:
+        raise UsageError("depth must be >= 1")
+    levels = _level_maps(rifs, omega, depth)
+    leaves = _check_budget(levels, budget)
+    j = 0
+    while leaves > _CHUNK_LEAVES:
+        leaves //= len(levels[j])
+        j += 1
+    suffix = _bottom_up(levels[j:], rifs.ambient.as_array()[None, :, :],
+                        _box_image, budget)
+    for n, prefix in enumerate(itertools.product(*levels[:j])):
+        boxes = suffix
+        for m in reversed(prefix):
+            boxes = m.image_box_array(boxes)
+        yield n * leaves, boxes
 
 
 def cylinder_images(rifs: Rifs, omega: OmegaSeq, depth: int, seeds: np.ndarray,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rifslab import (BoxCountTable, OmegaSeq, UsageError, boxcount,
-                     count_boxes, estimate_box_dims)
+                     count_boxes, cylinder_cover, estimate_box_dims,
+                     load_corpus, model)
 from rifslab.boxcount import SNAP_TOL
 from rifslab.geometry import AmbientBox, unit_box
 
@@ -138,17 +139,42 @@ def count_inputs(draw):
     picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30))
     items = np.concatenate((items, items[picks]))
     chunk = draw(st.sampled_from((1, 2, 3, 7, boxcount._BOX_CHUNK)))
-    return items, delta, ambient, chunk
+    # small cell steps split boxes, and merge runs into the union often
+    cells = draw(st.sampled_from((1, 2, 3, 7, boxcount._CELL_CHUNK)))
+    return items, delta, ambient, chunk, cells
 
 
 @given(count_inputs())
 @settings(deadline=None)
 def test_count_boxes_equals_the_per_box_loop(case):
-    items, delta, ambient, chunk = case
+    items, delta, ambient, chunk, cells = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boxcount, "_BOX_CHUNK", chunk)
+        mp.setattr(boxcount, "_CELL_CHUNK", cells)
         assert count_boxes(items, delta, ambient) == \
             _oracle_count(items, delta, ambient)
+
+
+def test_count_boxes_memory_follows_distinct_cells(run_isolated):
+    # 16 unit squares on a 1024 x 1024 grid: all 16.8M cells they span were
+    # expanded at once (about 46 bytes each), though only 1M are distinct
+    code = """
+import numpy as np
+from rifslab import count_boxes
+from rifslab.geometry import unit_box
+boxes = np.tile([[[0.0, 1.0], [0.0, 1.0]]], (16, 1, 1))
+print(count_boxes(boxes, 2.0 ** -10, unit_box(2)))
+"""
+    res = run_isolated(code, timeout=120, max_bytes=300 << 20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [str(1 << 20)]
+
+
+def test_cell_total_beyond_int64_rejected():
+    # each box spans all 2^62 cells of the grid; three overflow the total
+    boxes = np.array([[[0.0, 1.0]]] * 3)
+    with pytest.raises(UsageError, match="more cells than an int64"):
+        count_boxes(boxes, 2.0 ** -62, unit_box(1))
 
 
 def test_table_validation():
@@ -175,17 +201,33 @@ def test_estimate_rejects_bad_ladders(cantor_cfg):
 def test_estimate_checks_ladder_order_before_any_cover(cantor_cfg,
                                                       monkeypatch):
     calls = []
-    real_cover = boxcount.cylinder_cover
+    real_cover = boxcount._cover_chunks
 
     def counting_cover(*args, **kwargs):
         calls.append(args)
         return real_cover(*args, **kwargs)
 
-    monkeypatch.setattr(boxcount, "cylinder_cover", counting_cover)
+    monkeypatch.setattr(boxcount, "_cover_chunks", counting_cover)
     for ladder in ([1 / 9, 1 / 3], [1 / 3, 1 / 9, 1 / 9]):
         with pytest.raises(UsageError, match="strictly decreasing"):
             estimate_box_dims(cantor_cfg.rifs, cantor_cfg.omega, ladder)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["cantor", "pictorial-b", "carpet-splice"])
+@pytest.mark.parametrize("target", [1, 2, 3, 7])
+def test_streamed_ladder_counts_the_whole_cover(name, target):
+    rifs, om = load_corpus(name).rifs, OmegaSeq((2,), (1, 2))
+    deltas = [1 / 2, 1 / 3, 1 / 5]
+    want, est = estimate_box_dims(rifs, om, deltas)
+    assert want.counts == tuple(
+        count_boxes(cylinder_cover(rifs, om, depth).boxes, delta, rifs.ambient)
+        for delta, depth in zip(deltas, est.depths))
+    # chunks and cell steps from one item up: the counts stay the same
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_CHUNK_LEAVES", target)
+        mp.setattr(boxcount, "_CELL_CHUNK", target)
+        assert estimate_box_dims(rifs, om, deltas)[0] == want
 
 
 def test_triadic_ladder_counts_are_powers_of_two(cantor_cfg):

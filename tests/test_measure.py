@@ -15,6 +15,7 @@ from rifslab import (CarpetSpec, CylinderMeasure, OmegaSeq, PowerGauge,
                      doubling_constants, hausdorff_upper_bound, level_masses,
                      load_corpus, mdp_bounds, packing_lower_bound,
                      resolution_depth)
+from rifslab import model
 from rifslab.geometry import unit_box
 from rifslab.measure import _INNER_SLACK
 from rifslab.model import DeterministicIfs
@@ -346,8 +347,36 @@ def test_pruned_mdp_bounds_equal_flat_scan(system, data):
                   float(np.sqrt(((p - c) ** 2).sum()))]
     radii = [r for r in radii if r >= r0]
 
-    rep = mdp_bounds(cm, 1.5, radii, points)
+    # streamed chunks of one leaf up to the whole cover; chunks of a few
+    # leaves are walked one by one, so only on covers of a few thousand
+    small = (1, 2, 3, 7) if len(boxes) <= 5000 else ()
+    target = data.draw(st.sampled_from(small + (model._CHUNK_LEAVES,)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_CHUNK_LEAVES", target)
+        rep = mdp_bounds(cm, 1.5, radii, points)
     assert (rep.depth, rep.rows) == _flat_mdp(cm, radii, points)
+
+
+def test_deep_mdp_bounds_stream_the_cover(run_isolated):
+    # depth 10, 7.96M cylinders: the whole cover, its masses and hull tree
+    # took 438 MB; streamed, only the masses and one chunk are held
+    code = """
+import numpy as np
+from rifslab import CarpetSpec, CylinderMeasure, OmegaSeq, Rifs, mdp_bounds
+from rifslab import carpet_system
+from rifslab.geometry import unit_box
+cells = tuple((c, r) for r in range(3) for c in range(3) if (c, r) != (1, 1))
+rifs = Rifs((carpet_system(CarpetSpec(3, 3, cells), "sierpinski"),
+             carpet_system(CarpetSpec(2, 3, ((0, 0), (1, 1), (0, 2))),
+                           "grid")), unit_box(2))
+cm = CylinderMeasure(rifs, OmegaSeq((), (1, 2)))
+pts = np.random.default_rng(0).random((20, 2))
+rep = mdp_bounds(cm, 1.5, [3.0 ** -5, 3.0 ** -6], pts)
+print(rep.depth, len(rep.rows), all(o >= i for _, _, o, i in rep.rows))
+"""
+    res = run_isolated(code, timeout=120, max_bytes=350 << 20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["10", "40", "True"]
 
 
 def test_pruned_mdp_bounds_keep_tangent_cylinders(cantor_cfg):

@@ -13,8 +13,9 @@ from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure, OmegaSeq,
                      resolution_depth, sample_omega, splice)
 from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                               compose, unit_box)
-from rifslab.model import (DeterministicIfs, _directed_sq_brute,
-                           _directed_sq_sweep)
+from rifslab import model
+from rifslab.model import (DeterministicIfs, _cover_chunks,
+                           _directed_sq_brute, _directed_sq_sweep)
 
 THIRD = 1.0 / 3.0
 
@@ -144,6 +145,14 @@ def test_cylinder_budget_enforced():
     assert exc.value.count == 3 ** 10
 
 
+def _streamed_count(rifs, om, k, budget):
+    # two-leaf chunks: the walk never builds a family of the full count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_CHUNK_LEAVES", 2)
+        return sum(len(boxes)
+                   for _, boxes in _cover_chunks(rifs, om, k, budget))
+
+
 # each builder returns the number of cylinders it built
 @pytest.mark.parametrize("build", [
     lambda rifs, om, k, budget: cylinder_cover(rifs, om, k, budget).count,
@@ -151,7 +160,8 @@ def test_cylinder_budget_enforced():
         cylinder_images(rifs, om, k, [[0.5]], budget)),
     lambda rifs, om, k, budget: len(
         level_masses(CylinderMeasure(rifs, om), k, budget)),
-], ids=["cylinder_cover", "cylinder_images", "level_masses"])
+    _streamed_count,
+], ids=["cylinder_cover", "cylinder_images", "level_masses", "cover_chunks"])
 def test_every_cylinder_family_checks_the_budget(build):
     rifs = cantor_rifs()
     om = OmegaSeq((2,), (1,))
@@ -160,6 +170,28 @@ def test_every_cylinder_family_checks_the_budget(build):
         build(rifs, om, 4, count - 1)
     assert exc.value.count == count
     assert build(rifs, om, 4, count) == count
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cover_chunks_concatenate_to_the_cover(data):
+    # 1-D similarities; rotation, shear, grid cells, arch and quad forms
+    rifs = data.draw(st.sampled_from((cantor_rifs(), mixed_rifs())))
+    n = len(rifs.systems)
+    om = OmegaSeq(tuple(data.draw(st.lists(st.integers(1, n), max_size=4))),
+                  tuple(data.draw(st.permutations(range(1, n + 1)))))
+    depth = data.draw(st.integers(1, 6))
+    # chunks of one leaf up to the whole cover: every prefix length
+    target = data.draw(st.sampled_from((1, 2, 3, 7, model._CHUNK_LEAVES)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_CHUNK_LEAVES", target)
+        chunks = list(_cover_chunks(rifs, om, depth))
+    sizes = [len(boxes) for _, boxes in chunks]
+    assert max(sizes) <= target
+    firsts = np.cumsum([0] + sizes[:-1]).tolist()
+    assert [first for first, _ in chunks] == firsts
+    assert np.array_equal(np.concatenate([boxes for _, boxes in chunks]),
+                          cylinder_cover(rifs, om, depth).boxes)
 
 
 def test_similarity_diameters_are_ratio_products():
