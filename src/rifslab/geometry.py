@@ -100,6 +100,14 @@ def _affine_image_boxes(linear: np.ndarray, shift: np.ndarray,
     return out
 
 
+def _shifted(out: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """out + shift, added in place one column at a time: the same sums as
+    broadcasting, without its inner loops of length dim or a second array."""
+    for k, t in enumerate(shift):
+        out[:, k] += t
+    return out
+
+
 class ContractionMap:
     """Base for all map kinds.  Subclasses fill in the vectorized paths."""
 
@@ -160,8 +168,8 @@ class Similarity(ContractionMap):
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         if self.dim == 1:
-            return pts * self._linear[0, 0] + self._shift
-        return pts @ self._linear.T + self._shift
+            return _shifted(pts * self._linear[0, 0], self._shift)
+        return _shifted(pts @ self._linear.T, self._shift)
 
     def image_box_array(self, boxes: np.ndarray) -> np.ndarray:
         return _affine_image_boxes(self._linear, self._shift, boxes)
@@ -188,7 +196,7 @@ class Affine2(ContractionMap):
         self._shift = np.asarray(self.translation)
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.matrix.T + self._shift
+        return _shifted(pts @ self.matrix.T, self._shift)
 
     def image_box_array(self, boxes: np.ndarray) -> np.ndarray:
         return _affine_image_boxes(self.matrix, self._shift, boxes)

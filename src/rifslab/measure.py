@@ -32,8 +32,8 @@ class Gauge:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0.0):
-            raise UsageError("gauges take non-negative diameters")
+        if not np.all(arr >= 0.0):     # NaN fails the compare too
+            raise UsageError("gauges take non-negative, non-NaN diameters")
         safe = np.where(arr > 0.0, arr, 1.0)
         out = np.where(arr > 0.0, self._eval(safe), 0.0)
         if np.isscalar(t) or arr.ndim == 0:

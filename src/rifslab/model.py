@@ -151,52 +151,31 @@ class CylinderCover:
         return np.linalg.norm(spans, axis=1)
 
 
-def _box_image(m: ContractionMap, boxes: np.ndarray) -> np.ndarray:
-    return m.image_box_array(boxes)
+def _boxes(rifs: Rifs, omega: OmegaSeq, depth: int):
+    """(levels, leaf, image) of the depth-k boxes, for _bottom_up or
+    _chunks."""
+    if depth < 1:
+        raise UsageError("depth must be >= 1")
+    return (_level_maps(rifs, omega, depth),
+            rifs.ambient.as_array()[None, :, :],
+            lambda m, boxes: m.image_box_array(boxes))
+
+
+def _points(rifs: Rifs, omega: OmegaSeq, depth: int, seeds):
+    """(levels, leaf, image) of the depth-k images of the seeds."""
+    if depth < 0:
+        raise UsageError("depth must be >= 0")
+    return (_level_maps(rifs, omega, depth),
+            np.atleast_2d(np.asarray(seeds, dtype=float)),
+            lambda m, pts: m.apply_array(pts))
 
 
 def cylinder_cover(rifs: Rifs, omega: OmegaSeq, depth: int,
                    budget: int = DEFAULT_BUDGET) -> CylinderCover:
     """Enumerate all depth-k cylinders along omega."""
-    if depth < 1:
-        raise UsageError("depth must be >= 1")
-    boxes = _bottom_up(_level_maps(rifs, omega, depth),
-                       rifs.ambient.as_array()[None, :, :], _box_image, budget)
+    boxes = _bottom_up(*_boxes(rifs, omega, depth), budget)
     return CylinderCover(rifs, omega, depth, boxes,
                          _error_bound(rifs, omega, depth))
-
-
-_CHUNK_LEAVES = 1 << 15    # most leaf boxes per chunk of a streamed cover
-
-
-def _cover_chunks(rifs: Rifs, omega: OmegaSeq, depth: int,
-                  budget: int = DEFAULT_BUDGET):
-    """cylinder_cover's boxes streamed in word order, as (index of the
-    first leaf, boxes) for one prefix's subtree at a time.
-
-    The prefix length j is the smallest whose subtrees have at most
-    `_CHUNK_LEAVES` leaves.  The depth-(k-j) family of the deeper levels is
-    built once; each level-j prefix maps it through its own maps, innermost
-    first: the float operations _bottom_up performs, row by row, so the
-    leaves are cylinder_cover's bit for bit.  Only that family and one
-    chunk are held.  The full count is checked against the budget before
-    any box is built.
-    """
-    if depth < 1:
-        raise UsageError("depth must be >= 1")
-    levels = _level_maps(rifs, omega, depth)
-    leaves = _check_budget(levels, budget)
-    j = 0
-    while leaves > _CHUNK_LEAVES:
-        leaves //= len(levels[j])
-        j += 1
-    suffix = _bottom_up(levels[j:], rifs.ambient.as_array()[None, :, :],
-                        _box_image, budget)
-    for n, prefix in enumerate(itertools.product(*levels[:j])):
-        boxes = suffix
-        for m in reversed(prefix):
-            boxes = m.image_box_array(boxes)
-        yield n * leaves, boxes
 
 
 def cylinder_images(rifs: Rifs, omega: OmegaSeq, depth: int, seeds: np.ndarray,
@@ -206,11 +185,52 @@ def cylinder_images(rifs: Rifs, omega: OmegaSeq, depth: int, seeds: np.ndarray,
     Returns (count * len(seeds), dim); each word's block keeps seed order,
     blocks are in lexicographic word order.
     """
-    if depth < 0:
-        raise UsageError("depth must be >= 0")
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    return _bottom_up(_level_maps(rifs, omega, depth), seeds,
-                      lambda m, p: m.apply_array(p), budget)
+    return _bottom_up(*_points(rifs, omega, depth, seeds), budget)
+
+
+_CHUNK_LEAVES = 1 << 15    # most cylinders per chunk of a streamed family
+
+
+def _chunks(levels, leaf, image, budget: int):
+    """_bottom_up's family streamed in word order, as (index of the first
+    cylinder, rows) for one prefix's subtree at a time.
+
+    The prefix length j is the smallest whose subtrees have at most
+    `_CHUNK_LEAVES` cylinders.  The family of the deeper levels is built
+    once; each level-j prefix maps it through its own items, innermost
+    first: the float operations _bottom_up performs, row by row, so the
+    chunks concatenate to its family bit for bit.  Above level j
+    _bottom_up maps two or more rows at a time, and a one-row matmul can
+    round differently from a many-row one, so a lone row is doubled there
+    and the copy dropped.  Only that family and one chunk are held.  The
+    full count is checked against the budget before any row is built.
+    """
+    leaves = _check_budget(levels, budget)
+    j = 0
+    while leaves > _CHUNK_LEAVES:
+        leaves //= len(levels[j])
+        j += 1
+    suffix = _bottom_up(levels[j:], leaf, image, budget)
+    rows = leaves * len(leaf)
+    for n, prefix in enumerate(itertools.product(*levels[:j])):
+        batch = suffix
+        for item in reversed(prefix):
+            batch = image(item, batch)
+            if len(batch) == 1:
+                batch = np.concatenate((batch, batch))
+        yield n * leaves, batch[:rows]
+
+
+def _cover_chunks(rifs: Rifs, omega: OmegaSeq, depth: int,
+                  budget: int = DEFAULT_BUDGET):
+    """cylinder_cover's boxes, streamed by _chunks."""
+    return _chunks(*_boxes(rifs, omega, depth), budget)
+
+
+def _image_chunks(rifs: Rifs, omega: OmegaSeq, depth: int, seeds,
+                  budget: int = DEFAULT_BUDGET):
+    """cylinder_images's points, streamed by _chunks in whole word blocks."""
+    return _chunks(*_points(rifs, omega, depth, seeds), budget)
 
 
 def _level_bounds(rifs: Rifs, omega: OmegaSeq):

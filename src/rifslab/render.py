@@ -51,24 +51,30 @@ def render_ppm(points, spec: RenderSpec, ambient: AmbientBox) -> bytes:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise UsageError("nothing to render")
-    if pts.shape[1] != ambient.dim:
-        raise UsageError("points do not match the ambient dimension")
+    return _paint_ppm((pts,), spec, ambient)
 
+
+def _paint_ppm(chunks, spec: RenderSpec, ambient: AmbientBox) -> bytes:
+    """render_ppm of the points of every chunk, painted one chunk at a time
+    onto one canvas."""
     w, h = spec.width, spec.height
     lo = np.asarray(ambient.lo)
     hi = np.asarray(ambient.hi)
     span = hi - lo
-
-    u = (pts[:, 0] - lo[0]) / span[0]
-    cols = np.clip(np.floor(u * w).astype(np.int64), 0, w - 1)
-    if ambient.dim == 2:
-        v = (hi[1] - pts[:, 1]) / span[1]
-        rows = np.clip(np.floor(v * h).astype(np.int64), 0, h - 1)
-    else:
-        rows = np.zeros(pts.shape[0], dtype=np.int64)
-
     image = np.empty((h, w, 3), dtype=np.uint8)
     image[:, :] = spec.background
-    image[rows, cols] = spec.foreground
+    for pts in chunks:
+        if pts.shape[1] != ambient.dim:
+            raise UsageError("points do not match the ambient dimension")
+        if not np.isfinite(pts).all():
+            raise UsageError("render points must be finite")
+        u = (pts[:, 0] - lo[0]) / span[0]
+        cols = np.clip(np.floor(u * w).astype(np.int64), 0, w - 1)
+        if ambient.dim == 2:
+            v = (hi[1] - pts[:, 1]) / span[1]
+            rows = np.clip(np.floor(v * h).astype(np.int64), 0, h - 1)
+        else:
+            rows = np.zeros(pts.shape[0], dtype=np.int64)
+        image[rows, cols] = spec.foreground
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     return header + image.tobytes()

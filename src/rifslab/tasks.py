@@ -27,9 +27,10 @@ from .dimension import (carpet_dimension_curve, minimize_carpet_dimension,
                         randomized_similarity_dimension)
 from .errors import UsageError
 from .measure import CylinderMeasure, mdp_bounds
-from .model import (DEFAULT_BUDGET, BernoulliSampler, attractor_points,
-                    cylinder_images, sample_omega)
-from .render import RenderSpec, render_ppm
+from .model import (DEFAULT_BUDGET, BernoulliSampler, _check_budget,
+                    _image_chunks, _level_maps, resolution_depth,
+                    sample_omega)
+from .render import RenderSpec, _paint_ppm
 from .sequences import omega_distance, splice
 
 
@@ -214,17 +215,15 @@ def _parse_render(obj, path, n_systems, dim, all_carpets) -> dict:
 
 def _task_render(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
-    if "depth" in params:
-        center = np.asarray(cfg.ambient.center)[None, :]
-        pts = cylinder_images(cfg.rifs, cfg.omega, params["depth"], center,
-                              budget)
-    else:
-        pts = attractor_points(cfg.rifs, cfg.omega, params["target_error"],
-                               budget).points
+    depth = params.get("depth") or resolution_depth(
+        cfg.rifs, cfg.omega, params["target_error"], budget)
+    center = np.asarray(cfg.ambient.center)[None, :]
     spec = RenderSpec(params["width"], params["height"],
                       params.get("foreground", (0, 0, 0)),
                       params.get("background", (255, 255, 255)))
-    return [(params["output"], render_ppm(pts, spec, cfg.ambient))]
+    chunks = (pts for _, pts in _image_chunks(cfg.rifs, cfg.omega, depth,
+                                               center, budget))
+    return [(params["output"], _paint_ppm(chunks, spec, cfg.ambient))]
 
 
 def _parse_splice_demo(obj, path, n_systems, dim, all_carpets) -> dict:
@@ -256,18 +255,24 @@ def _task_splice_demo(cfg: ExperimentConfig, budget: int):
     spliced_text = _seq_text(spliced)
     rows = []
     for depth in range(1, params["max_depth"] + 1):
-        pts = cylinder_images(cfg.rifs, spliced, depth, seeds, budget)
-        count = pts.shape[0] // n_seeds
-        blocks = pts.reshape(count, n_seeds, -1)
-        d2 = np.zeros(count)
-        for i in range(n_seeds):
-            for j in range(i + 1, n_seeds):
-                pair = ((blocks[:, i, :] - blocks[:, j, :]) ** 2).sum(axis=1)
-                d2 = np.maximum(d2, pair)
-        diams = np.sqrt(d2)
-        mass = float(np.asarray(gauge(diams)).sum())
-        rows.append((depth, count, float(diams.max(initial=0.0)), mass,
-                     k, d_om, spliced_text))
+        # one gauge value per cylinder and one chunk of points are held
+        count = _check_budget(_level_maps(cfg.rifs, spliced, depth), budget)
+        masses = np.empty(count)
+        diam_max = 0.0
+        for first, pts in _image_chunks(cfg.rifs, spliced, depth, seeds,
+                                        budget):
+            blocks = pts.reshape(-1, n_seeds, pts.shape[1])
+            d2 = np.zeros(len(blocks))
+            for i in range(n_seeds):
+                for j in range(i + 1, n_seeds):
+                    pair = blocks[:, i, :] - blocks[:, j, :]
+                    d2 = np.maximum(d2, (pair ** 2).sum(axis=1))
+            diams = np.sqrt(d2)
+            masses[first:first + len(diams)] = gauge(diams)
+            diam_max = max(diam_max, float(diams.max(initial=0.0)))
+        # one sum over the whole array keeps numpy's pairwise order
+        rows.append((depth, count, diam_max, float(masses.sum()), k, d_om,
+                     spliced_text))
     header = ("depth", "cylinder_count", "piece_diam_max", "cover_mass",
               "k", "d_omega", "spliced")
     return [(params["output"], _csv(header, rows))]

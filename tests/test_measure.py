@@ -66,6 +66,21 @@ def test_table_gauge_rejects_non_monotone():
         TableGauge([])
 
 
+@pytest.mark.parametrize("gauge", [
+    PowerGauge(1.0), PowerLogGauge(0.7), TableGauge([(1.0, 2.0), (2.0, 3.0)]),
+], ids=["power", "power_log", "table"])
+def test_gauges_reject_nan_diameters(gauge):
+    # a NaN diameter used to weigh 0 and drop out of a cover mass unseen
+    with pytest.raises(UsageError, match="NaN"):
+        gauge(np.array([np.nan, 0.5]))
+    with pytest.raises(UsageError, match="NaN"):
+        gauge(math.nan)
+    # an infinite diameter still weighs infinity
+    with np.errstate(divide="ignore"):
+        assert gauge(math.inf) == math.inf
+        assert np.asarray(gauge(np.array([math.inf, 1.0])))[0] == math.inf
+
+
 def test_doubling_power_is_exact():
     rep = doubling_constants(PowerGauge(LOG2_3), 0.5, 1.0)
     assert rep.d_minus == rep.d_plus == 0.5 ** LOG2_3

@@ -14,7 +14,7 @@ from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure, OmegaSeq,
 from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                               compose, unit_box)
 from rifslab import model
-from rifslab.model import (DeterministicIfs, _cover_chunks,
+from rifslab.model import (DeterministicIfs, _cover_chunks, _image_chunks,
                            _directed_sq_brute, _directed_sq_sweep)
 
 THIRD = 1.0 / 3.0
@@ -192,6 +192,46 @@ def test_cover_chunks_concatenate_to_the_cover(data):
     assert [first for first, _ in chunks] == firsts
     assert np.array_equal(np.concatenate([boxes for _, boxes in chunks]),
                           cylinder_cover(rifs, om, depth).boxes)
+
+
+def reflected_rifs(rifs):
+    # one more system of reflected similarities, rotated or not
+    if rifs.ambient.dim == 1:
+        maps = (Similarity(THIRD, (1.0,), reflect=True),)
+    else:
+        maps = (Similarity(0.3, (0.5, 0.3), rotation_deg=60.0, reflect=True),
+                Similarity(0.25, (0.6, 0.5), reflect=True))
+    return Rifs(rifs.systems + (DeterministicIfs(maps, "reflected"),),
+                rifs.ambient)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_image_chunks_concatenate_to_the_images(data):
+    # 1-D similarities; rotation, reflection, shear, grid cells, arch and
+    # quad forms; one seed or several
+    rifs = reflected_rifs(data.draw(st.sampled_from((cantor_rifs(),
+                                                     mixed_rifs()))))
+    n = len(rifs.systems)
+    om = OmegaSeq(tuple(data.draw(st.lists(st.integers(1, n), max_size=4))),
+                  tuple(data.draw(st.permutations(range(1, n + 1)))))
+    depth = data.draw(st.integers(0, 6))
+    dim = rifs.ambient.dim
+    seeds = data.draw(hnp.arrays(
+        float, st.tuples(st.integers(1, 3), st.just(dim)),
+        elements=st.floats(0.0, 1.0)))
+    # one map of a single row can round unlike a batch: one-cylinder chunks
+    # of one seed must still match
+    target = data.draw(st.sampled_from((1, 2, 3, 7, model._CHUNK_LEAVES)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_CHUNK_LEAVES", target)
+        chunks = list(_image_chunks(rifs, om, depth, seeds))
+    sizes = [len(pts) // len(seeds) for _, pts in chunks]
+    assert max(sizes) <= target
+    firsts = np.cumsum([0] + sizes[:-1]).tolist()
+    assert [first for first, _ in chunks] == firsts
+    assert np.array_equal(np.concatenate([pts for _, pts in chunks]),
+                          cylinder_images(rifs, om, depth, seeds))
 
 
 def test_similarity_diameters_are_ratio_products():

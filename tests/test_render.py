@@ -3,6 +3,7 @@ import pytest
 
 from rifslab import (AmbientBox, RenderSpec, UsageError, render_ppm,
                      unit_box)
+from rifslab.render import _paint_ppm
 
 
 def header_of(data: bytes) -> bytes:
@@ -81,3 +82,21 @@ def test_render_input_checks():
         render_ppm(np.zeros((0, 2)), spec, unit_box(2))
     with pytest.raises(UsageError):
         render_ppm(np.zeros((3, 1)), spec, unit_box(2))
+
+
+def test_render_rejects_non_finite_points():
+    # NaN and inf used to land on edge pixels through the int64 cast
+    spec = RenderSpec(4, 4)
+    bad = np.array([[np.nan, 0.5], [np.inf, 0.2]])
+    with pytest.raises(UsageError, match="finite"):
+        render_ppm(bad, spec, unit_box(2))
+
+
+def test_streamed_painter_checks_every_chunk():
+    spec = RenderSpec(4, 4)
+    good = np.array([[0.5, 0.5]])
+    bad = np.array([[0.2, 0.2], [np.inf, 0.2]])
+    with pytest.raises(UsageError, match="finite"):
+        _paint_ppm(iter((good, bad)), spec, unit_box(2))
+    assert _paint_ppm(iter((good, good[:0])), spec, unit_box(2)) == \
+        render_ppm(good, spec, unit_box(2))

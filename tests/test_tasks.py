@@ -1,0 +1,95 @@
+"""Task handlers that stream cylinder point images give the outputs of the
+whole-array formulas they replace, bit for bit, in bounded memory."""
+
+import itertools
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rifslab import (PowerGauge, PowerLogGauge, TableGauge, cylinder_images,
+                     load_corpus, render_ppm, resolution_depth, splice, tasks)
+from rifslab import model
+from rifslab.render import RenderSpec
+
+
+def with_params(cfg, **params):
+    return replace(cfg, task=replace(cfg.task,
+                                     params=dict(cfg.task.params, **params)))
+
+
+def whole_splice_rows(cfg):
+    """(count, largest diameter, cover mass) per depth, from every point
+    image at once."""
+    params = cfg.task.params
+    k = max(0, math.ceil(math.log2(1.0 / params["epsilon"])))
+    spliced = splice(cfg.omega, k, params["tail"])
+    seeds = np.asarray(params["seed_set"], dtype=float)
+    rows = []
+    for depth in range(1, params["max_depth"] + 1):
+        pts = cylinder_images(cfg.rifs, spliced, depth, seeds)
+        blocks = pts.reshape(-1, len(seeds), pts.shape[1])
+        d2 = np.zeros(len(blocks))
+        for i, j in itertools.combinations(range(len(seeds)), 2):
+            d2 = np.maximum(d2,
+                            ((blocks[:, i, :] - blocks[:, j, :]) ** 2).sum(
+                                axis=1))
+        diams = np.sqrt(d2)
+        rows.append((len(blocks), float(diams.max(initial=0.0)),
+                     float(np.asarray(params["gauge"](diams)).sum())))
+    return rows
+
+
+@pytest.mark.parametrize("gauge", [
+    PowerGauge(1.0), PowerLogGauge(0.5),
+    TableGauge([(0.1, 0.2), (0.5, 0.6), (1.0, 0.9)]),
+], ids=["power", "power_log", "table"])
+@pytest.mark.parametrize("target", [1, 3, 7, model._CHUNK_LEAVES])
+def test_streamed_splice_rows_equal_whole_arrays(splice_cfg, gauge, target,
+                                                 monkeypatch):
+    cfg = with_params(splice_cfg, gauge=gauge, max_depth=5,
+                      seed_set=((0.0, 0.0), (0.0, 1.0), (0.3, 0.7)))
+    # the rows before formatting, so floats compare bit for bit
+    monkeypatch.setattr(tasks, "_csv", lambda header, rows: rows)
+    monkeypatch.setattr(model, "_CHUNK_LEAVES", target)
+    (_, rows), = tasks.TASKS["splice-demo"].handler(cfg, model.DEFAULT_BUDGET)
+    assert [row[1:4] for row in rows] == whole_splice_rows(cfg)
+
+
+@pytest.mark.parametrize("name, target", [
+    ("pictorial-a", 1 << 10), ("pictorial-a", model._CHUNK_LEAVES),
+    ("cantor-render", 1), ("cantor-render", 3),
+])
+def test_streamed_render_equals_whole_array(name, target, monkeypatch):
+    # pictorial-a sets a depth, cantor-render a target error
+    cfg = load_corpus(name)
+    params = cfg.task.params
+    depth = params.get("depth") or resolution_depth(
+        cfg.rifs, cfg.omega, params["target_error"])
+    center = np.asarray(cfg.ambient.center)[None, :]
+    spec = RenderSpec(params["width"], params["height"])
+    whole = render_ppm(cylinder_images(cfg.rifs, cfg.omega, depth, center),
+                       spec, cfg.ambient)
+    monkeypatch.setattr(model, "_CHUNK_LEAVES", target)
+    (_, data), = tasks.TASKS["render"].handler(cfg, model.DEFAULT_BUDGET)
+    assert data == whole
+
+
+def test_deep_splice_demo_streams_the_points(run_isolated):
+    # max_depth 11, 4^11 cylinders of two seeds: holding every point image
+    # needed 475 MB of address space; streamed, the masses and one chunk
+    code = """
+import hashlib
+from dataclasses import replace
+from rifslab import load_corpus, tasks
+cfg = load_corpus("carpet-splice")
+cfg = replace(cfg, task=replace(cfg.task,
+                                params=dict(cfg.task.params, max_depth=11)))
+(_, data), = tasks.TASKS["splice-demo"].handler(cfg, 10 ** 7)
+print(hashlib.sha256(data).hexdigest())
+"""
+    res = run_isolated(code, timeout=120, max_bytes=256 << 20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [
+        "a0f25c9f3d2aab565a42338c44edbc0e2603a79d17dec3faa7140311ef9c9d39"]
