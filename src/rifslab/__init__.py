@@ -23,8 +23,7 @@ from .errors import (ConfigError, ConfigParseError, ConfigSchemaError,
                      ConfigSemanticError, GeometryDomainError, ResourceError,
                      RifsError, UnsupportedShapeError, UsageError)
 from .geometry import (Affine2, AmbientBox, ClosedFormMap, ContractionMap,
-                       LipValidation, MapComposition, Similarity, apply,
-                       compose, unit_box, validate_lip_bounds)
+                       MapComposition, Similarity, compose, unit_box)
 from .measure import (CylinderMeasure, DoublingReport, Gauge, MdpReport,
                       PackingReport, PowerGauge, PowerLogGauge, TableGauge,
                       check_msc_grid, cylinder_mass, doubling_constants,
@@ -48,11 +47,11 @@ __all__ = [
     "ConfigSemanticError", "ContractionMap", "CylinderCover",
     "CylinderMeasure", "DEFAULT_BUDGET", "DeterministicIfs",
     "DimensionReport", "DoublingReport", "ExperimentConfig", "Gauge",
-    "GeometryDomainError", "GrowthReport", "LipValidation", "MapComposition",
+    "GeometryDomainError", "GrowthReport", "MapComposition",
     "MdpReport", "OmegaSeq", "PackingReport", "PowerGauge", "PowerLogGauge",
     "ProbeRow", "RenderSpec", "ResourceError", "Rifs", "RifsError",
     "Similarity", "TableGauge", "TaskSpec", "UnsupportedShapeError",
-    "UsageError", "apply", "attractor_points",
+    "UsageError", "attractor_points",
     "bedford_mcmullen_dimension", "carpet_dimension_curve", "carpet_system",
     "check_growth_conditions", "check_msc_grid", "check_uosc_grid",
     "compose", "continuity_probe", "corpus_entries", "corpus_names",
@@ -64,5 +63,4 @@ __all__ = [
     "parse_config", "random_carpet_dimension",
     "randomized_similarity_dimension", "render_ppm", "resolution_depth",
     "run", "sample_omega", "similarity_dimension", "splice", "unit_box",
-    "validate_lip_bounds",
 ]

@@ -164,7 +164,6 @@ class BoxCountTable:
     never drop as the grid refines."""
 
     rows: tuple[tuple[float, int], ...]
-    source: str
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -177,10 +176,6 @@ class BoxCountTable:
             raise UsageError("counts must be positive")
         if any(b < a for a, b in zip(counts, counts[1:])):
             raise UsageError("counts may not drop as delta shrinks")
-
-    @property
-    def deltas(self) -> tuple[float, ...]:
-        return tuple(d for d, _ in self.rows)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -229,7 +224,7 @@ def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
         rows += [(delta, _count(cells))
                  for cells, (delta, _) in zip(found, rungs)]
 
-    table = BoxCountTable(tuple(rows), source="cylinder cover")
+    table = BoxCountTable(tuple(rows))
     exps = tuple(math.log(c) / -math.log(d) for d, c in rows)
     n = len(rows)
     start = n // 2 if n >= 4 else 0

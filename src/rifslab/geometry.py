@@ -16,7 +16,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import GeometryDomainError, UsageError
+from .errors import UsageError
 
 CONTAIN_TOL = 1e-9
 
@@ -57,10 +57,10 @@ class AmbientBox:
         """Box as an (dim, 2) array of [lo, hi] per axis."""
         return np.stack([np.asarray(self.lo), np.asarray(self.hi)], axis=1)
 
-    def contains(self, pts: np.ndarray, tol: float = CONTAIN_TOL) -> bool:
+    def contains(self, pts: np.ndarray) -> bool:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        lo = np.asarray(self.lo) - tol
-        hi = np.asarray(self.hi) + tol
+        lo = np.asarray(self.lo) - CONTAIN_TOL
+        hi = np.asarray(self.hi) + CONTAIN_TOL
         return bool(np.all(pts >= lo) and np.all(pts <= hi))
 
 
@@ -339,16 +339,6 @@ class ClosedFormMap(ContractionMap):
         return f"closed_form({self.name})"
 
 
-def apply(m: ContractionMap, p, box: AmbientBox | None = None):
-    """Evaluate a map at one point, checking the point is in the ambient box."""
-    box = box or unit_box(m.dim)
-    pt = np.asarray(p, dtype=float).reshape(1, m.dim)
-    if not box.contains(pt):
-        raise GeometryDomainError(f"point {p!r} outside ambient box")
-    out = m.apply_array(pt)[0]
-    return float(out[0]) if m.dim == 1 else tuple(float(v) for v in out)
-
-
 @dataclass(frozen=True)
 class MapComposition:
     """Ordered composition; factors apply right to left, as written."""
@@ -390,52 +380,3 @@ def compose(maps) -> MapComposition:
         lo *= m.lip_lo
         hi *= m.lip_hi
     return MapComposition(maps, lo, hi)
-
-
-def _kronecker_points(box: AmbientBox, n: int, mults: tuple[float, ...],
-                      shift: float) -> np.ndarray:
-    """Deterministic low-discrepancy points: fractional parts of j*alpha."""
-    j = np.arange(1, n + 1, dtype=float)[:, None]
-    alpha = np.asarray(mults[: box.dim])[None, :]
-    frac = np.modf(j * alpha + shift)[0]
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    return lo + frac * (hi - lo)
-
-
-_MULTS_A = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
-_MULTS_B = (math.sqrt(5.0) - 2.0, math.sqrt(7.0) - 2.0)
-
-
-@dataclass(frozen=True)
-class LipValidation:
-    observed_lo: float
-    observed_hi: float
-    ok: bool
-    samples: int
-    tol: float
-
-
-def validate_lip_bounds(m: ContractionMap, samples: int,
-                        box: AmbientBox | None = None,
-                        tol: float = 1e-9) -> LipValidation:
-    """Sample distance ratios and compare against the declared bounds.
-
-    The sample is a fixed Kronecker sequence, so reports are reproducible.
-    Degenerate pairs are skipped, never divided.
-    """
-    if samples < 2:
-        raise UsageError("need at least 2 samples")
-    box = box or unit_box(m.dim)
-    xs = _kronecker_points(box, samples, _MULTS_A, 0.5)
-    ys = _kronecker_points(box, samples, _MULTS_B, 0.25)
-    d_in = np.linalg.norm(xs - ys, axis=-1)
-    keep = d_in > 0.0
-    fx = m.apply_array(xs[keep])
-    fy = m.apply_array(ys[keep])
-    d_out = np.linalg.norm(fx - fy, axis=-1)
-    ratios = d_out / d_in[keep]
-    obs_lo = float(ratios.min())
-    obs_hi = float(ratios.max())
-    ok = (m.lip_lo - tol <= obs_lo) and (obs_hi <= m.lip_hi + tol)
-    return LipValidation(obs_lo, obs_hi, ok, int(keep.sum()), tol)

@@ -72,9 +72,9 @@ class PowerLogGauge(Gauge):
         self.label = f"power_log[{self.s:g}]"
 
     def _eval(self, t: np.ndarray) -> np.ndarray:
-        inside = t ** self.s * np.log(1.0 / t)
+        low = np.minimum(t, self.t0)   # so t = inf never reaches log(1/t)
         return np.where(t <= self.t0,
-                        inside,
+                        low ** self.s * np.log(1.0 / low),
                         self.base + self.slope * (t - self.t0))
 
 
@@ -116,7 +116,8 @@ class TableGauge(Gauge):
 
 @dataclass(frozen=True)
 class DoublingReport:
-    """Envelope for G(c*t)/G(t) over scales up to the given diameter."""
+    """Envelope for G(c*t)/G(t) over scales up to the given diameter: a
+    sample, not a certified bound, unless `samples` is 0 (exact)."""
 
     c: float
     d_minus: float
@@ -127,6 +128,10 @@ class DoublingReport:
 
 def doubling_constants(g: Gauge, c: float, diameter: float,
                        samples: int = 10_000) -> DoublingReport:
+    """Min and max of G(c*t)/G(t) at `samples` log-spaced scales t over
+    [1e-9 * diameter, diameter]: a sample, not a certified bound.  Exact
+    for c == 1 and for PowerGauge (both report samples = 0); for
+    PowerLogGauge the t -> 0 limit c**s is folded in as well."""
     if not (0.0 < c <= 1.0):
         raise UsageError("scale factor c must lie in (0, 1]")
     if diameter <= 0.0:

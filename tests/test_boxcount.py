@@ -178,15 +178,15 @@ def test_cell_total_beyond_int64_rejected():
 
 
 def test_table_validation():
-    BoxCountTable(((0.5, 2), (0.25, 4)), source="ok")
+    BoxCountTable(((0.5, 2), (0.25, 4)))
     with pytest.raises(UsageError):
-        BoxCountTable((), source="empty")
+        BoxCountTable(())
     with pytest.raises(UsageError, match="strictly decreasing"):
-        BoxCountTable(((0.25, 2), (0.5, 4)), source="bad")
+        BoxCountTable(((0.25, 2), (0.5, 4)))
     with pytest.raises(UsageError, match="may not drop"):
-        BoxCountTable(((0.5, 4), (0.25, 2)), source="bad")
+        BoxCountTable(((0.5, 4), (0.25, 2)))
     with pytest.raises(UsageError, match="positive"):
-        BoxCountTable(((0.5, 0),), source="bad")
+        BoxCountTable(((0.5, 0),))
 
 
 def test_estimate_rejects_bad_ladders(cantor_cfg):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -7,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rifslab import (Affine2, AmbientBox, ClosedFormMap, Similarity,
-                     UsageError, apply, compose, unit_box,
-                     validate_lip_bounds)
-from rifslab.errors import GeometryDomainError
+                     UsageError, compose, unit_box)
 from rifslab.geometry import CLOSED_FORMS
 
 
@@ -32,19 +31,19 @@ def test_box_rejects_bad_bounds():
 
 def test_similarity_1d_evaluation():
     m = Similarity(1.0 / 3.0, (2.0 / 3.0,))
-    assert apply(m, 0.0) == pytest.approx(2.0 / 3.0)
-    assert apply(m, 1.0) == pytest.approx(1.0)
+    out = m.apply_array(np.array([[0.0], [1.0]]))
+    assert out[:, 0] == pytest.approx([2.0 / 3.0, 1.0])
     assert m.lip_lo == m.lip_hi == pytest.approx(1.0 / 3.0)
 
 
 def test_similarity_reflection_and_rotation():
     # quarter turn of the unit square scaled by 1/2 about the origin
     rot = Similarity(0.5, (0.5, 0.0), rotation_deg=90.0)
-    x, y = apply(rot, (1.0, 0.0))
+    x, y = rot.apply_array(np.array([[1.0, 0.0]]))[0]
     assert x == pytest.approx(0.5)
     assert y == pytest.approx(0.5)
     refl = Similarity(0.5, (0.5,), reflect=True)
-    assert apply(refl, 1.0) == pytest.approx(0.0)
+    assert refl.apply_array(np.array([[1.0]]))[0, 0] == pytest.approx(0.0)
 
 
 def test_similarity_rejects_1d_rotation():
@@ -128,12 +127,6 @@ def test_shear_image_boxes_bound_every_corner():
     boxes = np.sort(np.random.default_rng(3).uniform(-1, 1, (50, 2, 2)))
     assert np.array_equal(m.image_box_array(boxes),
                           _corner_image_boxes(m.matrix, m._shift, boxes))
-
-
-def test_apply_rejects_outside_points():
-    m = Similarity(0.5, (0.0,))
-    with pytest.raises(GeometryDomainError):
-        apply(m, 2.0)
 
 
 def test_compose_order_is_left_outermost():
@@ -250,19 +243,40 @@ def test_square_term_range_holds_its_turning_point():
     assert out.tolist() == [[0.0, 0.5], [0.0, 0.5]]
 
 
+_LipSample = namedtuple("_LipSample", "observed_lo observed_hi ok")
+_MULTS_A = (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0)
+_MULTS_B = (math.sqrt(5.0) - 2.0, math.sqrt(7.0) - 2.0)
+
+
+def _kronecker(n, mults, shift):
+    # fractional parts of j*alpha + shift, j = 1..n: points in the unit box
+    j = np.arange(1, n + 1, dtype=float)[:, None]
+    return np.modf(j * np.asarray(mults) + shift)[0]
+
+
+def _validate_lip_bounds(m, samples):
+    """Distance ratios of m over a fixed Kronecker sample of pairs in the
+    unit box, against the declared bounds.  A sample certifies nothing; the
+    library certifies from the declared bounds and exact image boxes."""
+    xs = _kronecker(samples, _MULTS_A[:m.dim], 0.5)
+    ys = _kronecker(samples, _MULTS_B[:m.dim], 0.25)
+    d_in = np.linalg.norm(xs - ys, axis=-1)
+    keep = d_in > 0.0      # degenerate pairs are skipped, never divided
+    d_out = np.linalg.norm(
+        m.apply_array(xs[keep]) - m.apply_array(ys[keep]), axis=-1)
+    ratios = d_out / d_in[keep]
+    lo, hi = float(ratios.min()), float(ratios.max())
+    return _LipSample(lo, hi, m.lip_lo - 1e-9 <= lo and hi <= m.lip_hi + 1e-9)
+
+
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
 def test_declared_lipschitz_bounds_hold(name):
-    rep = validate_lip_bounds(ClosedFormMap(name), 2000)
+    rep = _validate_lip_bounds(ClosedFormMap(name), 2000)
     assert rep.ok, (name, rep.observed_lo, rep.observed_hi)
 
 
 def test_validate_lip_bounds_similarity_is_tight():
-    rep = validate_lip_bounds(Similarity(1.0 / 3.0, (0.0,)), 500)
+    rep = _validate_lip_bounds(Similarity(1.0 / 3.0, (0.0,)), 500)
     assert rep.ok
     assert rep.observed_lo == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert rep.observed_hi == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_validate_lip_bounds_needs_samples():
-    with pytest.raises(UsageError):
-        validate_lip_bounds(Similarity(0.5, (0.0,)), 1)
