@@ -47,12 +47,6 @@ class AmbientBox:
     def center(self) -> tuple[float, ...]:
         return tuple((l + h) / 2.0 for l, h in zip(self.lo, self.hi))
 
-    def corners(self) -> np.ndarray:
-        if self.dim == 1:
-            return np.array([[self.lo[0]], [self.hi[0]]])
-        (x0, y0), (x1, y1) = self.lo, self.hi
-        return np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
-
     def as_array(self) -> np.ndarray:
         """Box as an (dim, 2) array of [lo, hi] per axis."""
         return np.stack([np.asarray(self.lo), np.asarray(self.hi)], axis=1)

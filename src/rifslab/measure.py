@@ -9,6 +9,7 @@ produce two-sided dimension-print style constants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,8 +18,8 @@ import numpy as np
 
 from .errors import GeometryDomainError, UsageError
 from .dimension import CarpetSpec, similarity_dimension
-from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _bottom_up,
-                    _cover_chunks, resolution_depth)
+from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _PairwiseSum,
+                    _bottom_up, _chunks, _cover_chunks, resolution_depth)
 from .sequences import OmegaSeq
 
 
@@ -247,13 +248,19 @@ def cylinder_mass(cm: CylinderMeasure, word) -> float:
     return mass
 
 
+def _masses(cm: CylinderMeasure, depth: int):
+    """(levels, leaf, image) of the depth-k masses, for _bottom_up or
+    _chunks."""
+    if depth < 1:
+        raise UsageError("depth must be >= 1")
+    return ([cm.factors(cm.omega.entry(l)) for l in range(1, depth + 1)],
+            np.ones(1), lambda f, m: f * m)
+
+
 def level_masses(cm: CylinderMeasure, depth: int,
                  budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Masses of all depth-k cylinders, aligned with cylinder_cover order."""
-    if depth < 1:
-        raise UsageError("depth must be >= 1")
-    levels = [cm.factors(cm.omega.entry(l)) for l in range(1, depth + 1)]
-    return _bottom_up(levels, np.ones(1), lambda f, m: f * m, budget)
+    return _bottom_up(*_masses(cm, depth), budget)
 
 
 @dataclass(frozen=True)
@@ -354,20 +361,52 @@ def _ball_blocks(tree, first: int, centres: np.ndarray, limits: np.ndarray,
     return blocks
 
 
-def _block_sums(blocks, masses: np.ndarray, queries: int) -> list[float]:
-    """Per query, `masses[idx].sum()` over its blocks' leaves with idx in
-    word order: the same array a full scan's `masses[mask]` would be, so
-    the same bits."""
-    qs, firsts, counts = (np.concatenate(col) for col in zip(*blocks))
-    order = np.lexsort((firsts, qs))
-    qs, firsts, counts = qs[order], firsts[order], counts[order]
-    edges = np.searchsorted(qs, np.arange(queries + 1))
-    sums = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        first, count = firsts[a:b], counts[a:b]
-        idx = (np.repeat(first - (np.cumsum(count) - count), count)
-               + np.arange(count.sum()))
-        sums.append(float(masses[idx].sum()))
+def _block_sums(chunks, walk, queries: int) -> list[float]:
+    """Per query, the sum of its blocks' leaf masses in word order, bit for
+    bit `masses[idx].sum()` over the gathered leaves of a full scan.
+
+    `chunks` holds `_ball_blocks` per cover chunk, and `walk` streams the
+    masses in the same chunks (same fans, so the same bounds).  A chunk's
+    leaves are gathered query by query, whole queries and about one chunk
+    of leaves at a time.  A query held by one chunk sums its gathered run
+    itself; the others push theirs to a `_PairwiseSum`.
+    """
+    per_chunk = []
+    totals = np.zeros(queries, dtype=int)
+    for blocks in chunks:
+        qs, firsts, counts = (np.concatenate(col) for col in zip(*blocks))
+        order = np.lexsort((firsts, qs))
+        firsts, counts = firsts[order], counts[order]
+        ends = np.cumsum(counts)
+        rows = np.searchsorted(qs[order], np.arange(queries + 1))
+        # per query, where its run starts among the chunk's gathered leaves
+        offs = np.concatenate(([0], ends))[rows]
+        per_chunk.append((firsts - (ends - counts), counts, rows, offs))
+        totals += np.diff(offs)
+    totals = totals.tolist()
+    sums = [0.0] * queries
+    split = {}                  # the queries whose leaves span chunks
+    # the walk is zipped first, so it runs to its end and is released
+    for (first, masses), (shift, counts, rows, offs) in zip(walk, per_chunk):
+        present = np.flatnonzero(np.diff(offs)).tolist()
+        offs = offs.tolist()
+        for _, group in itertools.groupby(
+                present, lambda q: offs[q] // len(masses)):
+            group = list(group)
+            a, b = rows[group[0]], rows[group[-1] + 1]
+            start = offs[group[0]]
+            leaves = masses[np.repeat(shift[a:b] - first, counts[a:b])
+                            + np.arange(start, offs[group[-1] + 1])]
+            for q in group:
+                run = leaves[offs[q] - start:offs[q + 1] - start]
+                if run.size == totals[q]:
+                    sums[q] = float(run.sum())
+                else:
+                    if q not in split:
+                        split[q] = _PairwiseSum(totals[q])
+                    split[q].push(run)
+    for q, acc in split.items():
+        sums[q] = acc.total
     return sums
 
 
@@ -386,7 +425,6 @@ def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
     scales = [_scale(r, s) for r in radii]
 
     depth = resolution_depth(cm.rifs, cm.omega, min(radii) / 4.0, budget)
-    masses = level_masses(cm, depth, budget)
 
     # one query per point, radius and rule, in row order: outer, then inner
     limits = []
@@ -396,14 +434,16 @@ def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
     centres = np.repeat(pts, len(limits), axis=0)
     outer = np.arange(len(pts) * len(limits)) % 2 == 0
     limits = np.tile(limits, len(pts))
-    # the cover is streamed: only the masses and one chunk's tree are held
+    # the cover is streamed, then the masses: one chunk's tree or masses,
+    # and the blocks found, are held
     fans = [len(cm.rifs.system_for_level(cm.omega, level).maps)
             for level in range(depth, 0, -1)]
-    blocks = []
-    for first, boxes in _cover_chunks(cm.rifs, cm.omega, depth, budget):
-        blocks += _ball_blocks(_hull_tree(boxes, fans), first, centres,
-                               limits, outer)
-    sums = iter(_block_sums(blocks, masses, limits.size))
+    chunks = [_ball_blocks(_hull_tree(boxes, fans), first, centres, limits,
+                           outer)
+              for first, boxes in _cover_chunks(cm.rifs, cm.omega, depth,
+                                                budget)]
+    sums = iter(_block_sums(chunks, _chunks(*_masses(cm, depth), budget),
+                            limits.size))
 
     rows = []
     lam_sup = 0.0

@@ -221,6 +221,65 @@ def _chunks(levels, leaf, image, budget: int):
         yield n * leaves, batch[:rows]
 
 
+_PW_LEAF = 128    # longest run numpy's pairwise sum adds without splitting
+
+
+class _PairwiseSum:
+    """`np.sum` of n float64 values pushed in order, bit for bit, holding
+    at most one leaf of them.
+
+    numpy adds a contiguous run of more than `_PW_LEAF` values as the sum
+    of its first m and its other values, m = n//2 rounded down to a
+    multiple of 8, and each part the same way (Higham, SIAM J. Sci.
+    Comput. 14, 1993).  So the sum is a fixed tree over the n positions:
+    a node held by one pushed array is `np.sum` of that contiguous slice,
+    a leaf split between pushes is gathered and summed, and only the split
+    is emulated.  The split is numpy's implementation, not its API, so
+    `tests/test_model.py` checks the totals against `np.sum`.  `total` is
+    set once all n values are pushed.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._node = (0, n)          # (start, length) of the node to sum
+        self._right = []             # [start, length, left sum] per split
+        self._parts = []             # pushed pieces of a split leaf
+        self._pos = 0
+        self.total = 0.0 if n == 0 else None
+
+    def push(self, values: np.ndarray) -> None:
+        p = self._pos
+        q = self._pos = p + len(values)
+        while self._node is not None:
+            start, length = self._node
+            end = start + length
+            if p <= start and end <= q:
+                self._done(float(values[start - p:end - p].sum()))
+            elif length <= _PW_LEAF:
+                self._parts.append(
+                    values[max(start, p) - p:min(end, q) - p].copy())
+                if end > q:
+                    return
+                self._done(float(np.concatenate(self._parts).sum()))
+                self._parts = []
+            else:
+                half = length // 2
+                half -= half % 8
+                self._right.append([start + half, length - half, None])
+                self._node = (start, half)
+
+    def _done(self, value: float) -> None:
+        while self._right:
+            node = self._right[-1]
+            if node[2] is None:
+                node[2] = value
+                self._node = (node[0], node[1])
+                return
+            value = node[2] + value
+            self._right.pop()
+        self._node = None
+        self.total = value
+
+
 def _cover_chunks(rifs: Rifs, omega: OmegaSeq, depth: int,
                   budget: int = DEFAULT_BUDGET):
     """cylinder_cover's boxes, streamed by _chunks."""

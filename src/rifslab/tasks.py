@@ -27,9 +27,9 @@ from .dimension import (carpet_dimension_curve, minimize_carpet_dimension,
                         randomized_similarity_dimension)
 from .errors import UsageError
 from .measure import CylinderMeasure, mdp_bounds
-from .model import (DEFAULT_BUDGET, BernoulliSampler, _check_budget,
-                    _image_chunks, _level_maps, resolution_depth,
-                    sample_omega)
+from .model import (DEFAULT_BUDGET, BernoulliSampler, _PairwiseSum,
+                    _check_budget, _image_chunks, _level_maps,
+                    resolution_depth, sample_omega)
 from .render import RenderSpec, _paint_ppm
 from .sequences import omega_distance, splice
 
@@ -255,12 +255,12 @@ def _task_splice_demo(cfg: ExperimentConfig, budget: int):
     spliced_text = _seq_text(spliced)
     rows = []
     for depth in range(1, params["max_depth"] + 1):
-        # one gauge value per cylinder and one chunk of points are held
+        # one chunk of points is held; the gauge values are summed as they
+        # come, in the order one np.sum over all of them would take
         count = _check_budget(_level_maps(cfg.rifs, spliced, depth), budget)
-        masses = np.empty(count)
+        mass = _PairwiseSum(count)
         diam_max = 0.0
-        for first, pts in _image_chunks(cfg.rifs, spliced, depth, seeds,
-                                        budget):
+        for _, pts in _image_chunks(cfg.rifs, spliced, depth, seeds, budget):
             blocks = pts.reshape(-1, n_seeds, pts.shape[1])
             d2 = np.zeros(len(blocks))
             for i in range(n_seeds):
@@ -268,10 +268,9 @@ def _task_splice_demo(cfg: ExperimentConfig, budget: int):
                     pair = blocks[:, i, :] - blocks[:, j, :]
                     d2 = np.maximum(d2, (pair ** 2).sum(axis=1))
             diams = np.sqrt(d2)
-            masses[first:first + len(diams)] = gauge(diams)
+            mass.push(gauge(diams))
             diam_max = max(diam_max, float(diams.max(initial=0.0)))
-        # one sum over the whole array keeps numpy's pairwise order
-        rows.append((depth, count, diam_max, float(masses.sum()), k, d_om,
+        rows.append((depth, count, diam_max, mass.total, k, d_om,
                      spliced_text))
     header = ("depth", "cylinder_count", "piece_diam_max", "cover_mass",
               "k", "d_omega", "spliced")

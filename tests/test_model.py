@@ -14,8 +14,9 @@ from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure, OmegaSeq,
 from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                               compose, unit_box)
 from rifslab import model
-from rifslab.model import (DeterministicIfs, _cover_chunks, _image_chunks,
-                           _directed_sq_brute, _directed_sq_sweep)
+from rifslab.model import (DeterministicIfs, _PairwiseSum, _cover_chunks,
+                           _image_chunks, _directed_sq_brute,
+                           _directed_sq_sweep)
 
 THIRD = 1.0 / 3.0
 
@@ -192,6 +193,24 @@ def test_cover_chunks_concatenate_to_the_cover(data):
     assert [first for first, _ in chunks] == firsts
     assert np.array_equal(np.concatenate([boxes for _, boxes in chunks]),
                           cylinder_cover(rifs, om, depth).boxes)
+
+
+@given(n=st.one_of(st.sampled_from((0, 1, 7, 8, 127, 128, 129)),
+                   st.integers(0, 3000),
+                   st.integers(2 ** 17 + 1, 3 * 2 ** 17)),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_pairwise_sum_equals_np_sum(n, seed, data):
+    # magnitudes 1e-8..1e8 of either sign, a tenth of them zeros; pushed in
+    # up to 13 pieces, empty ones included
+    rng = np.random.default_rng(seed)
+    values = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    values[rng.random(n) < 0.1] = 0.0
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=12)))
+    acc = _PairwiseSum(n)
+    for piece in np.split(values, cuts):
+        acc.push(piece)
+    assert np.float64(acc.total).tobytes() == values.sum().tobytes()
 
 
 def reflected_rifs(rifs):

@@ -3,6 +3,7 @@ whole-array formulas they replace, bit for bit, in bounded memory."""
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -76,9 +77,25 @@ def test_streamed_render_equals_whole_array(name, target, monkeypatch):
     assert data == whole
 
 
+def test_splice_demo_holds_one_chunk():
+    # carpet-splice reaches 4^10 cylinders: one gauge value per cylinder
+    # traced an 11 MB peak, the streamed sum holds one chunk (2.5 MB)
+    cfg = load_corpus("carpet-splice")
+    tracemalloc.start()
+    try:
+        tasks.TASKS["splice-demo"].handler(cfg, model.DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_deep_splice_demo_streams_the_points(run_isolated):
     # max_depth 11, 4^11 cylinders of two seeds: holding every point image
-    # needed 475 MB of address space; streamed, the masses and one chunk
+    # needed 475 MB of address space, and the points streamed with one
+    # gauge value per cylinder 182 MB; streamed with the gauge values
+    # summed as they come, one chunk is held (144 MB, numpy's import
+    # included)
     code = """
 import hashlib
 from dataclasses import replace
@@ -89,7 +106,7 @@ cfg = replace(cfg, task=replace(cfg.task,
 (_, data), = tasks.TASKS["splice-demo"].handler(cfg, 10 ** 7)
 print(hashlib.sha256(data).hexdigest())
 """
-    res = run_isolated(code, timeout=120, max_bytes=256 << 20)
+    res = run_isolated(code, timeout=120, max_bytes=160 << 20)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == [
         "a0f25c9f3d2aab565a42338c44edbc0e2603a79d17dec3faa7140311ef9c9d39"]
