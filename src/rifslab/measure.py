@@ -9,7 +9,6 @@ produce two-sided dimension-print style constants.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -361,53 +360,38 @@ def _ball_blocks(tree, first: int, centres: np.ndarray, limits: np.ndarray,
     return blocks
 
 
-def _block_sums(chunks, walk, queries: int) -> list[float]:
+def _chunk_runs(blocks, queries: int):
+    """One chunk's `_ball_blocks` as (shift, counts, rows, offs): query q's
+    blocks are rows[q]:rows[q+1], in word order, and its leaves are
+    gathered positions offs[q]:offs[q+1]; gathered position i of a block
+    is leaf shift + i."""
+    qs, firsts, counts = (np.concatenate(col) for col in zip(*blocks))
+    order = np.lexsort((firsts, qs))
+    firsts, counts = firsts[order], counts[order]
+    ends = np.cumsum(counts)
+    rows = np.searchsorted(qs[order], np.arange(queries + 1))
+    offs = np.concatenate(([0], ends))[rows]
+    return firsts - (ends - counts), counts, rows, offs
+
+
+def _block_sums(runs, walk, queries: int) -> list[float]:
     """Per query, the sum of its blocks' leaf masses in word order, bit for
     bit `masses[idx].sum()` over the gathered leaves of a full scan.
 
-    `chunks` holds `_ball_blocks` per cover chunk, and `walk` streams the
-    masses in the same chunks (same fans, so the same bounds).  A chunk's
-    leaves are gathered query by query, whole queries and about one chunk
-    of leaves at a time.  A query held by one chunk sums its gathered run
-    itself; the others push theirs to a `_PairwiseSum`.
+    `runs` holds `_chunk_runs` per cover chunk, and `walk` streams the
+    masses in the same chunks (same fans, so the same bounds).  Each query
+    pushes its leaves of each chunk to its own `_PairwiseSum`.
     """
-    per_chunk = []
-    totals = np.zeros(queries, dtype=int)
-    for blocks in chunks:
-        qs, firsts, counts = (np.concatenate(col) for col in zip(*blocks))
-        order = np.lexsort((firsts, qs))
-        firsts, counts = firsts[order], counts[order]
-        ends = np.cumsum(counts)
-        rows = np.searchsorted(qs[order], np.arange(queries + 1))
-        # per query, where its run starts among the chunk's gathered leaves
-        offs = np.concatenate(([0], ends))[rows]
-        per_chunk.append((firsts - (ends - counts), counts, rows, offs))
-        totals += np.diff(offs)
-    totals = totals.tolist()
-    sums = [0.0] * queries
-    split = {}                  # the queries whose leaves span chunks
+    totals = sum((np.diff(offs) for *_, offs in runs),
+                 np.zeros(queries, dtype=int))
+    accs = [_PairwiseSum(t) for t in totals.tolist()]
     # the walk is zipped first, so it runs to its end and is released
-    for (first, masses), (shift, counts, rows, offs) in zip(walk, per_chunk):
-        present = np.flatnonzero(np.diff(offs)).tolist()
-        offs = offs.tolist()
-        for _, group in itertools.groupby(
-                present, lambda q: offs[q] // len(masses)):
-            group = list(group)
-            a, b = rows[group[0]], rows[group[-1] + 1]
-            start = offs[group[0]]
-            leaves = masses[np.repeat(shift[a:b] - first, counts[a:b])
-                            + np.arange(start, offs[group[-1] + 1])]
-            for q in group:
-                run = leaves[offs[q] - start:offs[q + 1] - start]
-                if run.size == totals[q]:
-                    sums[q] = float(run.sum())
-                else:
-                    if q not in split:
-                        split[q] = _PairwiseSum(totals[q])
-                    split[q].push(run)
-    for q, acc in split.items():
-        sums[q] = acc.total
-    return sums
+    for (first, masses), (shift, counts, rows, offs) in zip(walk, runs):
+        for q in np.flatnonzero(np.diff(offs)).tolist():
+            a, b = rows[q], rows[q + 1]
+            accs[q].push(masses[np.repeat(shift[a:b] - first, counts[a:b])
+                                + np.arange(offs[q], offs[q + 1])])
+    return [acc.total for acc in accs]
 
 
 def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
@@ -435,14 +419,14 @@ def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
     outer = np.arange(len(pts) * len(limits)) % 2 == 0
     limits = np.tile(limits, len(pts))
     # the cover is streamed, then the masses: one chunk's tree or masses,
-    # and the blocks found, are held
+    # and the blocks found, indexed per query, are held
     fans = [len(cm.rifs.system_for_level(cm.omega, level).maps)
             for level in range(depth, 0, -1)]
-    chunks = [_ball_blocks(_hull_tree(boxes, fans), first, centres, limits,
-                           outer)
-              for first, boxes in _cover_chunks(cm.rifs, cm.omega, depth,
-                                                budget)]
-    sums = iter(_block_sums(chunks, _chunks(*_masses(cm, depth), budget),
+    runs = [_chunk_runs(_ball_blocks(_hull_tree(boxes, fans), first,
+                                     centres, limits, outer), limits.size)
+            for first, boxes in _cover_chunks(cm.rifs, cm.omega, depth,
+                                              budget)]
+    sums = iter(_block_sums(runs, _chunks(*_masses(cm, depth), budget),
                             limits.size))
 
     rows = []
