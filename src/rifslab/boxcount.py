@@ -8,6 +8,18 @@ delta.  Conventions, chosen so counts of grid-aligned covers are exact:
 * a degenerate point sitting on a boundary counts toward the smaller cell
   (clamped at 0);
 * coordinates within 1e-9 cells of a boundary are snapped onto it first.
+
+Each grid is counted into an occupancy map of one byte per cell when it has
+at most `_MAP_CELLS` = 2^24 cells (16 MB; Liebovitch & Toth 1989), and into
+sorted distinct runs of cell indices otherwise.  A box spanning at most two
+cells on every axis is marked at its clipped corners, 2^dim vectorised
+passes with no per-cell expansion (and, into the map, no sort).  That covers
+the boxes `estimate_box_dims` counts: it resolves each rung to cylinders of
+side at most delta/4, and even rotated maps' boxes, which outgrow their
+cylinders, have measured below delta.  Wider boxes are expanded at most
+`_CELL_CHUNK` cells at a time, and the cells so expanded are charged to a
+budget of 2^dim cells per cylinder of the cylinder budget, so a huge box
+fails at once with `ResourceError` instead of running for hours.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ResourceError, UsageError
 from .geometry import AmbientBox
 from .model import DEFAULT_BUDGET, Rifs, _cover_chunks, resolution_depth
 from .sequences import OmegaSeq
@@ -26,6 +38,7 @@ from .sequences import OmegaSeq
 SNAP_TOL = 1e-9
 _BOX_CHUNK = 1 << 15       # boxes per step of count_boxes
 _CELL_CHUNK = 1 << 17      # cells expanded per step
+_MAP_CELLS = 1 << 24       # largest grid counted into an occupancy map
 _MAX_CELLS = np.iinfo(np.int64).max   # cells an int64 index can number
 
 
@@ -66,7 +79,7 @@ def _grid_shape(ambient: AmbientBox, delta: float) -> tuple[int, ...]:
 
 
 def _cell_ids(js: np.ndarray, span: np.ndarray, sizes: np.ndarray,
-              ends: np.ndarray, strides: np.ndarray, start: int,
+              ends: np.ndarray, strides: tuple[int, ...], start: int,
               stop: int) -> np.ndarray:
     """Linear indices of cells start..stop-1 of the boxes' index ranges
     js..js+span-1, numbered box after box with the last axis fastest;
@@ -94,50 +107,101 @@ def _distinct(ids: np.ndarray) -> np.ndarray:
     return ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
 
 
-def _add_cells(found: list, boxes: np.ndarray, delta: float,
-               ambient: AmbientBox, shape: tuple[int, ...]) -> None:
-    """Add the cells meeting `boxes` to `found`, a list of sorted distinct
-    runs of cell indices, expanding at most `_CELL_CHUNK` cells at a time.
-    Once the later runs outnumber the first, all are folded into the
-    first, so memory follows the distinct cells, not the cells the boxes
-    span, and each fold at least doubles what the next one sorts."""
-    dim = len(shape)
-    strides = np.ones(dim, dtype=np.int64)
-    for ax in range(dim - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * shape[ax + 1]
-    js = np.empty((boxes.shape[0], dim), dtype=np.int64)
-    je = np.empty_like(js)
-    for ax in range(dim):
-        js[:, ax], je[:, ax] = _axis_cells(
-            shape[ax], ambient.lo[ax], boxes[:, ax, 0], boxes[:, ax, 1], delta)
-    span = je - js + 1
-    sizes = span.prod(axis=1)
-    if sizes.sum(dtype=float) > _MAX_CELLS:
-        raise UsageError("the boxes span more cells than an int64 can count")
-    ends = np.cumsum(sizes)
-    total = int(ends[-1])
-    for start in range(0, total, _CELL_CHUNK):
-        stop = min(start + _CELL_CHUNK, total)
-        found.append(_distinct(
-            _cell_ids(js, span, sizes, ends, strides, start, stop)))
-        if sum(run.size for run in found[1:]) >= found[0].size:
-            runs = np.concatenate(found)
-            found.clear()
-            found.append(_distinct(runs))
+class _Cells:
+    """The distinct cells of one grid that boxes meet, fed chunk by chunk
+    into the occupancy map or, on a grid above `_MAP_CELLS` cells, into
+    sorted distinct runs.  Once the later runs outnumber the first, all are
+    folded into the first, so memory follows the distinct cells and each
+    fold at least doubles what the next one sorts."""
+
+    def __init__(self, delta: float, ambient: AmbientBox, budget: int):
+        self.delta, self.ambient = delta, ambient
+        self.shape = _grid_shape(ambient, delta)
+        # the last axis runs fastest
+        self.strides = tuple(math.prod(self.shape[ax + 1:])
+                             for ax in range(len(self.shape)))
+        cells = math.prod(self.shape)
+        self.map = np.zeros(cells, dtype=bool) if cells <= _MAP_CELLS else None
+        self.runs: list[np.ndarray] = []
+        self.budget = budget
+        self.expanded = 0
+
+    def _mark(self, ids: np.ndarray) -> None:
+        if self.map is not None:
+            self.map[ids] = True
+            return
+        self.runs.append(_distinct(ids))
+        if sum(run.size for run in self.runs[1:]) >= self.runs[0].size:
+            self.runs = [_distinct(np.concatenate(self.runs))]
+
+    def add(self, boxes: np.ndarray) -> None:
+        """Mark the cells meeting `boxes` (n, dim, 2)."""
+        js, spans = [], []
+        for ax, n_cells in enumerate(self.shape):
+            first, last = _axis_cells(n_cells, self.ambient.lo[ax],
+                                      boxes[:, ax, 0], boxes[:, ax, 1],
+                                      self.delta)
+            js.append(first)
+            spans.append(last - first + 1)
+        wide = spans[0] > 2
+        for span in spans[1:]:
+            wide |= span > 2
+        if wide.any():
+            self._expand(np.stack([j[wide] for j in js], axis=1),
+                         np.stack([sp[wide] for sp in spans], axis=1))
+            narrow = ~wide
+            js = [j[narrow] for j in js]
+            spans = [sp[narrow] for sp in spans]
+        # a box at most two cells wide on every axis meets exactly the cells
+        # at its corners min(js + o, je), o in {0, 1}^dim: its first cell
+        # plus any subset of the per-axis steps (span - 1) * stride
+        ids = sum(j * stride for j, stride in zip(js, self.strides))[None]
+        for span, stride in zip(spans, self.strides):
+            step = (span - 1) * stride
+            if step.any():
+                ids = np.concatenate((ids, ids + step))
+        if ids.size:
+            self._mark(ids.ravel())
+
+    def _expand(self, js: np.ndarray, span: np.ndarray) -> None:
+        """Mark every cell of the boxes' index ranges js..js+span-1, at most
+        `_CELL_CHUNK` cells a step, charging them to the budget first."""
+        sizes = span.prod(axis=1)
+        if sizes.sum(dtype=float) > _MAX_CELLS:
+            raise UsageError("the boxes span more cells than an int64 can count")
+        ends = np.cumsum(sizes)
+        total = int(ends[-1])
+        self.expanded += total
+        dim = js.shape[1]
+        if self.expanded > 2 ** dim * self.budget:
+            raise ResourceError(
+                f"expanded cell count {self.expanded} exceeds 2^{dim} cells "
+                f"per cylinder of budget {self.budget}", count=self.expanded)
+        for start in range(0, total, _CELL_CHUNK):
+            stop = min(start + _CELL_CHUNK, total)
+            self._mark(_cell_ids(js, span, sizes, ends, self.strides, start,
+                                 stop))
+
+    def count(self) -> int:
+        """Number of distinct cells marked, at least one."""
+        if self.map is not None:
+            return int(np.count_nonzero(self.map))
+        ids = np.concatenate(self.runs)
+        self.runs = []
+        ids.sort()
+        return 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
 
 
-def _count(found: list) -> int:
-    """Number of distinct indices in `found`, which holds at least one
-    (every box meets a cell); empties `found`."""
-    ids = np.concatenate(found)
-    found.clear()
-    ids.sort()
-    return 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
-
-
-def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox) -> int:
+def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox,
+                budget: int = DEFAULT_BUDGET) -> int:
     """Number of grid cells meeting the items (boxes (n,dim,2) or points
-    (n,dim)), under the boundary conventions above."""
+    (n,dim)), under the boundary conventions above.
+
+    Items are taken `_BOX_CHUNK` at a time into an occupancy map (grids of
+    at most `_MAP_CELLS` cells) or sorted distinct runs.  Items spanning at
+    most two cells per axis are marked at their corners; wider ones are
+    expanded, and once more than `2**dim * budget` cells have been expanded
+    this raises `ResourceError`."""
     if not 0.0 < delta < math.inf:
         raise UsageError("delta must be finite and > 0")
     arr = np.asarray(items, dtype=float)
@@ -150,12 +214,10 @@ def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox) -> int:
     if not np.isfinite(arr).all():
         raise UsageError("items must have finite coordinates")
 
-    shape = _grid_shape(ambient, delta)
-    found = []
+    cells = _Cells(delta, ambient, budget)
     for start in range(0, arr.shape[0], _BOX_CHUNK):
-        _add_cells(found, arr[start:start + _BOX_CHUNK], delta, ambient,
-                   shape)
-    return _count(found)
+        cells.add(arr[start:start + _BOX_CHUNK])
+    return cells.count()
 
 
 @dataclass(frozen=True)
@@ -215,14 +277,11 @@ def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
     rows = []
     for depth, rungs in itertools.groupby(zip(deltas, depths),
                                           key=lambda rung: rung[1]):
-        rungs = [(delta, _grid_shape(rifs.ambient, delta))
-                 for delta, _ in rungs]
-        found = [[] for _ in rungs]
+        sinks = [_Cells(delta, rifs.ambient, budget) for delta, _ in rungs]
         for _, boxes in _cover_chunks(rifs, omega, depth, budget):
-            for cells, (delta, shape) in zip(found, rungs):
-                _add_cells(cells, boxes, delta, rifs.ambient, shape)
-        rows += [(delta, _count(cells))
-                 for cells, (delta, _) in zip(found, rungs)]
+            for cells in sinks:
+                cells.add(boxes)
+        rows += [(cells.delta, cells.count()) for cells in sinks]
 
     table = BoxCountTable(tuple(rows))
     exps = tuple(math.log(c) / -math.log(d) for d, c in rows)

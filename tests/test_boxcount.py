@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rifslab import (BoxCountTable, OmegaSeq, UsageError, boxcount,
-                     count_boxes, cylinder_cover, estimate_box_dims,
+from rifslab import (BoxCountTable, OmegaSeq, ResourceError, UsageError,
+                     boxcount, count_boxes, cylinder_cover, estimate_box_dims,
                      load_corpus, model)
 from rifslab.boxcount import SNAP_TOL
 from rifslab.geometry import AmbientBox, unit_box
@@ -141,16 +141,21 @@ def count_inputs(draw):
     chunk = draw(st.sampled_from((1, 2, 3, 7, boxcount._BOX_CHUNK)))
     # small cell steps split boxes, and merge runs into the union often
     cells = draw(st.sampled_from((1, 2, 3, 7, boxcount._CELL_CHUNK)))
-    return items, delta, ambient, chunk, cells
+    # 0 sends every grid to the sorted runs instead of the occupancy map
+    map_cells = draw(st.sampled_from((0, boxcount._MAP_CELLS)))
+    return items, delta, ambient, chunk, cells, map_cells
 
 
 @given(count_inputs())
 @settings(deadline=None)
 def test_count_boxes_equals_the_per_box_loop(case):
-    items, delta, ambient, chunk, cells = case
+    # rows spanning one, two and more cells per axis mix, so corner marking
+    # and expansion both feed the map and the runs
+    items, delta, ambient, chunk, cells, map_cells = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boxcount, "_BOX_CHUNK", chunk)
         mp.setattr(boxcount, "_CELL_CHUNK", cells)
+        mp.setattr(boxcount, "_MAP_CELLS", map_cells)
         assert count_boxes(items, delta, ambient) == \
             _oracle_count(items, delta, ambient)
 
@@ -168,6 +173,57 @@ print(count_boxes(boxes, 2.0 ** -10, unit_box(2)))
     res = run_isolated(code, timeout=120, max_bytes=300 << 20)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == [str(1 << 20)]
+
+
+def test_count_boxes_map_memory_is_set_by_the_grid(run_isolated):
+    # one unit square on a 2048 x 2048 grid: its 4.2M cells go into a 4 MB
+    # occupancy map, where the sorted runs held every distinct cell at about
+    # 20 bytes each and needed about 180 MB of address space
+    code = """
+import numpy as np
+from rifslab import count_boxes
+from rifslab.geometry import unit_box
+print(count_boxes(np.array([[[0.0, 1.0], [0.0, 1.0]]]), 2.0 ** -11,
+                  unit_box(2)))
+"""
+    res = run_isolated(code, timeout=120, max_bytes=145 << 20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [str(1 << 22)]
+
+
+def test_cell_budget_stops_a_huge_expansion_at_once(run_isolated):
+    # one unit square at 2^-20 spans 2^40 cells, about 40 hours of
+    # expansion; the cell budget refuses it before expanding any
+    code = """
+import numpy as np
+from rifslab import ResourceError, count_boxes
+from rifslab.geometry import unit_box
+try:
+    count_boxes(np.array([[[0.0, 1.0], [0.0, 1.0]]]), 2.0 ** -20, unit_box(2))
+except ResourceError as exc:
+    print(exc.count)
+"""
+    res = run_isolated(code, timeout=30, max_bytes=300 << 20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [str(1 << 40)]
+
+
+def test_cell_budget_charges_only_expanded_boxes():
+    box = unit_box(2)
+    # a 3 x 3 box is expanded: 9 cells against 2^2 per budgeted cylinder
+    wide = np.array([[[0.1, 0.7], [0.1, 0.7]]])
+    assert count_boxes(wide, 0.25, box, budget=3) == 9
+    with pytest.raises(ResourceError, match="cell count 9") as err:
+        count_boxes(wide, 0.25, box, budget=2)
+    assert err.value.count == 9
+    # the budget is a running total over the chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boxcount, "_BOX_CHUNK", 1)
+        with pytest.raises(ResourceError, match="cell count 18"):
+            count_boxes(np.concatenate((wide, wide)), 0.25, box, budget=4)
+    # boxes at most two cells wide are marked at their corners, unbudgeted
+    narrow = np.tile([[[0.1, 0.3], [0.1, 0.3]]], (100, 1, 1))
+    assert count_boxes(narrow, 0.25, box, budget=1) == 4
 
 
 def test_cell_total_beyond_int64_rejected():
