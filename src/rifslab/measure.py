@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GeometryDomainError, UsageError
 from .dimension import CarpetSpec, similarity_dimension
-from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _PairwiseSum,
+from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _ExactSum,
                     _bottom_up, _chunks, _cover_chunks, resolution_depth)
 from .sequences import OmegaSeq
 
@@ -375,16 +375,14 @@ def _chunk_runs(blocks, queries: int):
 
 
 def _block_sums(runs, walk, queries: int) -> list[float]:
-    """Per query, the sum of its blocks' leaf masses in word order, bit for
-    bit `masses[idx].sum()` over the gathered leaves of a full scan.
+    """Per query, the exact sum of its blocks' leaf masses, rounded once:
+    `math.fsum` over the gathered leaves of a full scan.
 
     `runs` holds `_chunk_runs` per cover chunk, and `walk` streams the
     masses in the same chunks (same fans, so the same bounds).  Each query
-    pushes its leaves of each chunk to its own `_PairwiseSum`.
+    pushes its leaves of each chunk to its own `_ExactSum`.
     """
-    totals = sum((np.diff(offs) for *_, offs in runs),
-                 np.zeros(queries, dtype=int))
-    accs = [_PairwiseSum(t) for t in totals.tolist()]
+    accs = [_ExactSum() for _ in range(queries)]
     # the walk is zipped first, so it runs to its end and is released
     for (first, masses), (shift, counts, rows, offs) in zip(walk, runs):
         for q in np.flatnonzero(np.diff(offs)).tolist():
@@ -396,6 +394,8 @@ def _block_sums(runs, walk, queries: int) -> list[float]:
 
 def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
                budget: int = DEFAULT_BUDGET) -> MdpReport:
+    """Bracket mass(B(x, r)) / r**s over the points and radii; a ball's outer
+    (inner) mass is `math.fsum` of its meeting (held) cylinders' masses."""
     if not 0.0 < s < math.inf:
         raise UsageError("exponent s must be positive and finite")
     radii = tuple(float(r) for r in radii)

@@ -221,63 +221,56 @@ def _chunks(levels, leaf, image, budget: int):
         yield n * leaves, batch[:rows]
 
 
-_PW_LEAF = 128    # longest run numpy's pairwise sum adds without splitting
+def _tiny_units(x: float) -> int:
+    """Finite x as an exact int multiple of 2**-1074."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
 
 
-class _PairwiseSum:
-    """`np.sum` of n float64 values pushed in order, bit for bit, holding
-    at most one leaf of them.
+class _ExactSum:
+    """`math.fsum` of every float64 value pushed, in any split and order.
 
-    numpy adds a contiguous run of more than `_PW_LEAF` values as the sum
-    of its first m and its other values, m = n//2 rounded down to a
-    multiple of 8, and each part the same way (Higham, SIAM J. Sci.
-    Comput. 14, 1993).  So the sum is a fixed tree over the n positions:
-    a node held by one pushed array is `np.sum` of that contiguous slice,
-    a leaf split between pushes is gathered and summed, and only the split
-    is emulated.  The split is numpy's implementation, not its API, so
-    `tests/test_model.py` checks the totals against `np.sum`.  `total` is
-    set once all n values are pushed.
+    A push is summed by error-free extraction (Rump, Ogita & Oishi, SIAM J.
+    Sci. Comput. 31(1), 2008): for n values, 2**m >= n + 2 and sigma = 2**e
+    >= 2**m * max|v|, q = (sigma + v) - sigma, v - q and any float sum of
+    the q are exact.  Each sum of q is added to one int in units of
+    2**-1074, and v - q is extracted in turn until it is 0.  Inf, nan and
+    values too large for sigma are added one by one; a total beyond the
+    float range is +-inf, and inf and nan add up as in `np.sum`.
     """
 
-    def __init__(self, n: int) -> None:
-        self._node = (0, n)          # (start, length) of the node to sum
-        self._right = []             # [start, length, left sum] per split
-        self._parts = []             # pushed pieces of a split leaf
-        self._pos = 0
-        self.total = 0.0 if n == 0 else None
+    def __init__(self) -> None:
+        self._units = 0          # the finite values' sum, in 2**-1074
+        self._special = 0.0      # the sum of the inf and nan values
 
-    def push(self, values: np.ndarray) -> None:
-        p = self._pos
-        q = self._pos = p + len(values)
-        while self._node is not None:
-            start, length = self._node
-            end = start + length
-            if p <= start and end <= q:
-                self._done(float(values[start - p:end - p].sum()))
-            elif length <= _PW_LEAF:
-                self._parts.append(
-                    values[max(start, p) - p:min(end, q) - p].copy())
-                if end > q:
-                    return
-                self._done(float(np.concatenate(self._parts).sum()))
-                self._parts = []
-            else:
-                half = length // 2
-                half -= half % 8
-                self._right.append([start + half, length - half, None])
-                self._node = (start, half)
+    def push(self, values) -> None:
+        rest = np.array(values, dtype=float)
+        m = (rest.size + 1).bit_length()
+        q = np.empty_like(rest)
+        while top := max(rest.max(initial=0.0), -rest.min(initial=0.0)):
+            e = math.frexp(top)[1] + m
+            if e > 1023 or not math.isfinite(top):
+                odd = ~(np.abs(rest) < math.ldexp(1.0, 1023 - m))
+                vals = rest[odd].tolist()        # inf, nan or too large
+                self._special += sum(v for v in vals if not math.isfinite(v))
+                vals = filter(math.isfinite, vals)
+                self._units += sum(map(_tiny_units, vals))
+                rest[odd] = 0.0
+                continue
+            sigma = math.ldexp(1.0, e)
+            np.add(rest, sigma, out=q)
+            q -= sigma
+            self._units += _tiny_units(float(q.sum()))
+            rest -= q
 
-    def _done(self, value: float) -> None:
-        while self._right:
-            node = self._right[-1]
-            if node[2] is None:
-                node[2] = value
-                self._node = (node[0], node[1])
-                return
-            value = node[2] + value
-            self._right.pop()
-        self._node = None
-        self.total = value
+    @property
+    def total(self) -> float:
+        if self._special != 0.0:           # true for nan too
+            return self._special
+        try:
+            return self._units / (1 << 1074)     # correctly rounded
+        except OverflowError:
+            return math.inf if self._units > 0 else -math.inf
 
 
 def _cover_chunks(rifs: Rifs, omega: OmegaSeq, depth: int,

@@ -27,9 +27,8 @@ from .dimension import (carpet_dimension_curve, minimize_carpet_dimension,
                         randomized_similarity_dimension)
 from .errors import UsageError
 from .measure import CylinderMeasure, mdp_bounds
-from .model import (DEFAULT_BUDGET, BernoulliSampler, _PairwiseSum,
-                    _check_budget, _image_chunks, _level_maps,
-                    resolution_depth, sample_omega)
+from .model import (DEFAULT_BUDGET, BernoulliSampler, _ExactSum,
+                    _image_chunks, resolution_depth, sample_omega)
 from .render import RenderSpec, _paint_ppm
 from .sequences import omega_distance, splice
 
@@ -255,13 +254,13 @@ def _task_splice_demo(cfg: ExperimentConfig, budget: int):
     spliced_text = _seq_text(spliced)
     rows = []
     for depth in range(1, params["max_depth"] + 1):
-        # one chunk of points is held; the gauge values are summed as they
-        # come, in the order one np.sum over all of them would take
-        count = _check_budget(_level_maps(cfg.rifs, spliced, depth), budget)
-        mass = _PairwiseSum(count)
+        # one chunk of points is held; its gauge values are summed exactly
+        mass = _ExactSum()
+        count = 0
         diam_max = 0.0
         for _, pts in _image_chunks(cfg.rifs, spliced, depth, seeds, budget):
             blocks = pts.reshape(-1, n_seeds, pts.shape[1])
+            count += len(blocks)
             d2 = np.zeros(len(blocks))
             for i in range(n_seeds):
                 for j in range(i + 1, n_seeds):

@@ -300,9 +300,9 @@ def _flat_mdp(cm, radii, points):
         far = np.maximum(np.abs(x - lo), np.abs(hi - x))
         far2 = (far ** 2).sum(axis=1)
         for r in radii:
-            outer = float(masses[near2 <= r * r].sum())
+            outer = math.fsum(masses[near2 <= r * r])
             rin = r * _INNER_SLACK
-            inner = float(masses[far2 <= rin * rin].sum())
+            inner = math.fsum(masses[far2 <= rin * rin])
             rows.append((tuple(float(v) for v in x), r, outer, inner))
     return depth, tuple(rows)
 

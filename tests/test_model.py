@@ -14,7 +14,7 @@ from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure, OmegaSeq,
 from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                               compose, unit_box)
 from rifslab import model
-from rifslab.model import (DeterministicIfs, _PairwiseSum, _cover_chunks,
+from rifslab.model import (DeterministicIfs, _ExactSum, _cover_chunks,
                            _image_chunks, _directed_sq_brute,
                            _directed_sq_sweep)
 
@@ -195,22 +195,65 @@ def test_cover_chunks_concatenate_to_the_cover(data):
                           cylinder_cover(rifs, om, depth).boxes)
 
 
+def sum_values(kind, n, rng):
+    sign = rng.choice((-1.0, 1.0), n)
+    if kind == "wide":          # 1e-8..1e8, a tenth of them zeros
+        values = sign * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        values[rng.random(n) < 0.1] = 0.0
+    elif kind == "range":       # 1e-300..1e300 within one array
+        values = sign * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    elif kind == "subnormal":   # below 2**-1022, down to one ulp
+        values = sign * rng.integers(0, 2 ** 52, n) * 2.0 ** -1074
+    elif kind == "cancel":      # x and -x in any order
+        half = sign[:n // 2] * 10.0 ** rng.uniform(-300.0, 300.0, n // 2)
+        values = rng.permutation(np.concatenate((half, -half, [1.0][:n % 2])))
+    else:                       # near the float max, mixed with 1e-100..
+        values = sign * np.finfo(float).max * rng.uniform(0.5, 1.0, n)
+        small = rng.random(n) < 0.5
+        values[small] = sign[small] * 10.0 ** rng.uniform(-100.0, 300.0,
+                                                          small.sum())
+    return values
+
+
 @given(n=st.one_of(st.sampled_from((0, 1, 7, 8, 127, 128, 129)),
                    st.integers(0, 3000),
                    st.integers(2 ** 17 + 1, 3 * 2 ** 17)),
+       kind=st.sampled_from(("wide", "range", "subnormal", "cancel", "huge")),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_pairwise_sum_equals_np_sum(n, seed, data):
-    # magnitudes 1e-8..1e8 of either sign, a tenth of them zeros; pushed in
-    # up to 13 pieces, empty ones included
-    rng = np.random.default_rng(seed)
-    values = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
-    values[rng.random(n) < 0.1] = 0.0
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_equals_fsum(n, kind, seed, data):
+    # pushed in up to 13 pieces, empty ones included
+    values = sum_values(kind, n, np.random.default_rng(seed))
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=12)))
-    acc = _PairwiseSum(n)
+    acc = _ExactSum()
     for piece in np.split(values, cuts):
         acc.push(piece)
-    assert np.float64(acc.total).tobytes() == values.sum().tobytes()
+    if kind == "huge":
+        # fsum raises once a partial sum leaves the float range, so it sums
+        # the values scaled by 2**-100 (exact for these), and the scaled
+        # total, rounded once, is scaled back: +-inf beyond the range
+        assert acc.total == math.fsum(values * 2.0 ** -100) * 2.0 ** 100
+    else:
+        assert acc.total == math.fsum(values)
+
+
+BIG = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("pushes", [
+    [[BIG, BIG]], [[-BIG], [], [-BIG, 1.0]],            # finite, beyond range
+    [[1.0, math.inf], [2.0]], [[math.inf], [math.inf, -1.0]],
+    [[-math.inf, 3.0]], [[math.inf], [-1.0, -math.inf]],
+    [[math.nan], []], [[1.0], [math.inf, math.nan]],
+])
+def test_exact_sum_overflow_inf_and_nan_as_np_sum(pushes):
+    acc = _ExactSum()
+    for piece in pushes:
+        acc.push(np.array(piece, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.concatenate([np.array(p, dtype=float)
+                                   for p in pushes]).sum()
+    assert repr(acc.total) == repr(float(expected))
 
 
 def reflected_rifs(rifs):

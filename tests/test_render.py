@@ -28,6 +28,24 @@ def test_spec_validation():
     assert spec.background == (255, 255, 255)
 
 
+@pytest.mark.parametrize("args", [
+    (1, 1, (254.7, 0, 0)), (1, 1, (0, 0, 0), (255.0, 255, 255)),
+    (1, 1, (True, False, 0)), (1, 1, ("12", 0, 0)),
+    (2.5, 1), (1, 2.0), (True, 1), ("4", 4),
+])
+def test_spec_rejects_non_integer_sizes_and_channels(args):
+    # int() truncated or parsed these channels and bool passed as an int;
+    # a str size raised TypeError on the size compare
+    with pytest.raises(UsageError):
+        RenderSpec(*args)
+
+
+def test_spec_takes_numpy_integers():
+    spec = RenderSpec(np.int64(3), np.uint8(2), (np.int32(7), 0, 255))
+    assert (spec.width, spec.height, spec.foreground) == (3, 2, (7, 0, 255))
+    assert type(spec.foreground[0]) is int
+
+
 def test_single_center_point():
     spec = RenderSpec(3, 3)
     data = render_ppm(np.array([[0.5, 0.5]]), spec, unit_box(2))

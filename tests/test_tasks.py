@@ -38,7 +38,7 @@ def whole_splice_rows(cfg):
                                 axis=1))
         diams = np.sqrt(d2)
         rows.append((len(blocks), float(diams.max(initial=0.0)),
-                     float(np.asarray(params["gauge"](diams)).sum())))
+                     math.fsum(np.asarray(params["gauge"](diams)))))
     return rows
 
 
