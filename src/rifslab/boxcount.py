@@ -9,11 +9,16 @@ delta.  Conventions, chosen so counts of grid-aligned covers are exact:
   (clamped at 0);
 * coordinates within 1e-9 cells of a boundary are snapped onto it first.
 
-Each grid is counted into an occupancy map of one byte per cell when it has
-at most `_MAP_CELLS` = 2^24 cells (16 MB; Liebovitch & Toth 1989), and into
-sorted distinct runs of cell indices otherwise.  A box spanning at most two
-cells on every axis is marked at its clipped corners, 2^dim vectorised
-passes with no per-cell expansion (and, into the map, no sort).  That covers
+Each grid is counted into sorted distinct runs of cell indices, 8 bytes
+per distinct cell, or into an occupancy map of one byte per cell
+(Liebovitch & Toth 1989).  The map is taken for a grid of at most
+`_MAP_CELLS` = 2^24 cells (16 MB) once the runs could grow as large: a box
+marks at most 2^dim cells unless it is expanded, so a grid of at most
+8 * 2^dim cells per box counted starts on the map, and a sparser one
+switches to it when expanded cells bring the runs' bound up to the grid.
+A box spanning at most two cells on every axis is marked at its clipped
+corners, 2^dim vectorised passes with no per-cell expansion (and, into the
+map, no sort).  That covers
 the boxes `estimate_box_dims` counts: it resolves each rung to cylinders of
 side at most delta/4, and even rotated maps' boxes, which outgrow their
 cylinders, have measured below delta.  Wider boxes are expanded at most
@@ -32,7 +37,8 @@ import numpy as np
 
 from .errors import ResourceError, UsageError
 from .geometry import AmbientBox
-from .model import DEFAULT_BUDGET, Rifs, _cover_chunks, resolution_depth
+from .model import (DEFAULT_BUDGET, Rifs, _cover_chunks, _level_maps,
+                    resolution_depth)
 from .sequences import OmegaSeq
 
 SNAP_TOL = 1e-9
@@ -108,23 +114,36 @@ def _distinct(ids: np.ndarray) -> np.ndarray:
 
 
 class _Cells:
-    """The distinct cells of one grid that boxes meet, fed chunk by chunk
-    into the occupancy map or, on a grid above `_MAP_CELLS` cells, into
-    sorted distinct runs.  Once the later runs outnumber the first, all are
-    folded into the first, so memory follows the distinct cells and each
-    fold at least doubles what the next one sorts."""
+    """The distinct cells of one grid that `boxes` boxes meet, fed chunk by
+    chunk into sorted distinct runs or the occupancy map.  Once the later
+    runs outnumber the first, all are folded into the first, so memory
+    follows the distinct cells and each fold at least doubles what the next
+    one sorts."""
 
-    def __init__(self, delta: float, ambient: AmbientBox, budget: int):
+    def __init__(self, delta: float, ambient: AmbientBox, budget: int,
+                 boxes: int):
         self.delta, self.ambient = delta, ambient
         self.shape = _grid_shape(ambient, delta)
         # the last axis runs fastest
         self.strides = tuple(math.prod(self.shape[ax + 1:])
                              for ax in range(len(self.shape)))
-        cells = math.prod(self.shape)
-        self.map = np.zeros(cells, dtype=bool) if cells <= _MAP_CELLS else None
+        self.map = None
         self.runs: list[np.ndarray] = []
         self.budget = budget
         self.expanded = 0
+        self.marks = 0
+        self._reserve(2 ** ambient.dim * boxes)
+
+    def _reserve(self, marks: int) -> None:
+        """Count `marks` more cells the runs may hold, and move to the map
+        once they could take 8 bytes for each of its one-byte cells."""
+        self.marks += marks
+        cells = math.prod(self.shape)
+        if self.map is None and cells <= min(_MAP_CELLS, 8 * self.marks):
+            self.map = np.zeros(cells, dtype=bool)
+            for run in self.runs:
+                self.map[run] = True
+            self.runs = []
 
     def _mark(self, ids: np.ndarray) -> None:
         if self.map is not None:
@@ -177,6 +196,7 @@ class _Cells:
             raise ResourceError(
                 f"expanded cell count {self.expanded} exceeds 2^{dim} cells "
                 f"per cylinder of budget {self.budget}", count=self.expanded)
+        self._reserve(total)
         for start in range(0, total, _CELL_CHUNK):
             stop = min(start + _CELL_CHUNK, total)
             self._mark(_cell_ids(js, span, sizes, ends, self.strides, start,
@@ -197,11 +217,11 @@ def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox,
     """Number of grid cells meeting the items (boxes (n,dim,2) or points
     (n,dim)), under the boundary conventions above.
 
-    Items are taken `_BOX_CHUNK` at a time into an occupancy map (grids of
-    at most `_MAP_CELLS` cells) or sorted distinct runs.  Items spanning at
-    most two cells per axis are marked at their corners; wider ones are
-    expanded, and once more than `2**dim * budget` cells have been expanded
-    this raises `ResourceError`."""
+    Items are taken `_BOX_CHUNK` at a time into sorted distinct runs or an
+    occupancy map (see above).  Items spanning at most two cells per axis
+    are marked at their corners; wider ones are expanded, and once more
+    than `2**dim * budget` cells have been expanded this raises
+    `ResourceError`."""
     if not 0.0 < delta < math.inf:
         raise UsageError("delta must be finite and > 0")
     arr = np.asarray(items, dtype=float)
@@ -214,7 +234,7 @@ def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox,
     if not np.isfinite(arr).all():
         raise UsageError("items must have finite coordinates")
 
-    cells = _Cells(delta, ambient, budget)
+    cells = _Cells(delta, ambient, budget, arr.shape[0])
     for start in range(0, arr.shape[0], _BOX_CHUNK):
         cells.add(arr[start:start + _BOX_CHUNK])
     return cells.count()
@@ -277,7 +297,9 @@ def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
     rows = []
     for depth, rungs in itertools.groupby(zip(deltas, depths),
                                           key=lambda rung: rung[1]):
-        sinks = [_Cells(delta, rifs.ambient, budget) for delta, _ in rungs]
+        count = math.prod(map(len, _level_maps(rifs, omega, depth)))
+        sinks = [_Cells(delta, rifs.ambient, budget, count)
+                 for delta, _ in rungs]
         for _, boxes in _cover_chunks(rifs, omega, depth, budget):
             for cells in sinks:
                 cells.add(boxes)

@@ -358,7 +358,9 @@ def attractor_points(rifs: Rifs, omega: OmegaSeq, target_error: float,
 # --- Hausdorff distance ------------------------------------------------------
 
 _BRUTE_CHUNK = 1 << 13    # pair evaluations per chunk or sweep step
-_SWEEP_BLOCK = 1024       # points of a per sweep block
+_SWEEP_BLOCK = 2048       # points of a per sweep block
+_TILT = 0.003             # alpha of the sweep key u = x + alpha * y
+_TINY = 2.0 ** -1022      # smallest normal float
 
 
 def _directed_sq_brute(a: np.ndarray, b: np.ndarray) -> float:
@@ -372,36 +374,85 @@ def _directed_sq_brute(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def _directed_sq_sweep(a: np.ndarray, b: np.ndarray) -> float:
-    """_directed_sq_brute by sort-and-sweep on the first coordinate.
+def _tilt(dim: int) -> float:
+    return _TILT if dim > 1 else 0.0
 
-    Each point of a scans b, sorted by first then last coordinate, outward
-    from its own sort position in windows of doubling width.  It stops once
-    the squared first-coordinate gap to the next unscanned point on each
-    side is >= its best so far: float subtraction and squaring are
-    monotone and dx^2 <= dx^2 + dy^2, so no farther point is nearer.  It
-    is dropped once its best is <= the running maximum, which it then
-    cannot raise (the early break of Taha & Hanbury, IEEE TPAMI 37(11),
-    2015).  b is held as one contiguous column per axis, and a window adds
-    the squared differences axis by axis in axis order: the order in which
+
+def _keys(pts: np.ndarray) -> np.ndarray:
+    """The sweep key x + alpha*y of every point, x and y its first and last
+    coordinates, or x alone on one axis."""
+    return pts[:, 0] + _tilt(pts.shape[1]) * pts[:, -1]
+
+
+class _SweepSet:
+    """A finite (points, dim) set as `_directed_sq_sweep` scans it.
+
+    `pts` is the set in its own order; `key` holds its sweep keys ascending
+    between the sentinels -inf and +inf, `cols` one contiguous column per
+    axis in that order between +inf sentinels, and `err` bounds the
+    rounding error of every key.
+    """
+
+    def __init__(self, pts: np.ndarray):
+        n, dim = pts.shape
+        x, y = pts[:, 0], pts[:, -1]
+        mag = max(x.max(), -x.min()) + _tilt(dim) * max(y.max(), -y.min())
+        self.pts, self.err = pts, float(mag) * 2.0 ** -50 + _TINY
+        u = _keys(pts)
+        order = np.argsort(u, kind="stable")
+        self.key = np.empty(n + 2)
+        self.key[0], self.key[-1] = -np.inf, np.inf
+        np.take(u, order, out=self.key[1:-1])
+        self.cols = np.full((dim, n + 2), np.inf)
+        for d in range(dim):
+            np.take(pts[:, d], order, out=self.cols[d, 1:-1])
+
+
+def _directed_sq_sweep(a: _SweepSet, b: _SweepSet,
+                       worst: float = 0.0) -> float:
+    """max(worst, _directed_sq_brute(a.pts, b.pts)) by sort-and-sweep.
+
+    The sweep key is u = x + alpha*y, x the first coordinate and y the
+    last (u = x on one axis), so that points tied in x, such as the
+    columns of a carpet, are still spread along the key.  Each point p of
+    a scans b, sorted on u, outward from p's own key position in windows
+    of doubling width.  By Cauchy-Schwarz |du| <= sqrt(1 + alpha^2) |p -
+    q|, so p stops once, on each side, the key gap g to the next unscanned
+    point of b satisfies
+
+        max(g - eps, 0)^2 >= (1 + alpha^2) best (1 + (dim + 8) 2^-52)
+                             + 2^-1022,
+
+    best being p's smallest pair value so far.  Every float step rounds
+    by at most 2^-53 relative or, below 2^-1022, 2^-1075 absolute.  A key
+    rounds twice, so it is within 2^-52 (|x| + alpha |y|) + 2^-1074 of
+    x + alpha*y; each set's `err` is 2^-50 (max |x| + alpha max |y|) +
+    2^-1022, room enough for the rounding of err itself, and eps = a.err
+    + b.err covers both keys of a pair.  The factor's (2 dim + 16) 2^-53 covers the dim + 2 relative
+    roundings that can make a float pair value smaller than the exact one
+    and the 11 of the test itself, and 2^-1022 the absolute error of
+    squares that underflow.  So every farther point of b has a float pair
+    value >= best and cannot lower it.
+
+    p is dropped once best <= the running maximum, which it then cannot
+    raise (the early break of Taha & Hanbury, IEEE TPAMI 37(11), 2015).
+    That maximum starts at `worst`, so seeding the second direction with
+    the first one's value gives max(h_ab, h_ba) unchanged and drops more
+    points early.  a is swept in its own order.  A window adds the
+    squared differences axis by axis in axis order, the order in which
     brute force's `.sum(axis=-1)` adds them below eight axes, so each pair
     value is the same bit for bit.
     """
-    n, dim = b.shape
-    order = np.lexsort((b[:, -1], b[:, 0]))
-    # entries 0 and n + 1 of each column are sentinels at infinity, so an
-    # index clipped to them needs no mask
-    cols = np.full((dim, n + 2), np.inf)
-    cols[:, 1:-1] = b[order].T
-    x = cols[0]
-    pos_all = np.searchsorted(x[1:-1] + 1j * cols[-1, 1:-1],
-                              a[:, 0] + 1j * a[:, -1])
-    worst = 0.0
-    for start in range(0, a.shape[0], _SWEEP_BLOCK):
-        p = a[start:start + _SWEEP_BLOCK].T
-        pos = pos_all[start:start + _SWEEP_BLOCK]
-        best = np.full(p.shape[1], np.inf)
-        live = np.arange(p.shape[1])
+    n, dim = b.cols.shape[1] - 2, b.cols.shape[0]
+    x = b.cols[0]
+    eps = a.err + b.err
+    scale = (1.0 + _tilt(dim) ** 2) * (1.0 + (dim + 8) * 2.0 ** -52)
+    for start in range(0, a.pts.shape[0], _SWEEP_BLOCK):
+        block = a.pts[start:start + _SWEEP_BLOCK]
+        p, u = block.T, _keys(block)
+        pos = np.searchsorted(b.key[1:-1], u)
+        best = np.full(u.size, np.inf)
+        live = np.arange(u.size)
         reach, width = 0, 1
         while live.size:
             offs = np.arange(reach, reach + width)
@@ -413,27 +464,34 @@ def _directed_sq_sweep(a: np.ndarray, b: np.ndarray) -> float:
                 np.clip(idx, 0, n + 1, out=idx)
                 d2 = (p[0, i, None] - x.take(idx)) ** 2
                 for d in range(1, dim):
-                    d2 += (p[d, i, None] - cols[d].take(idx)) ** 2
+                    d2 += (p[d, i, None] - b.cols[d].take(idx)) ** 2
                 best[i] = np.minimum(best[i], d2.min(axis=1))
             reach += width
             width = min(2 * width, _BRUTE_CHUNK // 2)
-            px, near = p[0, live], best[live]
-            gap_lo = px - x[np.maximum(pos[live] - reach, 0)]
-            gap_hi = px - x[np.minimum(pos[live] + 1 + reach, n + 1)]
-            done = (gap_lo ** 2 >= near) & (gap_hi ** 2 >= near)
+            up, near = u[live], best[live]
+            gap_lo = up - b.key[np.maximum(pos[live] - reach, 0)]
+            gap_hi = b.key[np.minimum(pos[live] + 1 + reach, n + 1)] - up
+            bound = scale * near + _TINY
+            done = ((np.maximum(gap_lo - eps, 0.0) ** 2 >= bound)
+                    & (np.maximum(gap_hi - eps, 0.0) ** 2 >= bound))
             if done.any():
                 worst = max(worst, float(near[done].max()))
             live = live[~done & (near > worst)]
     return worst
 
 
+def _hausdorff(a: _SweepSet, b: _SweepSet) -> float:
+    # the first direction's value seeds the second
+    return math.sqrt(_directed_sq_sweep(b, a, _directed_sq_sweep(a, b)))
+
+
 def hausdorff_distance(a, b) -> float:
     """Exact symmetric Hausdorff distance between finite point sets.
 
-    Sweeps the points sorted on one axis, at every size and in any
-    dimension, holding at most `_BRUTE_CHUNK` pairs at a time; below eight
-    dimensions the value equals brute force over every pair
-    (`_directed_sq_brute`) bit for bit.
+    Sweeps the points sorted on a tilted key (`_directed_sq_sweep`), at
+    every size and in any dimension, holding at most `_BRUTE_CHUNK` pairs
+    at a time; below eight dimensions the value equals brute force over
+    every pair (`_directed_sq_brute`) bit for bit.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -445,7 +503,7 @@ def hausdorff_distance(a, b) -> float:
         raise UsageError("point sets must share a dimension")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise UsageError("Hausdorff distance needs finite coordinates")
-    return math.sqrt(max(_directed_sq_sweep(a, b), _directed_sq_sweep(b, a)))
+    return _hausdorff(_SweepSet(a), _SweepSet(b))
 
 
 # --- Bernoulli sampling ------------------------------------------------------
@@ -499,7 +557,7 @@ def continuity_probe(rifs: Rifs, omega: OmegaSeq, k: int,
     if depth < k:
         raise UsageError("probe depth must be >= splice depth k")
     center = np.asarray(rifs.ambient.center)[None, :]
-    base_pts = cylinder_images(rifs, omega, depth, center, budget)
+    base = _SweepSet(cylinder_images(rifs, omega, depth, center, budget))
     base_err = _error_bound(rifs, omega, depth)
     splice_err = _error_bound(rifs, omega, k)
     rows = []
@@ -507,7 +565,7 @@ def continuity_probe(rifs: Rifs, omega: OmegaSeq, k: int,
         spliced = splice(omega, k, tail)
         d_om = omega_distance(omega, spliced)
         pts = cylinder_images(rifs, spliced, depth, center, budget)
-        d_h = hausdorff_distance(base_pts, pts)
+        d_h = _hausdorff(base, _SweepSet(pts))
         err = max(base_err, _error_bound(rifs, spliced, depth))
         bound = 2.0 * splice_err + 2.0 * err
         rows.append(ProbeRow(tail, d_om, d_h, bound))

@@ -217,9 +217,9 @@ def _task_render(cfg: ExperimentConfig, budget: int):
     depth = params.get("depth") or resolution_depth(
         cfg.rifs, cfg.omega, params["target_error"], budget)
     center = np.asarray(cfg.ambient.center)[None, :]
-    spec = RenderSpec(params["width"], params["height"],
-                      params.get("foreground", (0, 0, 0)),
-                      params.get("background", (255, 255, 255)))
+    colours = {k: params[k] for k in ("foreground", "background")
+               if k in params}
+    spec = RenderSpec(params["width"], params["height"], **colours)
     chunks = (pts for _, pts in _image_chunks(cfg.rifs, cfg.omega, depth,
                                                center, budget))
     return [(params["output"], _paint_ppm(chunks, spec, cfg.ambient))]

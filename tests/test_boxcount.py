@@ -226,6 +226,30 @@ def test_cell_budget_charges_only_expanded_boxes():
     assert count_boxes(narrow, 0.25, box, budget=1) == 4
 
 
+def test_runs_move_to_the_map_once_expansion_could_fill_it(monkeypatch):
+    # 4096 cells against 8 bytes for each of 2^2 cells per box: the eleven
+    # boxes start on the runs, and the 40 x 40 box's expansion moves the
+    # cells the narrow ones marked into the map
+    box = unit_box(2)
+    delta = 2.0 ** -6
+    narrow = [[[0.9 + 0.005 * i, 0.91 + 0.005 * i], [0.95, 0.96]]
+              for i in range(10)]
+    items = np.array(narrow + [[[0.0, 40 * delta], [0.3, 0.3 + 40 * delta]]])
+    on_map = []
+    count = boxcount._Cells.count
+
+    def spy(cells):
+        on_map.append(cells.map is not None)
+        return count(cells)
+
+    monkeypatch.setattr(boxcount._Cells, "count", spy)
+    monkeypatch.setattr(boxcount, "_BOX_CHUNK", 1)
+    assert count_boxes(items, delta, box) == _oracle_count(items, delta, box)
+    assert count_boxes(items[:10], delta, box) == \
+        _oracle_count(items[:10], delta, box)
+    assert on_map == [True, False]
+
+
 def test_cell_total_beyond_int64_rejected():
     # each box spans all 2^62 cells of the grid; three overflow the total
     boxes = np.array([[[0.0, 1.0]]] * 3)
@@ -296,6 +320,27 @@ def test_triadic_ladder_counts_are_powers_of_two(cantor_cfg):
         assert exp == pytest.approx(LOG2_3, abs=1e-12)
     assert est.window == (3, 6)
     assert est.lower_est <= est.upper_est
+
+
+def test_sparse_ladder_rungs_count_into_runs(cantor_cfg, monkeypatch):
+    # at 3^-15 the cantor cover (2^17 boxes) meets 37,784 cells of a
+    # 14.3M-cell grid: a one-byte-per-cell map cost 14 MB there, where the
+    # runs hold 8 bytes per distinct cell.  The counts are those the map
+    # gave; the 3^-7 rung (2187 cells, 512 boxes) stays on the map.
+    on_runs = []
+    count = boxcount._Cells.count
+
+    def spy(cells):
+        on_runs.append(cells.map is None)
+        return count(cells)
+
+    monkeypatch.setattr(boxcount._Cells, "count", spy)
+    deltas = [3.0 ** -k for k in (7, 13, 14, 15)]
+    table, est = estimate_box_dims(cantor_cfg.rifs, OmegaSeq((), (1,)),
+                                   deltas)
+    assert on_runs == [False, True, True, True]
+    assert table.counts == (128, 8192, 16384, 37784)
+    assert est.depths == (9, 15, 16, 17)
 
 
 def test_dyadic_ladder_on_the_full_interval(cantor_cfg):

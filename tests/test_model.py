@@ -14,8 +14,8 @@ from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure, OmegaSeq,
 from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                               compose, unit_box)
 from rifslab import model
-from rifslab.model import (DeterministicIfs, _ExactSum, _cover_chunks,
-                           _image_chunks, _directed_sq_brute,
+from rifslab.model import (DeterministicIfs, _ExactSum, _SweepSet, _TILT,
+                           _cover_chunks, _image_chunks, _directed_sq_brute,
                            _directed_sq_sweep)
 
 THIRD = 1.0 / 3.0
@@ -435,30 +435,70 @@ _rng = np.random.default_rng(14)
 _many = np.vstack((_rng.random((1500, 2)), 0.5 + 1e-9 * _rng.random((1500, 2))))
 
 
-def _carpet_mix_points(omega):
-    # 3x3 Sierpinski carpet alternating with cells of a 2x3 grid, depth 5
+def _carpet_mix():
+    # 3x3 Sierpinski carpet alternating with cells of a 2x3 grid
     sierpinski = tuple((c, r) for r in range(3) for c in range(3)
                        if (c, r) != (1, 1))
-    rifs = Rifs((carpet_system(CarpetSpec(3, 3, sierpinski), "sierpinski"),
+    return Rifs((carpet_system(CarpetSpec(3, 3, sierpinski), "sierpinski"),
                  carpet_system(CarpetSpec(2, 3, ((0, 0), (1, 1), (0, 2))),
                                "grid")), unit_box(2))
-    return cylinder_images(rifs, omega, 5, np.full((1, 2), 0.5))
 
 
-# 4608 points in 108 columns of tied x, over more than four sweep blocks
+def _carpet_mix_points(omega):
+    # depth 5, one point per cylinder
+    return cylinder_images(_carpet_mix(), omega, 5, np.full((1, 2), 0.5))
+
+
+# 4608 points in 108 columns of tied x, over more than two sweep blocks
 _mix = OmegaSeq((), (1, 2))
 _mix_ties = (_carpet_mix_points(_mix),
              _carpet_mix_points(splice(_mix, 2, OmegaSeq((2, 2, 1, 1),
                                                          (1, 2)))))
 
+# Layouts on which the sweep key ties or rounds, each set larger than one
+# sweep block: two vertical lines; one point repeated against a spread set;
+# two runs along the key's level lines x + alpha * y = c
+_n = model._SWEEP_BLOCK + 52
+_vertical = tuple(np.column_stack((np.zeros(m), _rng.random(m)))
+                  for m in (_n, _n + 100))
+_one_point = (np.full((_n, 2), 0.25), _rng.random((_n, 2)))
+_level_lines = tuple(np.column_stack((c - _TILT * y, y))
+                     for c, y in ((0.5, _rng.random(_n)),
+                                  (0.5 + 1e-9, _rng.random(_n + 7))))
+
+
+def _key_rounding_sets():
+    """Points near (1e5, 1e5), spread about 1e-6, whose sweep keys round.
+
+    In units U of one ulp at 1e5 (2^-36), each point p of a has three
+    points of b: q1 = p - (7, 7) at distance sqrt(98), r = p + (., 1000)
+    far away but just ahead of p on the key, and q2 = p + (9, 4) at
+    distance sqrt(97), whose key gap 9 + 4 alpha rounds to 10 for some p.
+    A bound eps on a pair's key error below 0.1 U lets the sweep stop
+    after q1 and r, since 10 > sqrt(98 (1 + alpha^2)), and miss q2.
+    Triples sit 128 U apart in x, and p's y is drawn from 2^15 steps of U
+    so that keys round differently from one triple to the next.
+    """
+    ulp = 2.0 ** -36
+    p = np.column_stack((1e5 + 128 * ulp * np.arange(_n),
+                         1e5 + ulp * _rng.integers(0, 1 << 15, _n)))
+    offsets = np.array([[-7, -7], [4 - math.floor(1000 * _TILT), 1000],
+                        [9, 4]])
+    return p, np.vstack([p + ulp * o for o in offsets])
+
 
 @given(point_set_pairs())
 @example((_many, _rng.random((700, 2)) * 3.0))
 @example(_mix_ties)
+@example(_vertical)
+@example(_one_point)
+@example(_level_lines)
+@example(_key_rounding_sets())
 @settings(deadline=None)
 def test_hausdorff_sweep_equals_brute(sets):
     a, b = sets
-    assert _directed_sq_sweep(a, b) == _directed_sq_brute(a, b)
+    assert _directed_sq_sweep(_SweepSet(a), _SweepSet(b)) == \
+        _directed_sq_brute(a, b)
     assert hausdorff_distance(a, b) == _brute_hausdorff(a, b)
 
 
@@ -469,8 +509,41 @@ def test_hausdorff_sweep_scans_past_every_window_edge():
         ties = np.zeros((k, 2))
         right = np.vstack((ties, [[1.0, -1.0]]))
         left = np.vstack(([[-1.0, 1.0]], ties))
-        assert _directed_sq_sweep(np.array([[0.0, -2.0]]), right) == 2.0
-        assert _directed_sq_sweep(np.array([[0.0, 2.0]]), left) == 2.0
+        assert _directed_sq_sweep(_SweepSet(np.array([[0.0, -2.0]])),
+                                  _SweepSet(right)) == 2.0
+        assert _directed_sq_sweep(_SweepSet(np.array([[0.0, 2.0]])),
+                                  _SweepSet(left)) == 2.0
+
+
+def test_hausdorff_sweep_stop_rule_allows_for_the_tilt():
+    # q lies along the key's gradient (1, alpha), nearer to the origin
+    # than (-1, 0) but at a key gap of about 1 + alpha^2 / 4 from it; the
+    # point at key 0.5 is scanned first and is far away.  A stop rule
+    # without the factor 1 + alpha^2 would end the scan before q.
+    grad = np.array([1.0, _TILT]) / math.hypot(1.0, _TILT)
+    b = np.array([[-1.0, 0.0], [0.5 - 10 * _TILT, 10.0],
+                  (1.0 - _TILT ** 2 / 4) * grad])
+    a = np.zeros((1, 2))
+    want = _directed_sq_brute(a, b)
+    assert want < 1.0
+    assert _directed_sq_sweep(_SweepSet(a), _SweepSet(b)) == want
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+def test_hausdorff_sweep_stop_rule_clamps_the_key_margin(side):
+    # near (1e5, 1e5) the key error margin eps is about 12 ulps U, more
+    # than the key gaps to the far points r1 and r2 (1 U and 2 U on one
+    # side of p); a stop rule taking (gap - eps)^2 without clamping at 0
+    # would stop after r1, before q2 = p + (4, 1) U on that side, which is
+    # nearer than q1 = p - (3, 3) U on the other
+    ulp = 2.0 ** -36
+    a = np.array([[1e5, 1e5]])
+    up = math.floor(1000 * _TILT)
+    b = a + side * ulp * np.array([[-3, -3], [1 - up, 1000],
+                                   [2 - up, 1000], [4, 1]])
+    want = _directed_sq_brute(a, b)
+    assert want == 17 * ulp ** 2
+    assert _directed_sq_sweep(_SweepSet(a), _SweepSet(b)) == want
 
 
 def test_hausdorff_outlier_exact_in_bounded_memory(run_isolated):
@@ -488,6 +561,43 @@ print(repr(hausdorff_distance(s, np.vstack((s, o)))),
     assert res.returncode == 0, res.stderr
     got, want = res.stdout.split()
     assert got == want
+
+
+def test_hausdorff_vertical_lines_in_time(run_isolated):
+    # two lines of 100k points at x = 0: keyed on x alone, each point
+    # scanned its whole tied line (2.0-2.7 s on a 2-core Xeon); the tilted
+    # key takes about 0.1 s
+    code = """
+import time
+import numpy as np
+from rifslab import hausdorff_distance
+rng = np.random.default_rng(16)
+a, b = (np.column_stack((np.zeros(100_000), rng.random(100_000)))
+        for _ in range(2))
+start = time.perf_counter()
+got = hausdorff_distance(a, b)
+took = time.perf_counter() - start
+
+def directed(p, q):
+    # brute force over each point's two neighbours in y order, the nearest
+    # points of q on one line, in chunks
+    q = q[np.argsort(q[:, 1])]
+    worst = 0.0
+    for chunk in np.array_split(p, 100):
+        at = np.searchsorted(q[:, 1], chunk[:, 1])
+        near = q[np.clip(np.stack((at - 1, at)), 0, len(q) - 1)]
+        d2 = ((chunk - near) ** 2).sum(axis=-1)
+        worst = max(worst, float(d2.min(axis=0).max()))
+    return worst
+
+want = np.sqrt(max(directed(a, b), directed(b, a)))
+print(repr(got), repr(float(want)), took)
+"""
+    res = run_isolated(code, timeout=60, max_bytes=1 << 30)
+    assert res.returncode == 0, res.stderr
+    got, want, took = res.stdout.split()
+    assert got == want
+    assert float(took) < 1.0
 
 
 def test_sampler_reproducible_and_in_range():
@@ -533,3 +643,12 @@ def test_continuity_probe_certifies_bound():
     assert rows[1].d_hausdorff == 0.0
     with pytest.raises(UsageError):
         continuity_probe(rifs, om, 5, tails, depth=3)
+
+
+def test_continuity_probe_equals_brute_on_every_tail():
+    # one prepared base set serves every tail
+    tails = [OmegaSeq(t, (1, 2)) for t in ((2, 2, 1, 1), (1, 1, 2, 2))]
+    rows = continuity_probe(_carpet_mix(), _mix, 2, tails, depth=5)
+    for tail, row in zip(tails, rows):
+        pts = _carpet_mix_points(splice(_mix, 2, tail))
+        assert row.d_hausdorff == _brute_hausdorff(_mix_ties[0], pts)

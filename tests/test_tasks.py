@@ -77,6 +77,25 @@ def test_streamed_render_equals_whole_array(name, target, monkeypatch):
     assert data == whole
 
 
+@pytest.mark.parametrize("colours", [
+    {}, {"foreground": (200, 10, 10)}, {"background": (0, 0, 40)},
+], ids=["none", "foreground", "background"])
+def test_render_task_colours_default_to_render_spec(colours, monkeypatch):
+    # RenderSpec's own defaults, set apart from black and white, fill in
+    # every colour the config leaves out
+    monkeypatch.setattr(RenderSpec.__init__, "__defaults__",
+                        ((1, 2, 3), (4, 5, 6)))
+    cfg = with_params(load_corpus("cantor-render"), **colours)
+    params = cfg.task.params
+    depth = resolution_depth(cfg.rifs, cfg.omega, params["target_error"])
+    center = np.asarray(cfg.ambient.center)[None, :]
+    spec = RenderSpec(params["width"], params["height"], **colours)
+    want = render_ppm(cylinder_images(cfg.rifs, cfg.omega, depth, center),
+                      spec, cfg.ambient)
+    (_, data), = tasks.TASKS["render"].handler(cfg, model.DEFAULT_BUDGET)
+    assert data == want
+
+
 def test_splice_demo_holds_one_chunk():
     # carpet-splice reaches 4^10 cylinders: one gauge value per cylinder
     # traced an 11 MB peak, the streamed sum holds one chunk (2.5 MB)
