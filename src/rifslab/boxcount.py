@@ -55,19 +55,28 @@ def _snap(q: np.ndarray) -> np.ndarray:
 
 def _axis_cells(n_cells: int, lo: float, a: np.ndarray, b: np.ndarray,
                 delta: float) -> tuple[np.ndarray, np.ndarray]:
-    # clipping to [-1, n_cells] first changes no cell (all land in
-    # [0, n_cells - 1]) and keeps far-off coordinates inside int64
-    s = np.clip(_snap((a - lo) / delta), -1, n_cells)
-    e = np.clip(_snap((b - lo) / delta), -1, n_cells)
-    js = np.floor(s).astype(np.int64)
-    e_floor = np.floor(e).astype(np.int64)
-    on_edge = e == e_floor
-    je = np.where(on_edge, e_floor - 1, e_floor)
+    """(first, last) cell on one axis of each interval [a, b], under the
+    boundary conventions above, computed in place."""
+    s, e = np.subtract(a, lo), np.subtract(b, lo)
+    for q in (s, e):
+        q /= delta
+        r = np.round(q)                 # _snap(q), in place
+        gap = np.subtract(q, r)
+        np.abs(gap, out=gap)
+        np.copyto(q, r, where=gap <= SNAP_TOL)
+        # clipping to [-1, n_cells] first changes no cell (all land in
+        # [0, n_cells - 1]) and keeps far-off coordinates inside int64
+        np.clip(q, -1, n_cells, out=q)
+    js = np.floor(s, out=s).astype(np.int64)
+    e_floor = np.floor(e)
+    je = e_floor.astype(np.int64)
+    je -= e == e_floor              # an end on a boundary stops below it
     degen = je < js
-    shrunk = np.maximum(je, 0)
-    js = np.where(degen, shrunk, js)
-    je = np.where(degen, shrunk, je)
-    return np.clip(js, 0, n_cells - 1), np.clip(je, 0, n_cells - 1)
+    np.maximum(je, 0, out=je, where=degen)
+    np.copyto(js, je, where=degen)
+    np.clip(js, 0, n_cells - 1, out=js)
+    np.clip(je, 0, n_cells - 1, out=je)
+    return js, je
 
 
 def _grid_shape(ambient: AmbientBox, delta: float) -> tuple[int, ...]:
@@ -155,28 +164,33 @@ class _Cells:
 
     def add(self, boxes: np.ndarray) -> None:
         """Mark the cells meeting `boxes` (n, dim, 2)."""
-        js, spans = [], []
+        js, steps = [], []
         for ax, n_cells in enumerate(self.shape):
             first, last = _axis_cells(n_cells, self.ambient.lo[ax],
                                       boxes[:, ax, 0], boxes[:, ax, 1],
                                       self.delta)
+            last -= first           # the cells spanned, less one
             js.append(first)
-            spans.append(last - first + 1)
-        wide = spans[0] > 2
-        for span in spans[1:]:
-            wide |= span > 2
+            steps.append(last)
+        wide = steps[0] > 1
+        for step in steps[1:]:
+            wide |= step > 1
         if wide.any():
             self._expand(np.stack([j[wide] for j in js], axis=1),
-                         np.stack([sp[wide] for sp in spans], axis=1))
+                         np.stack([st[wide] + 1 for st in steps], axis=1))
             narrow = ~wide
             js = [j[narrow] for j in js]
-            spans = [sp[narrow] for sp in spans]
+            steps = [st[narrow] for st in steps]
         # a box at most two cells wide on every axis meets exactly the cells
         # at its corners min(js + o, je), o in {0, 1}^dim: its first cell
         # plus any subset of the per-axis steps (span - 1) * stride
-        ids = sum(j * stride for j, stride in zip(js, self.strides))[None]
-        for span, stride in zip(spans, self.strides):
-            step = (span - 1) * stride
+        ids = js[0] * self.strides[0]
+        for j, stride in zip(js[1:], self.strides[1:]):
+            j *= stride
+            ids += j
+        ids = ids[None]
+        for step, stride in zip(steps, self.strides):
+            step *= stride
             if step.any():
                 ids = np.concatenate((ids, ids + step))
         if ids.size:

@@ -2,7 +2,8 @@
 
 Subcommands: `run <config.json> [--out DIR] [--seed N] [--budget M]`,
 `validate <config.json>`, `corpus list`.  Exit codes: 0 success,
-1 validation or usage failure, 2 resource limit, 3 I/O failure.  The
+1 validation or usage failure, 2 resource limit (the cylinder or cell
+budget, or memory running out), 3 I/O failure.  The
 cylinder budget resolves as built-in default, then RIFSLAB_BUDGET, then
 --budget.
 """
@@ -99,6 +100,11 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_corpus(args)
     except ResourceError as exc:
         print(f"rifslab: resource limit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"rifslab: resource limit: out of memory{detail}",
+              file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"rifslab: invalid config: {exc}", file=sys.stderr)

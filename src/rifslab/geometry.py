@@ -62,21 +62,37 @@ def unit_box(dim: int) -> AmbientBox:
     return AmbientBox((0.0,) * dim, (1.0,) * dim)
 
 
-def _affine_image_boxes(linear: np.ndarray, shift: np.ndarray,
-                        boxes: np.ndarray) -> np.ndarray:
-    """Exact bounding boxes of affine images of axis-aligned boxes.
-
-    boxes has shape (n, dim, 2).  A diagonal linear part maps each axis on
-    its own, so an axis's image is its two mapped ends in order; otherwise
-    the image box is the min/max of the transformed corners.  Both are
-    exact for affine maps.
-    """
+def _diagonal(linear: np.ndarray) -> tuple[float, ...] | None:
+    """The diagonal of `linear` when every other entry is 0, else None."""
     diag = np.diagonal(linear)
     if np.array_equal(linear, np.diag(diag)):
-        ends = boxes * diag[:, None] + shift[:, None]
+        return tuple(float(d) for d in diag)
+    return None
+
+
+def _affine_image_boxes(linear: np.ndarray, diag, shift: np.ndarray,
+                        boxes: np.ndarray, out=None) -> np.ndarray:
+    """Exact bounding boxes of affine images of axis-aligned boxes.
+
+    boxes has shape (n, dim, 2), rows [lo, hi] with lo <= hi, in any
+    memory layout; the images go to `out` (a new array laid out as boxes
+    if None).  A diagonal linear part (`diag`, else None) maps each axis
+    on its own, so an axis's image ends are lo*d + t and hi*d + t,
+    swapped where d < 0: the min/max of the two mapped ends, as rounding
+    is monotone.  They are written column by column, so axis-major boxes
+    (one contiguous column per axis and end) are mapped with no inner
+    loop of length 2 or temporary.  Otherwise the image box is the
+    min/max of the transformed corners, gathered into a contiguous array
+    first.  Both are exact for affine maps.
+    """
+    if out is None:
         out = np.empty_like(boxes)
-        np.minimum(ends[..., 0], ends[..., 1], out=out[..., 0])
-        np.maximum(ends[..., 0], ends[..., 1], out=out[..., 1])
+    if diag is not None:
+        for k, (d, t) in enumerate(zip(diag, shift)):
+            for end, src in enumerate((0, 1) if d > 0 else (1, 0)):
+                col = out[:, k, end]
+                np.multiply(boxes[:, k, src], d, out=col)
+                col += t
         return out
     # four corners per box; only 2-D maps get here, as 1-D ones are diagonal
     n = boxes.shape[0]
@@ -88,9 +104,8 @@ def _affine_image_boxes(linear: np.ndarray, shift: np.ndarray,
     corners[:, 2, 1] = boxes[:, 1, 0]
     corners[:, 3] = boxes[:, :, 1]
     moved = corners @ linear.T + shift
-    out = np.empty_like(boxes)
-    out[:, :, 0] = moved.min(axis=1)
-    out[:, :, 1] = moved.max(axis=1)
+    moved.min(axis=1, out=out[:, :, 0])
+    moved.max(axis=1, out=out[:, :, 1])
     return out
 
 
@@ -119,7 +134,9 @@ class ContractionMap:
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def image_box_array(self, boxes: np.ndarray) -> np.ndarray:
+    def image_box_array(self, boxes: np.ndarray, out=None) -> np.ndarray:
+        """Bounding boxes of the images of boxes (n, dim, 2), written to
+        `out` of the same shape (any layout) or to a new array."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -158,6 +175,7 @@ class Similarity(ContractionMap):
             if reflect:
                 rot = rot @ np.array([[-1.0, 0.0], [0.0, 1.0]])
             self._linear = self.ratio * rot
+        self._diag = _diagonal(self._linear)
         self._shift = np.asarray(self.translation)
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
@@ -165,8 +183,9 @@ class Similarity(ContractionMap):
             return _shifted(pts * self._linear[0, 0], self._shift)
         return _shifted(pts @ self._linear.T, self._shift)
 
-    def image_box_array(self, boxes: np.ndarray) -> np.ndarray:
-        return _affine_image_boxes(self._linear, self._shift, boxes)
+    def image_box_array(self, boxes: np.ndarray, out=None) -> np.ndarray:
+        return _affine_image_boxes(self._linear, self._diag, self._shift,
+                                   boxes, out)
 
     def describe(self) -> str:
         return f"similarity(ratio={self.ratio:g})"
@@ -187,13 +206,15 @@ class Affine2(ContractionMap):
         self.lip_lo = float(sv[-1])
         self.lip_hi = float(sv[0])
         self._check_lips()
+        self._diag = _diagonal(self.matrix)
         self._shift = np.asarray(self.translation)
 
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         return _shifted(pts @ self.matrix.T, self._shift)
 
-    def image_box_array(self, boxes: np.ndarray) -> np.ndarray:
-        return _affine_image_boxes(self.matrix, self._shift, boxes)
+    def image_box_array(self, boxes: np.ndarray, out=None) -> np.ndarray:
+        return _affine_image_boxes(self.matrix, self._diag, self._shift,
+                                   boxes, out)
 
     def describe(self) -> str:
         return f"affine2(sv=[{self.lip_lo:g},{self.lip_hi:g}])"
@@ -320,8 +341,9 @@ class ClosedFormMap(ContractionMap):
             out[:, k] = reduce(add, (fn(pts[:, a]) for a, fn, _ in terms))
         return out
 
-    def image_box_array(self, boxes: np.ndarray) -> np.ndarray:
-        out = np.empty_like(boxes, dtype=float)
+    def image_box_array(self, boxes: np.ndarray, out=None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(boxes, dtype=float)
         for k, terms in enumerate(self._axes):
             los, his = zip(*(_term_range(boxes[:, a], fn, turn)
                              for a, fn, turn in terms))

@@ -253,7 +253,7 @@ def _masses(cm: CylinderMeasure, depth: int):
     if depth < 1:
         raise UsageError("depth must be >= 1")
     return ([cm.factors(cm.omega.entry(l)) for l in range(1, depth + 1)],
-            np.ones(1), lambda f, m: f * m)
+            np.ones(1), lambda f, m, out=None: np.multiply(f, m, out=out))
 
 
 def level_masses(cm: CylinderMeasure, depth: int,

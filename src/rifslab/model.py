@@ -97,20 +97,33 @@ def _check_budget(levels, budget: int) -> int:
     return count
 
 
+def _family(like: np.ndarray, rows: int) -> np.ndarray:
+    """An empty family of `rows` rows laid out as the walk holds `like`'s:
+    boxes (n, dim, 2) axis-major, as a view of one contiguous column per
+    axis and end, shape (dim, 2, rows); points and masses row-major."""
+    if like.ndim == 3:
+        return np.empty(like.shape[1:] + (rows,),
+                        dtype=like.dtype).transpose(2, 0, 1)
+    return np.empty((rows,) + like.shape[1:], dtype=like.dtype)
+
+
 def _bottom_up(levels, leaf, image, budget: int):
     """The depth-k family grown from `leaf`, deepest level first.
 
     `levels` lists each level's items (maps, or per-map factors) from level
-    1 down, and `image(item, batch)` maps a whole batch.  Every
+    1 down, and `image(item, batch, out=None)` maps a whole batch into
+    `out` (or a new array laid out as the batch) and returns it.  Every
     materialized per-cylinder array is built here, in word order, after one
-    check of the cylinder count against the budget.
+    check of the cylinder count against the budget; each level is one
+    `_family` array that the items' images are written into, so a box
+    family is held axis-major.
     """
     _check_budget(levels, budget)
     for items in reversed(levels):
         n = len(leaf)
-        level = np.empty((len(items) * n,) + leaf.shape[1:], dtype=leaf.dtype)
+        level = _family(leaf, len(items) * n)
         for i, item in enumerate(items):
-            level[i * n:(i + 1) * n] = image(item, leaf)
+            image(item, leaf, level[i * n:(i + 1) * n])
         leaf = level
     return leaf
 
@@ -144,8 +157,8 @@ class CylinderCover:
         if all(m.kind == "similarity"
                for sys_ in self.rifs.systems for m in sys_.maps):
             ratios = _bottom_up(_level_maps(self.rifs, self.omega, self.depth),
-                                np.ones(1), lambda m, r: m.lip_hi * r,
-                                self.count)
+                                np.ones(1), lambda m, r, out: np.multiply(
+                                    m.lip_hi, r, out=out), self.count)
             return ratios * self.rifs.ambient.diameter
         spans = self.boxes[:, :, 1] - self.boxes[:, :, 0]
         return np.linalg.norm(spans, axis=1)
@@ -158,7 +171,7 @@ def _boxes(rifs: Rifs, omega: OmegaSeq, depth: int):
         raise UsageError("depth must be >= 1")
     return (_level_maps(rifs, omega, depth),
             rifs.ambient.as_array()[None, :, :],
-            lambda m, boxes: m.image_box_array(boxes))
+            lambda m, boxes, out=None: m.image_box_array(boxes, out))
 
 
 def _points(rifs: Rifs, omega: OmegaSeq, depth: int, seeds):
@@ -166,8 +179,16 @@ def _points(rifs: Rifs, omega: OmegaSeq, depth: int, seeds):
     if depth < 0:
         raise UsageError("depth must be >= 0")
     return (_level_maps(rifs, omega, depth),
-            np.atleast_2d(np.asarray(seeds, dtype=float)),
-            lambda m, pts: m.apply_array(pts))
+            np.atleast_2d(np.asarray(seeds, dtype=float)), _map_points)
+
+
+def _map_points(m: ContractionMap, pts: np.ndarray, out=None) -> np.ndarray:
+    """m's images of the points, copied into `out` if given."""
+    moved = m.apply_array(pts)
+    if out is None:
+        return moved
+    out[...] = moved
+    return out
 
 
 def cylinder_cover(rifs: Rifs, omega: OmegaSeq, depth: int,
@@ -197,13 +218,16 @@ def _chunks(levels, leaf, image, budget: int):
 
     The prefix length j is the smallest whose subtrees have at most
     `_CHUNK_LEAVES` cylinders.  The family of the deeper levels is built
-    once; each level-j prefix maps it through its own items, innermost
-    first: the float operations _bottom_up performs, row by row, so the
-    chunks concatenate to its family bit for bit.  Above level j
-    _bottom_up maps two or more rows at a time, and a one-row matmul can
-    round differently from a many-row one, so a lone row is doubled there
-    and the copy dropped.  Only that family and one chunk are held.  The
-    full count is checked against the budget before any row is built.
+    once, laid out as _bottom_up lays it out (boxes axis-major, so a
+    chunk of boxes is a (rows, dim, 2) view of contiguous columns); each
+    level-j prefix maps it through its own items, innermost first, each
+    step into one new array: the float operations _bottom_up performs,
+    row by row, so the chunks concatenate to its family bit for bit.
+    Above level j _bottom_up maps two or more rows at a time, and a
+    one-row matmul can round differently from a many-row one, so a lone
+    row is doubled there and the copy dropped.  Only that family and one
+    chunk are held.  The full count is checked against the budget before
+    any row is built.
     """
     leaves = _check_budget(levels, budget)
     j = 0

@@ -63,12 +63,18 @@ def render_ppm(points, spec: RenderSpec, ambient: AmbientBox) -> bytes:
 
 def _paint_ppm(chunks, spec: RenderSpec, ambient: AmbientBox) -> bytes:
     """render_ppm of the points of every chunk, painted one chunk at a time
-    onto one canvas."""
+    onto one canvas.  The canvas is a view of a buffer that already holds
+    the header, so at most two canvas-sized copies are alive: that buffer
+    and the bytes returned."""
     w, h = spec.width, spec.height
     lo = np.asarray(ambient.lo)
     hi = np.asarray(ambient.hi)
     span = hi - lo
-    image = np.empty((h, w, 3), dtype=np.uint8)
+    header = f"P6\n{w} {h}\n255\n".encode("ascii")
+    ppm = bytearray(len(header) + h * w * 3)
+    ppm[:len(header)] = header
+    image = np.frombuffer(ppm, dtype=np.uint8,
+                          offset=len(header)).reshape(h, w, 3)
     image[:, :] = spec.background
     for pts in chunks:
         if pts.shape[1] != ambient.dim:
@@ -83,5 +89,4 @@ def _paint_ppm(chunks, spec: RenderSpec, ambient: AmbientBox) -> bytes:
         else:
             rows = np.zeros(pts.shape[0], dtype=np.int64)
         image[rows, cols] = spec.foreground
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    return header + image.tobytes()
+    return bytes(ppm)

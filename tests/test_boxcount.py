@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rifslab import (BoxCountTable, OmegaSeq, ResourceError, UsageError,
                      boxcount, count_boxes, cylinder_cover, estimate_box_dims,
                      load_corpus, model)
-from rifslab.boxcount import SNAP_TOL
+from rifslab.boxcount import SNAP_TOL, _axis_cells
 from rifslab.geometry import AmbientBox, unit_box
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
@@ -248,6 +248,61 @@ def test_runs_move_to_the_map_once_expansion_could_fill_it(monkeypatch):
     assert count_boxes(items[:10], delta, box) == \
         _oracle_count(items[:10], delta, box)
     assert on_map == [True, False]
+
+
+def _axis_cells_oracle(n_cells, lo, a, b, delta):
+    # the cell ends as computed before they were computed in place
+    s = np.clip(boxcount._snap((a - lo) / delta), -1, n_cells)
+    e = np.clip(boxcount._snap((b - lo) / delta), -1, n_cells)
+    js = np.floor(s).astype(np.int64)
+    e_floor = np.floor(e).astype(np.int64)
+    on_edge = e == e_floor
+    je = np.where(on_edge, e_floor - 1, e_floor)
+    degen = je < js
+    shrunk = np.maximum(je, 0)
+    js = np.where(degen, shrunk, js)
+    je = np.where(degen, shrunk, je)
+    return np.clip(js, 0, n_cells - 1), np.clip(je, 0, n_cells - 1)
+
+
+@st.composite
+def axis_intervals(draw):
+    delta = draw(st.sampled_from((0.25, 1 / 3, 0.1, 2.0 ** -7)))
+    lo = draw(st.sampled_from((0.0, -0.5, 1 / 3)))
+    n_cells = draw(st.integers(1, 40))
+
+    def end():
+        kind = draw(st.sampled_from(("aligned", "near", "any", "far")))
+        k = draw(st.integers(-3, n_cells + 3))
+        if kind == "aligned":
+            return lo + k * delta
+        if kind == "near":      # within SNAP_TOL cells, or just beyond
+            eps = draw(st.floats(-2 * SNAP_TOL, 2 * SNAP_TOL))
+            return lo + (k + eps) * delta
+        if kind == "far":
+            return draw(st.sampled_from((-1e30, 1e30)))
+        return draw(st.floats(lo - delta, lo + (n_cells + 1) * delta))
+
+    ends = [(x, x if draw(st.booleans()) else end())     # degenerate or not
+            for x in (end() for _ in range(draw(st.integers(1, 12))))]
+    a, b = np.sort(np.array(ends), axis=1).T
+    return n_cells, lo, delta, a.copy(), b.copy()
+
+
+@given(axis_intervals())
+@settings(max_examples=300, deadline=None)
+def test_axis_cells_equal_the_out_of_place_formulation(case):
+    n_cells, lo, delta, a, b = case
+    first, last = _axis_cells(n_cells, lo, a, b, delta)
+    want_first, want_last = _axis_cells_oracle(n_cells, lo, a, b, delta)
+    assert first.dtype == last.dtype == np.int64
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(last, want_last)
+    # far-off ends clamp to the edge cells
+    assert np.all(last[b == 1e30] == n_cells - 1)
+    assert np.all(first[a == -1e30] == 0)
+    assert np.all(first[a == 1e30] == n_cells - 1)
+    assert np.all(last[b == -1e30] == 0)
 
 
 def test_cell_total_beyond_int64_rejected():

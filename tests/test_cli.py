@@ -1,4 +1,6 @@
-from rifslab import corpus_path
+from dataclasses import replace
+
+from rifslab import cli, corpus_path, tasks
 
 
 def test_corpus_listing(run_cli):
@@ -95,3 +97,18 @@ def test_no_arguments_is_usage_error(run_cli):
 def test_unknown_corpus_subcommand(run_cli):
     res = run_cli("corpus", "show")
     assert res.returncode == 1
+
+
+def test_memory_error_exits_with_resource_limit(monkeypatch, tmp_path,
+                                                 capsys):
+    def exhausted(cfg, budget):
+        raise MemoryError("Unable to allocate 2.51 GiB for an array")
+
+    monkeypatch.setitem(tasks.TASKS, "dim",
+                        replace(tasks.TASKS["dim"], handler=exhausted))
+    assert cli.main(["run", corpus_path("cantor"), "--out",
+                     str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == ("rifslab: resource limit: out of memory: "
+                       "Unable to allocate 2.51 GiB for an array")
+    assert not any("Traceback" in line for line in err)

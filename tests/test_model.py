@@ -296,6 +296,54 @@ def test_image_chunks_concatenate_to_the_images(data):
                           cylinder_images(rifs, om, depth, seeds))
 
 
+def flipped_rifs():
+    # negative diagonals on either axis, among a rotation and a shear
+    flips = DeterministicIfs(
+        (Affine2([[0.5, 0.0], [0.0, -0.4]], (0.5, 0.9)),
+         Affine2([[-0.3, 0.0], [0.0, 0.5]], (0.3, 0.0))), "flips")
+    linear = DeterministicIfs(
+        (Similarity(0.4, (0.3, 0.4), rotation_deg=30.0),
+         Affine2([[0.4, 0.2], [0.0, 0.5]], (0.1, 0.2))), "linear")
+    return reflected_rifs(Rifs((flips, linear), unit_box(2)))
+
+
+def contiguous_cover(rifs, om, depth):
+    # every level maps the whole family below it, held as one contiguous
+    # (n, dim, 2) array, map by map in word order
+    boxes = rifs.ambient.as_array()[None]
+    for level in range(depth, 0, -1):
+        maps = rifs.system_for_level(om, level).maps
+        boxes = np.concatenate([m.image_box_array(np.ascontiguousarray(boxes))
+                                for m in maps])
+    return boxes
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_flipped_axes_walk_equals_contiguous_maps(data):
+    # reflected 1-D similarities; negative diagonals of affine maps and
+    # reflected similarities next to a rotation and a shear
+    rifs = data.draw(st.sampled_from((reflected_rifs(cantor_rifs()),
+                                      flipped_rifs())))
+    n = len(rifs.systems)
+    om = OmegaSeq(tuple(data.draw(st.lists(st.integers(1, n), max_size=3))),
+                  tuple(data.draw(st.permutations(range(1, n + 1)))))
+    depth = data.draw(st.integers(2, 5))
+    want = contiguous_cover(rifs, om, depth)
+    assert np.all(want[:, :, 0] <= want[:, :, 1])     # flipped ends swap
+    got = cylinder_cover(rifs, om, depth).boxes
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    sizes = [len(maps) for maps in model._level_maps(rifs, om, depth)]
+    for j in (0, 1, 2):
+        # chunks of the leaves below level j: a walk of j prefix levels
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_CHUNK_LEAVES", math.prod(sizes[j:]))
+            chunks = list(_cover_chunks(rifs, om, depth))
+        assert len(chunks) == math.prod(sizes[:j])
+        got = np.concatenate([boxes for _, boxes in chunks])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_similarity_diameters_are_ratio_products():
     uneven = DeterministicIfs(
         (Similarity(0.5, (0.0,)), Similarity(0.25, (0.75,))), "uneven")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,21 @@ def test_streamed_painter_checks_every_chunk():
         _paint_ppm(iter((good, bad)), spec, unit_box(2))
     assert _paint_ppm(iter((good, good[:0])), spec, unit_box(2)) == \
         render_ppm(good, spec, unit_box(2))
+
+
+def test_painter_holds_at_most_two_canvas_copies():
+    # the canvas, its tobytes() copy and the header concatenation were
+    # three copies at once; painting into the header's buffer leaves that
+    # buffer and the bytes returned
+    spec = RenderSpec(1000, 1000)
+    canvas = 3 * spec.width * spec.height
+    pts = np.array([[0.25, 0.75], [0.5, 0.5]])
+    tracemalloc.start()
+    try:
+        data = render_ppm(pts, spec, unit_box(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == len(header_of(data)) + canvas
+    assert isinstance(data, bytes)
+    assert peak < 2.5 * canvas
