@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import ResourceError, UsageError
 from .geometry import AmbientBox
 from .model import (DEFAULT_BUDGET, Rifs, _cover_chunks, _level_maps,
@@ -42,7 +43,6 @@ from .model import (DEFAULT_BUDGET, Rifs, _cover_chunks, _level_maps,
 from .sequences import OmegaSeq
 
 SNAP_TOL = 1e-9
-_BOX_CHUNK = 1 << 15       # boxes per step of count_boxes
 _CELL_CHUNK = 1 << 17      # cells expanded per step
 _MAP_CELLS = 1 << 24       # largest grid counted into an occupancy map
 _MAX_CELLS = np.iinfo(np.int64).max   # cells an int64 index can number
@@ -231,10 +231,10 @@ def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox,
     """Number of grid cells meeting the items (boxes (n,dim,2) or points
     (n,dim)), under the boundary conventions above.
 
-    Items are taken `_BOX_CHUNK` at a time into sorted distinct runs or an
-    occupancy map (see above).  Items spanning at most two cells per axis
-    are marked at their corners; wider ones are expanded, and once more
-    than `2**dim * budget` cells have been expanded this raises
+    Items are taken `model._CHUNK_LEAVES` at a time into sorted distinct
+    runs or an occupancy map (see above).  Items spanning at most two cells
+    per axis are marked at their corners; wider ones are expanded, and once
+    more than `2**dim * budget` cells have been expanded this raises
     `ResourceError`."""
     if not 0.0 < delta < math.inf:
         raise UsageError("delta must be finite and > 0")
@@ -249,8 +249,8 @@ def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox,
         raise UsageError("items must have finite coordinates")
 
     cells = _Cells(delta, ambient, budget, arr.shape[0])
-    for start in range(0, arr.shape[0], _BOX_CHUNK):
-        cells.add(arr[start:start + _BOX_CHUNK])
+    for start in range(0, arr.shape[0], model._CHUNK_LEAVES):
+        cells.add(arr[start:start + model._CHUNK_LEAVES])
     return cells.count()
 
 
@@ -314,7 +314,7 @@ def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
         count = math.prod(map(len, _level_maps(rifs, omega, depth)))
         sinks = [_Cells(delta, rifs.ambient, budget, count)
                  for delta, _ in rungs]
-        for _, boxes in _cover_chunks(rifs, omega, depth, budget):
+        for boxes in _cover_chunks(rifs, omega, depth, budget):
             for cells in sinks:
                 cells.add(boxes)
         rows += [(cells.delta, cells.count()) for cells in sinks]

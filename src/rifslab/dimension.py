@@ -35,7 +35,7 @@ def check_weights(weights: Sequence[float], n: int | None = None) -> tuple[float
     w = tuple(float(x) for x in weights)
     if n is not None and len(w) != n:
         raise UsageError(f"one weight per system: expected {n}, got {len(w)}")
-    if any(x < 0.0 for x in w):
+    if any(not x >= 0.0 for x in w):       # NaN fails the compare too
         raise UsageError("weights must be non-negative")
     total = math.fsum(w)
     if abs(total - 1.0) > 1e-12:
@@ -196,6 +196,8 @@ def minimize_carpet_dimension(carpets: Sequence[CarpetSpec],
     """
     if len(carpets) != 2:
         raise UsageError("minimizer handles exactly two carpets")
+    if not tol >= 0.0:
+        raise UsageError("tol must be >= 0")
 
     def val(p: float) -> float:
         return random_carpet_dimension(carpets, (p, 1.0 - p))

@@ -10,6 +10,7 @@ produce two-sided dimension-print style constants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import GeometryDomainError, UsageError
 from .dimension import CarpetSpec, similarity_dimension
 from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _ExactSum,
-                    _bottom_up, _chunks, _cover_chunks, resolution_depth)
+                    _chunks, _cover_chunks, _whole, resolution_depth)
 from .sequences import OmegaSeq
 
 
@@ -136,6 +137,8 @@ def doubling_constants(g: Gauge, c: float, diameter: float,
         raise UsageError("scale factor c must lie in (0, 1]")
     if diameter <= 0.0:
         raise UsageError("diameter must be > 0")
+    if not isinstance(samples, numbers.Integral) or samples < 1:
+        raise UsageError("samples must be an integer >= 1")
     if c == 1.0:
         return DoublingReport(c, 1.0, 1.0, g.label, 0)
     if isinstance(g, PowerGauge):
@@ -186,11 +189,13 @@ def packing_lower_bound(points, g: Gauge, delta: float) -> PackingReport:
     smallest point, growing by farthest-first insertion while the farthest
     remaining point is strictly more than delta away.  The reported value is
     count * G(delta)."""
-    if delta <= 0.0:
-        raise UsageError("delta must be > 0")
+    if not 0.0 < delta < math.inf:
+        raise UsageError("delta must be finite and > 0")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise UsageError("cannot pack an empty point set")
+    if not np.isfinite(pts).all():
+        raise UsageError("points must be finite")
     order = np.lexsort(pts.T[::-1])
     p = pts[order]
     d2 = ((p - p[0]) ** 2).sum(axis=1)
@@ -248,7 +253,7 @@ def cylinder_mass(cm: CylinderMeasure, word) -> float:
 
 
 def _masses(cm: CylinderMeasure, depth: int):
-    """(levels, leaf, image) of the depth-k masses, for _bottom_up or
+    """(levels, leaf, image) of the depth-k masses, for _whole or
     _chunks."""
     if depth < 1:
         raise UsageError("depth must be >= 1")
@@ -259,7 +264,7 @@ def _masses(cm: CylinderMeasure, depth: int):
 def level_masses(cm: CylinderMeasure, depth: int,
                  budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Masses of all depth-k cylinders, aligned with cylinder_cover order."""
-    return _bottom_up(*_masses(cm, depth), budget)
+    return _whole(*_masses(cm, depth), budget)
 
 
 @dataclass(frozen=True)
@@ -327,12 +332,12 @@ def _hull_tree(boxes: np.ndarray, fans) -> list[tuple[np.ndarray, np.ndarray]]:
     return tree[::-1]
 
 
-def _ball_blocks(tree, first: int, centres: np.ndarray, limits: np.ndarray,
+def _ball_blocks(tree, centres: np.ndarray, limits: np.ndarray,
                  outer: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Per query q, the leaves of one chunk with near2 <= limits[q] (outer)
     or far2 <= limits[q] (inner), as (query, first leaf, leaf count)
-    blocks numbered from the chunk's `first` leaf, found by descent
-    through the chunk's hull tree.
+    blocks numbered within the chunk, found by descent through the chunk's
+    hull tree.
 
     A hull with near2 > limit holds no such leaf; one with far2 <= limit
     holds only such leaves, since near2 <= far2; only hulls the sphere cuts
@@ -346,7 +351,7 @@ def _ball_blocks(tree, first: int, centres: np.ndarray, limits: np.ndarray,
         near2, far2 = _reach2(centres[q], lo[node], hi[node])
         span = leaves // lo.shape[0]
         full = far2 <= limits[q]
-        blocks.append((q[full], first + node[full] * span,
+        blocks.append((q[full], node[full] * span,
                        np.full(full.sum(), span)))
         cut = (near2 <= limits[q]) & ~full
         fan = tree[level + 1][0].shape[0] // lo.shape[0]
@@ -355,8 +360,7 @@ def _ball_blocks(tree, first: int, centres: np.ndarray, limits: np.ndarray,
     lo, hi = tree[-1]
     near2, far2 = _reach2(centres[q], lo[node], hi[node])
     take = np.where(outer[q], near2, far2) <= limits[q]
-    blocks.append((q[take], first + node[take],
-                   np.ones(take.sum(), dtype=int)))
+    blocks.append((q[take], node[take], np.ones(take.sum(), dtype=int)))
     return blocks
 
 
@@ -384,10 +388,10 @@ def _block_sums(runs, walk, queries: int) -> list[float]:
     """
     accs = [_ExactSum() for _ in range(queries)]
     # the walk is zipped first, so it runs to its end and is released
-    for (first, masses), (shift, counts, rows, offs) in zip(walk, runs):
+    for masses, (shift, counts, rows, offs) in zip(walk, runs):
         for q in np.flatnonzero(np.diff(offs)).tolist():
             a, b = rows[q], rows[q + 1]
-            accs[q].push(masses[np.repeat(shift[a:b] - first, counts[a:b])
+            accs[q].push(masses[np.repeat(shift[a:b], counts[a:b])
                                 + np.arange(offs[q], offs[q + 1])])
     return [acc.total for acc in accs]
 
@@ -422,10 +426,9 @@ def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
     # and the blocks found, indexed per query, are held
     fans = [len(cm.rifs.system_for_level(cm.omega, level).maps)
             for level in range(depth, 0, -1)]
-    runs = [_chunk_runs(_ball_blocks(_hull_tree(boxes, fans), first,
-                                     centres, limits, outer), limits.size)
-            for first, boxes in _cover_chunks(cm.rifs, cm.omega, depth,
-                                              budget)]
+    runs = [_chunk_runs(_ball_blocks(_hull_tree(boxes, fans), centres,
+                                     limits, outer), limits.size)
+            for boxes in _cover_chunks(cm.rifs, cm.omega, depth, budget)]
     sums = iter(_block_sums(runs, _chunks(*_masses(cm, depth), budget),
                             limits.size))
 

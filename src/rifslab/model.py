@@ -107,27 +107,6 @@ def _family(like: np.ndarray, rows: int) -> np.ndarray:
     return np.empty((rows,) + like.shape[1:], dtype=like.dtype)
 
 
-def _bottom_up(levels, leaf, image, budget: int):
-    """The depth-k family grown from `leaf`, deepest level first.
-
-    `levels` lists each level's items (maps, or per-map factors) from level
-    1 down, and `image(item, batch, out=None)` maps a whole batch into
-    `out` (or a new array laid out as the batch) and returns it.  Every
-    materialized per-cylinder array is built here, in word order, after one
-    check of the cylinder count against the budget; each level is one
-    `_family` array that the items' images are written into, so a box
-    family is held axis-major.
-    """
-    _check_budget(levels, budget)
-    for items in reversed(levels):
-        n = len(leaf)
-        level = _family(leaf, len(items) * n)
-        for i, item in enumerate(items):
-            image(item, leaf, level[i * n:(i + 1) * n])
-        leaf = level
-    return leaf
-
-
 def _level_maps(rifs: Rifs, omega: OmegaSeq, depth: int):
     return [rifs.system_for_level(omega, l).maps for l in range(1, depth + 1)]
 
@@ -156,16 +135,16 @@ class CylinderCover:
         # true cylinder diameter; otherwise fall back to the box diagonal.
         if all(m.kind == "similarity"
                for sys_ in self.rifs.systems for m in sys_.maps):
-            ratios = _bottom_up(_level_maps(self.rifs, self.omega, self.depth),
-                                np.ones(1), lambda m, r, out: np.multiply(
-                                    m.lip_hi, r, out=out), self.count)
+            ratios = _whole(_level_maps(self.rifs, self.omega, self.depth),
+                            np.ones(1), lambda m, r, out: np.multiply(
+                                m.lip_hi, r, out=out), self.count)
             return ratios * self.rifs.ambient.diameter
         spans = self.boxes[:, :, 1] - self.boxes[:, :, 0]
         return np.linalg.norm(spans, axis=1)
 
 
 def _boxes(rifs: Rifs, omega: OmegaSeq, depth: int):
-    """(levels, leaf, image) of the depth-k boxes, for _bottom_up or
+    """(levels, leaf, image) of the depth-k boxes, for _whole or
     _chunks."""
     if depth < 1:
         raise UsageError("depth must be >= 1")
@@ -194,7 +173,7 @@ def _map_points(m: ContractionMap, pts: np.ndarray, out=None) -> np.ndarray:
 def cylinder_cover(rifs: Rifs, omega: OmegaSeq, depth: int,
                    budget: int = DEFAULT_BUDGET) -> CylinderCover:
     """Enumerate all depth-k cylinders along omega."""
-    boxes = _bottom_up(*_boxes(rifs, omega, depth), budget)
+    boxes = _whole(*_boxes(rifs, omega, depth), budget)
     return CylinderCover(rifs, omega, depth, boxes,
                          _error_bound(rifs, omega, depth))
 
@@ -206,43 +185,57 @@ def cylinder_images(rifs: Rifs, omega: OmegaSeq, depth: int, seeds: np.ndarray,
     Returns (count * len(seeds), dim); each word's block keeps seed order,
     blocks are in lexicographic word order.
     """
-    return _bottom_up(*_points(rifs, omega, depth, seeds), budget)
+    return _whole(*_points(rifs, omega, depth, seeds), budget)
 
 
 _CHUNK_LEAVES = 1 << 15    # most cylinders per chunk of a streamed family
 
 
-def _chunks(levels, leaf, image, budget: int):
-    """_bottom_up's family streamed in word order, as (index of the first
-    cylinder, rows) for one prefix's subtree at a time.
+def _chunks(levels, leaf, image, budget: int, most=None):
+    """The depth-k family grown from `leaf` in word order, one array of
+    rows per level-j prefix: the walk every per-cylinder array comes from.
 
-    The prefix length j is the smallest whose subtrees have at most
-    `_CHUNK_LEAVES` cylinders.  The family of the deeper levels is built
-    once, laid out as _bottom_up lays it out (boxes axis-major, so a
-    chunk of boxes is a (rows, dim, 2) view of contiguous columns); each
-    level-j prefix maps it through its own items, innermost first, each
-    step into one new array: the float operations _bottom_up performs,
-    row by row, so the chunks concatenate to its family bit for bit.
-    Above level j _bottom_up maps two or more rows at a time, and a
-    one-row matmul can round differently from a many-row one, so a lone
-    row is doubled there and the copy dropped.  Only that family and one
-    chunk are held.  The full count is checked against the budget before
-    any row is built.
+    `levels` lists each level's items (maps, or per-map factors) from level
+    1 down; `image(item, batch, out=None)` maps a whole batch into `out` (or
+    a new array laid out as the batch) and returns it.  The count is
+    checked against the budget once, before any row is built; j is the
+    least prefix length whose subtrees have at most `most` cylinders
+    (`_CHUNK_LEAVES` if None).  The levels below j are built once, deepest
+    first, each into one `_family` array (boxes axis-major); each prefix
+    maps that family through its items, innermost first, each step into
+    one new array.  So the chunks concatenate bit for bit to the family of j = 0
+    (`_whole`), which maps two or more rows at a time above its deepest
+    level; a one-row matmul can round unlike a many-row one, so a lone row
+    is doubled there and the copy dropped.
     """
     leaves = _check_budget(levels, budget)
+    most = _CHUNK_LEAVES if most is None else most
     j = 0
-    while leaves > _CHUNK_LEAVES:
+    while leaves > most:
         leaves //= len(levels[j])
         j += 1
-    suffix = _bottom_up(levels[j:], leaf, image, budget)
-    rows = leaves * len(leaf)
-    for n, prefix in enumerate(itertools.product(*levels[:j])):
-        batch = suffix
+    family = leaf
+    for items in reversed(levels[j:]):
+        n = len(family)
+        level = _family(family, len(items) * n)
+        for i, item in enumerate(items):
+            image(item, family, level[i * n:(i + 1) * n])
+        family = level
+    rows = len(family)
+    for prefix in itertools.product(*levels[:j]):
+        batch = family
         for item in reversed(prefix):
             batch = image(item, batch)
             if len(batch) == 1:
                 batch = np.concatenate((batch, batch))
-        yield n * leaves, batch[:rows]
+        yield batch[:rows]
+
+
+def _whole(levels, leaf, image, budget: int) -> np.ndarray:
+    """The whole family: the walk of `_chunks` run as one chunk, with
+    prefix length 0."""
+    (family,) = _chunks(levels, leaf, image, budget, math.inf)
+    return family
 
 
 def _tiny_units(x: float) -> int:

@@ -220,8 +220,7 @@ def _task_render(cfg: ExperimentConfig, budget: int):
     colours = {k: params[k] for k in ("foreground", "background")
                if k in params}
     spec = RenderSpec(params["width"], params["height"], **colours)
-    chunks = (pts for _, pts in _image_chunks(cfg.rifs, cfg.omega, depth,
-                                               center, budget))
+    chunks = _image_chunks(cfg.rifs, cfg.omega, depth, center, budget)
     return [(params["output"], _paint_ppm(chunks, spec, cfg.ambient))]
 
 
@@ -258,7 +257,7 @@ def _task_splice_demo(cfg: ExperimentConfig, budget: int):
         mass = _ExactSum()
         count = 0
         diam_max = 0.0
-        for _, pts in _image_chunks(cfg.rifs, spliced, depth, seeds, budget):
+        for pts in _image_chunks(cfg.rifs, spliced, depth, seeds, budget):
             blocks = pts.reshape(-1, n_seeds, pts.shape[1])
             count += len(blocks)
             d2 = np.zeros(len(blocks))

@@ -138,7 +138,7 @@ def count_inputs(draw):
     # repeats land in different chunks once the chunk is small
     picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30))
     items = np.concatenate((items, items[picks]))
-    chunk = draw(st.sampled_from((1, 2, 3, 7, boxcount._BOX_CHUNK)))
+    chunk = draw(st.sampled_from((1, 2, 3, 7, model._CHUNK_LEAVES)))
     # small cell steps split boxes, and merge runs into the union often
     cells = draw(st.sampled_from((1, 2, 3, 7, boxcount._CELL_CHUNK)))
     # 0 sends every grid to the sorted runs instead of the occupancy map
@@ -153,7 +153,7 @@ def test_count_boxes_equals_the_per_box_loop(case):
     # and expansion both feed the map and the runs
     items, delta, ambient, chunk, cells, map_cells = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boxcount, "_BOX_CHUNK", chunk)
+        mp.setattr(model, "_CHUNK_LEAVES", chunk)
         mp.setattr(boxcount, "_CELL_CHUNK", cells)
         mp.setattr(boxcount, "_MAP_CELLS", map_cells)
         assert count_boxes(items, delta, ambient) == \
@@ -218,7 +218,7 @@ def test_cell_budget_charges_only_expanded_boxes():
     assert err.value.count == 9
     # the budget is a running total over the chunks
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boxcount, "_BOX_CHUNK", 1)
+        mp.setattr(model, "_CHUNK_LEAVES", 1)
         with pytest.raises(ResourceError, match="cell count 18"):
             count_boxes(np.concatenate((wide, wide)), 0.25, box, budget=4)
     # boxes at most two cells wide are marked at their corners, unbudgeted
@@ -243,7 +243,7 @@ def test_runs_move_to_the_map_once_expansion_could_fill_it(monkeypatch):
         return count(cells)
 
     monkeypatch.setattr(boxcount._Cells, "count", spy)
-    monkeypatch.setattr(boxcount, "_BOX_CHUNK", 1)
+    monkeypatch.setattr(model, "_CHUNK_LEAVES", 1)
     assert count_boxes(items, delta, box) == _oracle_count(items, delta, box)
     assert count_boxes(items[:10], delta, box) == \
         _oracle_count(items[:10], delta, box)

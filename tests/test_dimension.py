@@ -69,6 +69,17 @@ def test_check_weights_messages():
     with pytest.raises(UsageError, match="expected 3"):
         check_weights([1.0], n=3)
     assert check_weights([0.25, 0.75]) == (0.25, 0.75)
+    # a NaN weight is refused, not dropped as an inactive system
+    with pytest.raises(UsageError, match="non-negative"):
+        check_weights([math.nan, 1.0])
+    sierpinski = CarpetSpec(3, 3, tuple((c, r) for r in range(3)
+                                        for c in range(3) if (c, r) != (1, 1)))
+    grid = CarpetSpec(2, 3, ((0, 0), (1, 1), (0, 2)))
+    with pytest.raises(UsageError, match="non-negative"):
+        random_carpet_dimension([sierpinski, grid], [math.nan, 1.0])
+    with pytest.raises(UsageError, match="non-negative"):
+        randomized_similarity_dimension([[0.5, 0.5], [1 / 3, 1 / 3]],
+                                        [math.nan, 1.0])
 
 
 def test_randomized_reduces_to_deterministic():
@@ -190,6 +201,10 @@ def test_minimize_flat_curve_returns_midpoint():
 def test_minimize_needs_two_carpets():
     with pytest.raises(UsageError):
         minimize_carpet_dimension(MIX_CARPETS[:1])
+    # a NaN tol would skip the golden-section loop altogether
+    for tol in (math.nan, -1e-10):
+        with pytest.raises(UsageError, match="tol"):
+            minimize_carpet_dimension(MIX_CARPETS, tol=tol)
 
 
 def test_extremal_bounds_on_interval_systems(cantor_cfg):

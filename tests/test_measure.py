@@ -103,6 +103,11 @@ def test_doubling_input_checks():
     with pytest.raises(UsageError):
         doubling_constants(PowerGauge(1.0), 0.5, 0.0)
     assert doubling_constants(PowerGauge(1.0), 1.0, 1.0).d_plus == 1.0
+    table = TableGauge([(0.1, 0.2), (1.0, 1.0)])
+    for samples in (0, -3, 2.5):
+        with pytest.raises(UsageError, match="samples"):
+            doubling_constants(table, 0.5, 1.0, samples)
+    assert doubling_constants(table, 0.5, 1.0, 1).samples == 1
 
 
 # --- cover and packing bounds -------------------------------------------
@@ -144,8 +149,16 @@ def test_packing_greedy_on_square_corners():
     assert rep.gauge_value == pytest.approx(4 * 0.9)
     single = packing_lower_bound(pts, PowerGauge(1.0), 2.0)
     assert single.count == 1
-    with pytest.raises(UsageError):
-        packing_lower_bound(pts, PowerGauge(1.0), 0.0)
+    for delta in (0.0, math.nan, math.inf):
+        with pytest.raises(UsageError, match="delta"):
+            packing_lower_bound(pts, PowerGauge(1.0), delta)
+    # a NaN point would win every argmax and stop the packing at 1
+    line = [[0.0], [5.0], [10.0]]
+    assert packing_lower_bound(line, PowerGauge(1.0), 1.0).count == 3
+    for bad in (math.nan, math.inf):
+        with pytest.raises(UsageError, match="finite"):
+            packing_lower_bound(line[:1] + [[bad]] + line[1:],
+                                PowerGauge(1.0), 1.0)
 
 
 def test_cover_packing_sandwich(cantor_cfg):
