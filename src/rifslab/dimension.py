@@ -271,7 +271,7 @@ def check_growth_conditions(rifs: "Rifs", h: float, p: float) -> GrowthReport:
     and Phi+_i(p) < 1 makes the upper sum vanish.  Witness indices are
     1-based; factors exactly 1 witness nothing.
     """
-    if h < 0.0 or p < 0.0:
+    if not (h >= 0.0 and p >= 0.0):     # NaN fails the compare too
         raise UsageError("exponents must be >= 0")
     fm = tuple(math.fsum(m.lip_lo ** h for m in sys.maps)
                for sys in rifs.systems)

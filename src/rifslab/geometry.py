@@ -62,61 +62,6 @@ def unit_box(dim: int) -> AmbientBox:
     return AmbientBox((0.0,) * dim, (1.0,) * dim)
 
 
-def _diagonal(linear: np.ndarray) -> tuple[float, ...] | None:
-    """The diagonal of `linear` when every other entry is 0, else None."""
-    diag = np.diagonal(linear)
-    if np.array_equal(linear, np.diag(diag)):
-        return tuple(float(d) for d in diag)
-    return None
-
-
-def _affine_image_boxes(linear: np.ndarray, diag, shift: np.ndarray,
-                        boxes: np.ndarray, out=None) -> np.ndarray:
-    """Exact bounding boxes of affine images of axis-aligned boxes.
-
-    boxes has shape (n, dim, 2), rows [lo, hi] with lo <= hi, in any
-    memory layout; the images go to `out` (a new array laid out as boxes
-    if None).  A diagonal linear part (`diag`, else None) maps each axis
-    on its own, so an axis's image ends are lo*d + t and hi*d + t,
-    swapped where d < 0: the min/max of the two mapped ends, as rounding
-    is monotone.  They are written column by column, so axis-major boxes
-    (one contiguous column per axis and end) are mapped with no inner
-    loop of length 2 or temporary.  Otherwise the image box is the
-    min/max of the transformed corners, gathered into a contiguous array
-    first.  Both are exact for affine maps.
-    """
-    if out is None:
-        out = np.empty_like(boxes)
-    if diag is not None:
-        for k, (d, t) in enumerate(zip(diag, shift)):
-            for end, src in enumerate((0, 1) if d > 0 else (1, 0)):
-                col = out[:, k, end]
-                np.multiply(boxes[:, k, src], d, out=col)
-                col += t
-        return out
-    # four corners per box; only 2-D maps get here, as 1-D ones are diagonal
-    n = boxes.shape[0]
-    corners = np.empty((n, 4, 2))
-    corners[:, 0] = boxes[:, :, 0]
-    corners[:, 1, 0] = boxes[:, 0, 0]
-    corners[:, 1, 1] = boxes[:, 1, 1]
-    corners[:, 2, 0] = boxes[:, 0, 1]
-    corners[:, 2, 1] = boxes[:, 1, 0]
-    corners[:, 3] = boxes[:, :, 1]
-    moved = corners @ linear.T + shift
-    moved.min(axis=1, out=out[:, :, 0])
-    moved.max(axis=1, out=out[:, :, 1])
-    return out
-
-
-def _shifted(out: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """out + shift, added in place one column at a time: the same sums as
-    broadcasting, without its inner loops of length dim or a second array."""
-    for k, t in enumerate(shift):
-        out[:, k] += t
-    return out
-
-
 class ContractionMap:
     """Base for all map kinds.  Subclasses fill in the vectorized paths."""
 
@@ -131,7 +76,9 @@ class ContractionMap:
                 f"declared Lipschitz bounds ({self.lip_lo}, {self.lip_hi}) "
                 "must satisfy 0 < lo <= hi < 1")
 
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
+    def apply_array(self, pts: np.ndarray, out=None) -> np.ndarray:
+        """Images of points (n, dim), written to `out` of the same shape
+        (any layout) or to a new array."""
         raise NotImplementedError
 
     def image_box_array(self, boxes: np.ndarray, out=None) -> np.ndarray:
@@ -143,7 +90,53 @@ class ContractionMap:
         return self.kind
 
 
-class Similarity(ContractionMap):
+def _affine_column(col: np.ndarray, terms, shift: float) -> None:
+    """col = x_1 c_1 + x_2 c_2 + ... + shift over the (x, c) terms, added
+    in order, in place."""
+    (x, c), *rest = terms
+    np.multiply(x, c, out=col)
+    for x, c in rest:
+        col += x * c
+    col += shift
+
+
+class _AffineMap(ContractionMap):
+    """x -> A x + t, held once as `_terms`: per output axis, the (input
+    axis, coefficient) pairs of A's non-zero entries, in axis order.
+
+    Points and boxes are mapped column by column through the same terms.
+    An image box end takes, per term, the input end that the coefficient's
+    sign picks; rounding is monotone, so that is the min/max over the
+    mapped corners, exactly, and a box [p, p] maps to p's own image bit for
+    bit.  A diagonal map has one term per axis, lo*d + t and hi*d + t.
+    Each row's result is independent of the batch it comes in.
+    """
+
+    def _set_affine(self, linear) -> None:
+        self._terms = tuple(
+            tuple((a, float(c)) for a, c in enumerate(row) if c != 0.0)
+            for row in linear)
+        self._shift = np.asarray(self.translation)
+
+    def apply_array(self, pts: np.ndarray, out=None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(pts, dtype=float)
+        for k, (terms, t) in enumerate(zip(self._terms, self._shift)):
+            _affine_column(out[:, k], ((pts[:, a], c) for a, c in terms), t)
+        return out
+
+    def image_box_array(self, boxes: np.ndarray, out=None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(boxes)
+        for k, (terms, t) in enumerate(zip(self._terms, self._shift)):
+            for end in (0, 1):
+                _affine_column(out[:, k, end],
+                               ((boxes[:, a, end ^ (c < 0)], c)
+                                for a, c in terms), t)
+        return out
+
+
+class Similarity(_AffineMap):
     """Exact similarity: x -> ratio * O x + translation, O orthogonal.
 
     In one dimension O is +-1 (reflect flag).  In two dimensions O is a
@@ -167,31 +160,20 @@ class Similarity(ContractionMap):
         self.lip_lo = self.lip_hi = self.ratio
         self._check_lips()
         if self.dim == 1:
-            self._linear = np.array([[-self.ratio if reflect else self.ratio]])
+            self._set_affine([[-self.ratio if reflect else self.ratio]])
         else:
             th = math.radians(self.rotation_deg)
             rot = np.array([[math.cos(th), -math.sin(th)],
                             [math.sin(th), math.cos(th)]])
             if reflect:
                 rot = rot @ np.array([[-1.0, 0.0], [0.0, 1.0]])
-            self._linear = self.ratio * rot
-        self._diag = _diagonal(self._linear)
-        self._shift = np.asarray(self.translation)
-
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        if self.dim == 1:
-            return _shifted(pts * self._linear[0, 0], self._shift)
-        return _shifted(pts @ self._linear.T, self._shift)
-
-    def image_box_array(self, boxes: np.ndarray, out=None) -> np.ndarray:
-        return _affine_image_boxes(self._linear, self._diag, self._shift,
-                                   boxes, out)
+            self._set_affine(self.ratio * rot)
 
     def describe(self) -> str:
         return f"similarity(ratio={self.ratio:g})"
 
 
-class Affine2(ContractionMap):
+class Affine2(_AffineMap):
     """2x2 affine map; Lipschitz bounds are the singular values."""
 
     kind = "affine2"
@@ -206,15 +188,7 @@ class Affine2(ContractionMap):
         self.lip_lo = float(sv[-1])
         self.lip_hi = float(sv[0])
         self._check_lips()
-        self._diag = _diagonal(self.matrix)
-        self._shift = np.asarray(self.translation)
-
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        return _shifted(pts @ self.matrix.T, self._shift)
-
-    def image_box_array(self, boxes: np.ndarray, out=None) -> np.ndarray:
-        return _affine_image_boxes(self.matrix, self._diag, self._shift,
-                                   boxes, out)
+        self._set_affine(self.matrix)
 
     def describe(self) -> str:
         return f"affine2(sv=[{self.lip_lo:g},{self.lip_hi:g}])"
@@ -335,8 +309,9 @@ class ClosedFormMap(ContractionMap):
         self._axes = entry.axes
         self._check_lips()
 
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(pts, dtype=float)
+    def apply_array(self, pts: np.ndarray, out=None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(pts, dtype=float)
         for k, terms in enumerate(self._axes):
             out[:, k] = reduce(add, (fn(pts[:, a]) for a, fn, _ in terms))
         return out

@@ -46,7 +46,7 @@ class PowerGauge(Gauge):
     """t -> t**s for a positive exponent."""
 
     def __init__(self, s: float) -> None:
-        if s <= 0.0:
+        if not s > 0.0:                # NaN fails the compare too
             raise UsageError("power gauge exponent must be > 0")
         self.s = float(s)
         self.label = f"power[{self.s:g}]"
@@ -64,7 +64,7 @@ class PowerLogGauge(Gauge):
     """
 
     def __init__(self, s: float) -> None:
-        if s <= 0.0:
+        if not s > 0.0:
             raise UsageError("power-log gauge exponent must be > 0")
         self.s = float(s)
         self.t0 = math.exp(-2.0 / self.s)
@@ -92,11 +92,12 @@ class TableGauge(Gauge):
             raise UsageError("table gauge needs at least one knot")
         self.kt = np.array([t for t, _ in pts])
         self.kg = np.array([g for _, g in pts])
-        if self.kt[0] <= 0.0:
+        # negated, so that a NaN knot fails the compare too
+        if not self.kt[0] > 0.0:
             raise UsageError("table gauge knots must have t > 0")
-        if np.any(np.diff(self.kt) <= 0.0):
+        if not np.all(np.diff(self.kt) > 0.0):
             raise UsageError("table gauge knots must be strictly increasing")
-        if self.kg[0] < 0.0 or np.any(np.diff(self.kg) < 0.0):
+        if not (self.kg[0] >= 0.0 and np.all(np.diff(self.kg) >= 0.0)):
             raise UsageError("table gauge values must be non-decreasing")
         if self.kt.size >= 2:
             self.tail_slope = float(
@@ -135,8 +136,8 @@ def doubling_constants(g: Gauge, c: float, diameter: float,
     PowerLogGauge the t -> 0 limit c**s is folded in as well."""
     if not (0.0 < c <= 1.0):
         raise UsageError("scale factor c must lie in (0, 1]")
-    if diameter <= 0.0:
-        raise UsageError("diameter must be > 0")
+    if not 0.0 < diameter < math.inf:
+        raise UsageError("diameter must be finite and > 0")
     if not isinstance(samples, numbers.Integral) or samples < 1:
         raise UsageError("samples must be an integer >= 1")
     if c == 1.0:
@@ -232,6 +233,8 @@ class CylinderMeasure:
             object.__setattr__(self, "exponents", roots)
         if len(self.exponents) != len(self.rifs.systems):
             raise UsageError("one exponent per system is required")
+        if not all(0.0 <= s < math.inf for s in self.exponents):
+            raise UsageError("exponents must be finite and >= 0")
 
     def factors(self, level_system: int) -> np.ndarray:
         sys_ = self.rifs.systems[level_system - 1]
@@ -241,15 +244,16 @@ class CylinderMeasure:
 
 def cylinder_mass(cm: CylinderMeasure, word) -> float:
     """Mass of the cylinder at a 0-based index word along the measure's
-    sequence."""
-    mass = 1.0
+    sequence: its factors multiplied innermost first, as `level_masses`
+    multiplies them, so the two agree bit for bit."""
+    facs = []
     for level, idx in enumerate(word, start=1):
         fac = cm.factors(cm.omega.entry(level))
         if not (0 <= idx < fac.size):
             raise UsageError(
                 f"word entry {idx} out of range at level {level}")
-        mass *= float(fac[idx])
-    return mass
+        facs.append(float(fac[idx]))
+    return math.prod(reversed(facs), start=1.0)
 
 
 def _masses(cm: CylinderMeasure, depth: int):

@@ -158,16 +158,8 @@ def _points(rifs: Rifs, omega: OmegaSeq, depth: int, seeds):
     if depth < 0:
         raise UsageError("depth must be >= 0")
     return (_level_maps(rifs, omega, depth),
-            np.atleast_2d(np.asarray(seeds, dtype=float)), _map_points)
-
-
-def _map_points(m: ContractionMap, pts: np.ndarray, out=None) -> np.ndarray:
-    """m's images of the points, copied into `out` if given."""
-    moved = m.apply_array(pts)
-    if out is None:
-        return moved
-    out[...] = moved
-    return out
+            np.atleast_2d(np.asarray(seeds, dtype=float)),
+            lambda m, pts, out=None: m.apply_array(pts, out))
 
 
 def cylinder_cover(rifs: Rifs, omega: OmegaSeq, depth: int,
@@ -203,10 +195,9 @@ def _chunks(levels, leaf, image, budget: int, most=None):
     (`_CHUNK_LEAVES` if None).  The levels below j are built once, deepest
     first, each into one `_family` array (boxes axis-major); each prefix
     maps that family through its items, innermost first, each step into
-    one new array.  So the chunks concatenate bit for bit to the family of j = 0
-    (`_whole`), which maps two or more rows at a time above its deepest
-    level; a one-row matmul can round unlike a many-row one, so a lone row
-    is doubled there and the copy dropped.
+    one new array.  Every map step is elementwise, so a row's image does
+    not depend on the batch it is in, and the chunks concatenate bit for
+    bit to the family of j = 0 (`_whole`).
     """
     leaves = _check_budget(levels, budget)
     most = _CHUNK_LEAVES if most is None else most
@@ -221,14 +212,11 @@ def _chunks(levels, leaf, image, budget: int, most=None):
         for i, item in enumerate(items):
             image(item, family, level[i * n:(i + 1) * n])
         family = level
-    rows = len(family)
     for prefix in itertools.product(*levels[:j]):
         batch = family
         for item in reversed(prefix):
             batch = image(item, batch)
-            if len(batch) == 1:
-                batch = np.concatenate((batch, batch))
-        yield batch[:rows]
+        yield batch
 
 
 def _whole(levels, leaf, image, budget: int) -> np.ndarray:
@@ -328,7 +316,7 @@ def resolution_depth(rifs: Rifs, omega: OmegaSeq, target_error: float,
     The bound shrinks by each level's largest lip_hi, so the search is pure
     arithmetic; the cylinder count is still checked against the budget.
     """
-    if target_error <= 0.0:
+    if not target_error > 0.0:         # NaN fails the compare too
         raise UsageError("target error must be > 0")
     bound = rifs.ambient.diameter
     count = 1

@@ -229,8 +229,9 @@ def test_growth_conditions_strictness():
     assert rep.factors_plus == (1.0,)
     assert rep.lip_minus_witness is None
     assert rep.lip_plus_witness is None
-    with pytest.raises(UsageError):
-        check_growth_conditions(halves, -0.1, 1.0)
+    for h, p in ((-0.1, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(UsageError):
+            check_growth_conditions(halves, h, p)
 
 
 def test_uosc_grid_flags_duplicates():

@@ -135,6 +135,24 @@ def test_shear_image_boxes_bound_every_corner():
                           _corner_image_boxes(m.matrix, m._shift, boxes))
 
 
+@pytest.mark.parametrize("m", [
+    Similarity(0.4, (0.3, 0.4), rotation_deg=30.0),
+    Similarity(0.45, (0.5, 0.2), rotation_deg=100.0, reflect=True),
+    Affine2([[1.0 / 3.0, 1.0 / 6.0], [0.0, 1.0 / 3.0]], (0.1, 0.6)),
+    Affine2([[0.3, 0.1], [0.1, 0.3]], (0.2, 0.3)),
+], ids=["rotation", "reflection", "shear", "affine"])
+def test_non_diagonal_maps_are_batch_independent(m):
+    # each row maps the same alone as in a batch, and a box [p, p] maps to
+    # p's own image at both ends, bit for bit
+    pts = np.random.default_rng(11).uniform(-1.0, 1.0, (200, 2))
+    img = m.apply_array(pts)
+    for p, want in zip(pts, img):
+        assert m.apply_array(p[None]).tobytes() == want.tobytes()
+    out = m.image_box_array(np.stack((pts, pts), axis=-1))
+    assert out[..., 0].tobytes() == img.tobytes()
+    assert out[..., 1].tobytes() == img.tobytes()
+
+
 def test_compose_order_is_left_outermost():
     f = Similarity(0.5, (0.5,))     # x -> x/2 + 1/2
     g = Similarity(0.5, (0.0,))     # x -> x/2

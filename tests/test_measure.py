@@ -35,8 +35,9 @@ def test_power_gauge_basics():
     assert out.tolist() == [0.0, 1.0, 2.0]
     with pytest.raises(UsageError):
         g(-1.0)
-    with pytest.raises(UsageError):
-        PowerGauge(0.0)
+    for s in (0.0, math.nan):
+        with pytest.raises(UsageError):
+            PowerGauge(s)
 
 
 def test_power_log_gauge_monotone_and_vanishing():
@@ -47,6 +48,9 @@ def test_power_log_gauge_monotone_and_vanishing():
     assert np.all(np.diff(vals) > 0.0)
     # below the cap the raw formula applies
     assert g(1e-6) == pytest.approx(1e-6 ** 0.7 * math.log(1e6))
+    for s in (0.0, math.nan):
+        with pytest.raises(UsageError):
+            PowerLogGauge(s)
 
 
 def test_table_gauge_interpolation_and_tails():
@@ -64,6 +68,11 @@ def test_table_gauge_rejects_non_monotone():
         TableGauge([(0.0, 0.5)])
     with pytest.raises(UsageError):
         TableGauge([])
+    # a NaN knot fails every compare, so it is refused, not interpolated
+    for knots in ([(0.1, math.nan), (1.0, 1.0)], [(math.nan, 0.1), (1.0, 1.0)],
+                  [(0.1, 0.2), (math.nan, 1.0)], [(math.nan, 1.0)]):
+        with pytest.raises(UsageError):
+            TableGauge(knots)
 
 
 @pytest.mark.parametrize("gauge", [
@@ -102,6 +111,10 @@ def test_doubling_input_checks():
         doubling_constants(PowerGauge(1.0), 0.0, 1.0)
     with pytest.raises(UsageError):
         doubling_constants(PowerGauge(1.0), 0.5, 0.0)
+    for gauge in (PowerGauge(1.0), PowerLogGauge(0.8)):
+        for diameter in (math.nan, math.inf):
+            with pytest.raises(UsageError, match="diameter must be"):
+                doubling_constants(gauge, 0.5, diameter)
     assert doubling_constants(PowerGauge(1.0), 1.0, 1.0).d_plus == 1.0
     table = TableGauge([(0.1, 0.2), (1.0, 1.0)])
     for samples in (0, -3, 2.5):
@@ -212,7 +225,25 @@ def test_level_masses_align_with_cover(cantor_cfg):
     words = list(itertools.product(*(range(c) for c in counts)))
     assert len(words) == cover.count
     for word, m in zip(words, masses):
-        assert m == pytest.approx(cylinder_mass(cm, word), rel=1e-12)
+        assert m == cylinder_mass(cm, word)
+
+
+def test_cylinder_mass_multiplies_as_the_walk():
+    # both multiply innermost first, so they agree bit for bit; outermost
+    # first, 3282 of these 5832 masses differ in the last bit
+    ratios = ((0.3, 0.45, 0.1), (0.37, 0.21))
+    shifts = ((0.0, 0.3, 0.8), (0.0, 0.5))
+    rifs = Rifs(tuple(
+        DeterministicIfs(tuple(Similarity(r, (t,)) for r, t in zip(rs, ts)),
+                         f"s{i}")
+        for i, (rs, ts) in enumerate(zip(ratios, shifts))), unit_box(1))
+    om = OmegaSeq((1,), (2, 1, 1))
+    cm = CylinderMeasure(rifs, om, (0.77, 1.3))
+    masses = level_masses(cm, 9)
+    counts = [len(rifs.system_for_level(om, l).maps) for l in range(1, 10)]
+    words = itertools.product(*(range(c) for c in counts))
+    got = np.array([cylinder_mass(cm, word) for word in words])
+    assert got.tobytes() == masses.tobytes()
 
 
 def test_parent_mass_equals_child_sum(cantor_cfg):
@@ -227,6 +258,11 @@ def test_parent_mass_equals_child_sum(cantor_cfg):
 def test_exponent_count_must_match(cantor_cfg):
     with pytest.raises(UsageError):
         CylinderMeasure(cantor_cfg.rifs, cantor_cfg.omega, (0.5,))
+    # a NaN exponent made mdp_bounds report an empty bracket; it is
+    # refused up front, as are negative and infinite ones
+    for bad in (math.nan, -0.5, math.inf):
+        with pytest.raises(UsageError, match="exponents"):
+            CylinderMeasure(cantor_cfg.rifs, cantor_cfg.omega, (0.5, bad))
 
 
 def test_level_masses_budget(cantor_cfg):

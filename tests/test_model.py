@@ -362,8 +362,9 @@ def test_resolution_depth_arithmetic():
     om = OmegaSeq((), (1,))
     assert resolution_depth(rifs, om, 0.5) == 1
     assert resolution_depth(rifs, om, THIRD ** 5 * 1.01) == 5
-    with pytest.raises(UsageError):
-        resolution_depth(rifs, om, 0.0)
+    for target in (0.0, math.nan):
+        with pytest.raises(UsageError, match="target error must be > 0"):
+            resolution_depth(rifs, om, target)
 
 
 def test_resolution_depth_reports_best_error_on_budget():
