@@ -16,15 +16,17 @@ per distinct cell, or into an occupancy map of one byte per cell
 marks at most 2^dim cells unless it is expanded, so a grid of at most
 8 * 2^dim cells per box counted starts on the map, and a sparser one
 switches to it when expanded cells bring the runs' bound up to the grid.
-A box spanning at most two cells on every axis is marked at its clipped
-corners, 2^dim vectorised passes with no per-cell expansion (and, into the
-map, no sort).  That covers
-the boxes `estimate_box_dims` counts: it resolves each rung to cylinders of
-side at most delta/4, and even rotated maps' boxes, which outgrow their
-cylinders, have measured below delta.  Wider boxes are expanded at most
-`_CELL_CHUNK` cells at a time, and the cells so expanded are charged to a
-budget of 2^dim cells per cylinder of the cylinder budget, so a huge box
-fails at once with `ResourceError` instead of running for hours.
+Each axis's first and last cells come from both ends of every box in one
+pass over a (2, n) block.  A box spanning at most two cells on every axis
+is marked at its clipped corners, one id per corner built from those
+blocks in one broadcast add, with no per-cell expansion (and, into the
+map, no sort).  That covers the boxes `estimate_box_dims` counts: it
+resolves each rung to cylinders of side at most delta/4, and even rotated
+maps' boxes, which outgrow their cylinders, have measured below delta.
+Wider boxes are expanded at most `_CELL_CHUNK` cells at a time, and the
+cells so expanded are charged to a budget of 2^dim cells per cylinder of
+the cylinder budget, so a huge box fails at once with `ResourceError`
+instead of running for hours.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -54,29 +57,29 @@ def _snap(q: np.ndarray) -> np.ndarray:
 
 
 def _axis_cells(n_cells: int, lo: float, a: np.ndarray, b: np.ndarray,
-                delta: float) -> tuple[np.ndarray, np.ndarray]:
+                delta: float) -> np.ndarray:
     """(first, last) cell on one axis of each interval [a, b], under the
-    boundary conventions above, computed in place."""
-    s, e = np.subtract(a, lo), np.subtract(b, lo)
-    for q in (s, e):
-        q /= delta
-        r = np.round(q)                 # _snap(q), in place
-        gap = np.subtract(q, r)
-        np.abs(gap, out=gap)
-        np.copyto(q, r, where=gap <= SNAP_TOL)
-        # clipping to [-1, n_cells] first changes no cell (all land in
-        # [0, n_cells - 1]) and keeps far-off coordinates inside int64
-        np.clip(q, -1, n_cells, out=q)
-    js = np.floor(s, out=s).astype(np.int64)
-    e_floor = np.floor(e)
-    je = e_floor.astype(np.int64)
-    je -= e == e_floor              # an end on a boundary stops below it
-    degen = je < js
-    np.maximum(je, 0, out=je, where=degen)
-    np.copyto(js, je, where=degen)
-    np.clip(js, 0, n_cells - 1, out=js)
-    np.clip(je, 0, n_cells - 1, out=je)
-    return js, je
+    boundary conventions above, as one (2, n) block computed in place."""
+    q = np.empty((2, a.size))
+    np.subtract(a, lo, out=q[0])
+    np.subtract(b, lo, out=q[1])
+    q /= delta
+    gap = np.rint(q)                    # _snap(q), in place
+    gap -= q
+    np.abs(gap, out=gap)
+    np.rint(q, out=q, where=gap <= SNAP_TOL)
+    del gap
+    np.floor(q[0], out=q[0])
+    # floor(e) - [e is an integer] = ceil(e) - 1: an end on a boundary
+    # stops below it
+    np.ceil(q[1], out=q[1])
+    q[1] -= 1
+    # clipping before the cast keeps far-off coordinates inside int64
+    np.clip(q, 0, n_cells - 1, out=q)
+    cells = q.astype(np.int64)
+    # a degenerate interval keeps its smaller cell
+    np.minimum(cells[0], cells[1], out=cells[0])
+    return cells
 
 
 def _grid_shape(ambient: AmbientBox, delta: float) -> tuple[int, ...]:
@@ -164,35 +167,30 @@ class _Cells:
 
     def add(self, boxes: np.ndarray) -> None:
         """Mark the cells meeting `boxes` (n, dim, 2)."""
-        js, steps = [], []
-        for ax, n_cells in enumerate(self.shape):
-            first, last = _axis_cells(n_cells, self.ambient.lo[ax],
-                                      boxes[:, ax, 0], boxes[:, ax, 1],
-                                      self.delta)
-            last -= first           # the cells spanned, less one
-            js.append(first)
-            steps.append(last)
-        wide = steps[0] > 1
-        for step in steps[1:]:
-            wide |= step > 1
+        ends = [_axis_cells(n_cells, lo, boxes[:, ax, 0], boxes[:, ax, 1],
+                            self.delta)
+                for ax, (n_cells, lo) in enumerate(zip(self.shape,
+                                                       self.ambient.lo))]
+        wide = np.zeros(boxes.shape[0], dtype=bool)
+        for first, last in ends:
+            wide |= last - first > 1
         if wide.any():
-            self._expand(np.stack([j[wide] for j in js], axis=1),
-                         np.stack([st[wide] + 1 for st in steps], axis=1))
-            narrow = ~wide
-            js = [j[narrow] for j in js]
-            steps = [st[narrow] for st in steps]
-        # a box at most two cells wide on every axis meets exactly the cells
-        # at its corners min(js + o, je), o in {0, 1}^dim: its first cell
-        # plus any subset of the per-axis steps (span - 1) * stride
-        ids = js[0] * self.strides[0]
-        for j, stride in zip(js[1:], self.strides[1:]):
-            j *= stride
-            ids += j
-        ids = ids[None]
-        for step, stride in zip(steps, self.strides):
-            step *= stride
-            if step.any():
-                ids = np.concatenate((ids, ids + step))
+            self._expand(np.stack([first[wide] for first, _ in ends], axis=1),
+                         np.stack([last[wide] - first[wide] + 1
+                                   for first, last in ends], axis=1))
+            ends = [block[:, ~wide] for block in ends]
+        # a box at most two cells wide on every axis meets exactly its
+        # corner cells, its first or last cell on each axis; an axis where
+        # no box spans two cells has no upper corner
+        corners = []
+        for block, stride in zip(ends, self.strides):
+            block *= stride
+            corners.append(block if np.any(block[0] != block[1])
+                           else block[:1])
+        # one id per corner, each axis's (first, last) broadcast over the
+        # corners of the axes before it
+        ids = reduce(lambda acc, block: acc[..., None, :] + block, corners)
+        del ends, corners           # freed before the runs sort the ids
         if ids.size:
             self._mark(ids.ravel())
 

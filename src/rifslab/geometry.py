@@ -92,7 +92,7 @@ class ContractionMap:
 
 def _affine_column(col: np.ndarray, terms, shift: float) -> None:
     """col = x_1 c_1 + x_2 c_2 + ... + shift over the (x, c) terms, added
-    in order, in place."""
+    in order, in place, elementwise over a column or a block of them."""
     (x, c), *rest = terms
     np.multiply(x, c, out=col)
     for x, c in rest:
@@ -104,12 +104,14 @@ class _AffineMap(ContractionMap):
     """x -> A x + t, held once as `_terms`: per output axis, the (input
     axis, coefficient) pairs of A's non-zero entries, in axis order.
 
-    Points and boxes are mapped column by column through the same terms.
-    An image box end takes, per term, the input end that the coefficient's
-    sign picks; rounding is monotone, so that is the min/max over the
-    mapped corners, exactly, and a box [p, p] maps to p's own image bit for
-    bit.  A diagonal map has one term per axis, lo*d + t and hi*d + t.
-    Each row's result is independent of the batch it comes in.
+    Points are mapped column by column through the terms, and boxes axis
+    by axis, both ends of an axis as one (2, n) block.  An image box end
+    takes, per term, the input end that the coefficient's sign picks: the
+    term's (lo, hi) block, reversed where the coefficient is negative.
+    Rounding is monotone, so that is the min/max over the mapped corners,
+    exactly, and a box [p, p] maps to p's own image bit for bit.  A
+    diagonal map has one term per axis, lo*d + t and hi*d + t.  Each row's
+    result is independent of the batch it comes in.
     """
 
     def _set_affine(self, linear) -> None:
@@ -128,11 +130,11 @@ class _AffineMap(ContractionMap):
     def image_box_array(self, boxes: np.ndarray, out=None) -> np.ndarray:
         if out is None:
             out = np.empty_like(boxes)
+        # (dim, 2, n) views: per axis, the (lo, hi) block of every box
+        ends, image = boxes.transpose(1, 2, 0), out.transpose(1, 2, 0)
         for k, (terms, t) in enumerate(zip(self._terms, self._shift)):
-            for end in (0, 1):
-                _affine_column(out[:, k, end],
-                               ((boxes[:, a, end ^ (c < 0)], c)
-                                for a, c in terms), t)
+            _affine_column(image[k], ((ends[a, ::-1] if c < 0 else ends[a], c)
+                                      for a, c in terms), t)
         return out
 
 
@@ -278,18 +280,17 @@ CLOSED_FORMS: dict[str, _Entry] = {
 }
 
 
-def _term_range(vals: np.ndarray, fn, turn) -> tuple:
-    """Exact (min, max) of fn over each [lo, hi] row of vals."""
-    at_lo = fn(vals[:, 0])
-    at_hi = fn(vals[:, 1])
-    lo = np.minimum(at_lo, at_hi)
-    hi = np.maximum(at_lo, at_hi)
+def _term_range(ends: np.ndarray, fn, turn) -> np.ndarray:
+    """Exact (min, max) block of fn over each interval of the (lo, hi)
+    block `ends`, fn evaluated once over both ends."""
+    lo, hi = np.broadcast_to(fn(ends), ends.shape)   # a constant term too
+    rng = np.stack((np.minimum(lo, hi), np.maximum(lo, hi)))
     if turn is not None:
-        holds = (vals[:, 0] <= turn) & (turn <= vals[:, 1])
+        holds = (ends[0] <= turn) & (turn <= ends[1])
         at_turn = fn(turn)
-        lo = np.where(holds, np.minimum(lo, at_turn), lo)
-        hi = np.where(holds, np.maximum(hi, at_turn), hi)
-    return lo, hi
+        np.minimum(rng[0], at_turn, out=rng[0], where=holds)
+        np.maximum(rng[1], at_turn, out=rng[1], where=holds)
+    return rng
 
 
 class ClosedFormMap(ContractionMap):
@@ -319,11 +320,11 @@ class ClosedFormMap(ContractionMap):
     def image_box_array(self, boxes: np.ndarray, out=None) -> np.ndarray:
         if out is None:
             out = np.empty_like(boxes, dtype=float)
+        # (dim, 2, n) views: per axis, the (lo, hi) block of every box
+        ends, image = boxes.transpose(1, 2, 0), out.transpose(1, 2, 0)
         for k, terms in enumerate(self._axes):
-            los, his = zip(*(_term_range(boxes[:, a], fn, turn)
-                             for a, fn, turn in terms))
-            out[:, k, 0] = reduce(add, los)
-            out[:, k, 1] = reduce(add, his)
+            image[k] = reduce(add, (_term_range(ends[a], fn, turn)
+                                    for a, fn, turn in terms))
         return out
 
     def describe(self) -> str:

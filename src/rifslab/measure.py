@@ -46,8 +46,8 @@ class PowerGauge(Gauge):
     """t -> t**s for a positive exponent."""
 
     def __init__(self, s: float) -> None:
-        if not s > 0.0:                # NaN fails the compare too
-            raise UsageError("power gauge exponent must be > 0")
+        if not 0.0 < s < math.inf:     # NaN fails the compare too
+            raise UsageError("power gauge exponent must be finite and > 0")
         self.s = float(s)
         self.label = f"power[{self.s:g}]"
 
@@ -64,8 +64,9 @@ class PowerLogGauge(Gauge):
     """
 
     def __init__(self, s: float) -> None:
-        if not s > 0.0:
-            raise UsageError("power-log gauge exponent must be > 0")
+        if not 0.0 < s < math.inf:
+            raise UsageError(
+                "power-log gauge exponent must be finite and > 0")
         self.s = float(s)
         self.t0 = math.exp(-2.0 / self.s)
         self.slope = self.t0 ** (self.s - 1.0)
@@ -93,12 +94,14 @@ class TableGauge(Gauge):
         self.kt = np.array([t for t, _ in pts])
         self.kg = np.array([g for _, g in pts])
         # negated, so that a NaN knot fails the compare too
-        if not self.kt[0] > 0.0:
-            raise UsageError("table gauge knots must have t > 0")
+        if not 0.0 < self.kt[0] <= self.kt[-1] < math.inf:
+            raise UsageError("table gauge knots must have finite t > 0")
         if not np.all(np.diff(self.kt) > 0.0):
             raise UsageError("table gauge knots must be strictly increasing")
-        if not (self.kg[0] >= 0.0 and np.all(np.diff(self.kg) >= 0.0)):
-            raise UsageError("table gauge values must be non-decreasing")
+        if not (self.kg[0] >= 0.0 and np.all(np.diff(self.kg) >= 0.0)
+                and self.kg[-1] < math.inf):
+            raise UsageError(
+                "table gauge values must be finite and non-decreasing")
         if self.kt.size >= 2:
             self.tail_slope = float(
                 (self.kg[-1] - self.kg[-2]) / (self.kt[-1] - self.kt[-2]))

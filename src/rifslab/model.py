@@ -368,17 +368,6 @@ _TILT = 0.003             # alpha of the sweep key u = x + alpha * y
 _TINY = 2.0 ** -1022      # smallest normal float
 
 
-def _directed_sq_brute(a: np.ndarray, b: np.ndarray) -> float:
-    """max over a of min over b of squared distance."""
-    rows = max(1, _BRUTE_CHUNK // b.shape[0])
-    worst = 0.0
-    for start in range(0, a.shape[0], rows):
-        chunk = a[start:start + rows]
-        d2 = ((chunk[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-        worst = max(worst, float(d2.min(axis=1).max()))
-    return worst
-
-
 def _tilt(dim: int) -> float:
     return _TILT if dim > 1 else 0.0
 
@@ -415,7 +404,8 @@ class _SweepSet:
 
 def _directed_sq_sweep(a: _SweepSet, b: _SweepSet,
                        worst: float = 0.0) -> float:
-    """max(worst, _directed_sq_brute(a.pts, b.pts)) by sort-and-sweep.
+    """max(worst, max over a.pts of min over b.pts of squared distance) by
+    sort-and-sweep, equal to brute force over every pair.
 
     The sweep key is u = x + alpha*y, x the first coordinate and y the
     last (u = x on one axis), so that points tied in x, such as the
@@ -496,7 +486,7 @@ def hausdorff_distance(a, b) -> float:
     Sweeps the points sorted on a tilted key (`_directed_sq_sweep`), at
     every size and in any dimension, holding at most `_BRUTE_CHUNK` pairs
     at a time; below eight dimensions the value equals brute force over
-    every pair (`_directed_sq_brute`) bit for bit.
+    every pair bit for bit.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))

@@ -1,10 +1,12 @@
 import itertools
 import math
 from collections import namedtuple
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rifslab import (Affine2, AmbientBox, ClosedFormMap, Similarity,
@@ -265,6 +267,119 @@ def test_square_term_range_holds_its_turning_point():
     m = ClosedFormMap("quad_y_bottom_left")
     out = m.image_box_array(np.array([[[0.0, 1.0], [-1.0, 0.5]]]))[0]
     assert out.tolist() == [[0.0, 0.5], [0.0, 0.5]]
+
+
+def _per_end_affine_boxes(m, boxes):
+    """The affine box kernel one end at a time: per output axis and end,
+    each term takes the input end its coefficient's sign picks, added in
+    order, then the shift."""
+    out = np.empty_like(boxes)
+    for k, (terms, t) in enumerate(zip(m._terms, m._shift)):
+        for end in (0, 1):
+            (a, c), *rest = terms
+            col = boxes[:, a, end ^ (c < 0)] * c
+            for a, c in rest:
+                col = col + boxes[:, a, end ^ (c < 0)] * c
+            out[:, k, end] = col + t
+    return out
+
+
+def _per_end_closed_form_boxes(m, boxes):
+    """The closed-form box kernel one end at a time: per output axis, the
+    sum in order of each term's min and max over its interval's two ends
+    and, when the interval holds it, the turning point."""
+    out = np.empty_like(boxes)
+    for k, terms in enumerate(m._axes):
+        los, his = [], []
+        for a, fn, turn in terms:
+            at_lo, at_hi = fn(boxes[:, a, 0]), fn(boxes[:, a, 1])
+            lo, hi = np.minimum(at_lo, at_hi), np.maximum(at_lo, at_hi)
+            if turn is not None:
+                holds = (boxes[:, a, 0] <= turn) & (turn <= boxes[:, a, 1])
+                lo = np.where(holds, np.minimum(lo, fn(turn)), lo)
+                hi = np.where(holds, np.maximum(hi, fn(turn)), hi)
+            los.append(lo)
+            his.append(hi)
+        out[:, k, 0] = reduce(add, los)
+        out[:, k, 1] = reduce(add, his)
+    return out
+
+
+@st.composite
+def _boxes(draw, dim):
+    """Boxes (n, dim, 2) in [-1, 1]: on each axis a degenerate [p, p], an
+    interval around a turning point (0 or 1/2), or any interval."""
+    def end():
+        return draw(st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0))
+                    | st.floats(-1.0, 1.0))
+
+    def interval():
+        kind = draw(st.sampled_from(("point", "turn", "any")))
+        if kind == "point":
+            p = end()
+            return p, p
+        if kind == "turn":
+            t = draw(st.sampled_from((0.0, 0.5)))
+            return (t - draw(st.floats(0.0, 0.5)),
+                    t + draw(st.floats(0.0, 0.5)))
+        return tuple(sorted((end(), end())))
+
+    n = draw(st.integers(1, 8))
+    return np.array([[interval() for _ in range(dim)] for _ in range(n)])
+
+
+def _assert_two_end_kernel_equals(m, boxes, oracle):
+    # row-major input and axis-major input written through out= alike
+    want = oracle(m, boxes).tobytes()
+    assert m.image_box_array(boxes).tobytes() == want
+    axis_major = np.ascontiguousarray(boxes.transpose(1, 2, 0))
+    out = np.empty_like(axis_major).transpose(2, 0, 1)
+    m.image_box_array(axis_major.transpose(2, 0, 1), out)
+    assert out.tobytes() == want
+
+
+@st.composite
+def affine_map_cases(draw):
+    kind = draw(st.sampled_from(("rotation", "reflection", "reflection_1d",
+                                 "pictorial_b_shear", "affine")))
+    shift = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    ratio = draw(st.floats(0.05, 0.95))
+    angle = draw(st.just(90.0) | st.floats(-360.0, 360.0))
+    if kind == "rotation":
+        m = Similarity(ratio, shift, rotation_deg=angle)
+    elif kind == "reflection":
+        m = Similarity(ratio, shift, rotation_deg=angle, reflect=True)
+    elif kind == "reflection_1d":
+        m = Similarity(ratio, shift[:1], reflect=True)
+    elif kind == "pictorial_b_shear":
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        m = Affine2([[1.0 / 3.0, sign / 6.0], [0.0, 1.0 / 3.0]], shift)
+    else:
+        matrix = draw(hnp.arrays(np.float64, (2, 2), elements=st.just(0.0)
+                                 | st.floats(-0.45, 0.45)))
+        assume(np.linalg.svd(matrix, compute_uv=False)[-1] > 0.0)
+        m = Affine2(matrix, shift)
+    return m, draw(_boxes(m.dim))
+
+
+@given(affine_map_cases())
+@settings(deadline=None)
+def test_affine_two_end_kernel_equals_the_per_end_kernel(case):
+    m, boxes = case
+    _assert_two_end_kernel_equals(m, boxes, _per_end_affine_boxes)
+
+
+@st.composite
+def closed_form_cases(draw):
+    m = ClosedFormMap(draw(st.sampled_from(sorted(CLOSED_FORMS))))
+    return m, draw(_boxes(m.dim))
+
+
+@given(closed_form_cases())
+@settings(deadline=None)
+def test_closed_form_two_end_kernel_equals_the_per_end_kernel(case):
+    m, boxes = case
+    _assert_two_end_kernel_equals(m, boxes, _per_end_closed_form_boxes)
 
 
 _LipSample = namedtuple("_LipSample", "observed_lo observed_hi ok")

@@ -35,7 +35,7 @@ def test_power_gauge_basics():
     assert out.tolist() == [0.0, 1.0, 2.0]
     with pytest.raises(UsageError):
         g(-1.0)
-    for s in (0.0, math.nan):
+    for s in (0.0, math.nan, math.inf):
         with pytest.raises(UsageError):
             PowerGauge(s)
 
@@ -48,7 +48,7 @@ def test_power_log_gauge_monotone_and_vanishing():
     assert np.all(np.diff(vals) > 0.0)
     # below the cap the raw formula applies
     assert g(1e-6) == pytest.approx(1e-6 ** 0.7 * math.log(1e6))
-    for s in (0.0, math.nan):
+    for s in (0.0, math.nan, math.inf):
         with pytest.raises(UsageError):
             PowerLogGauge(s)
 
@@ -71,6 +71,11 @@ def test_table_gauge_rejects_non_monotone():
     # a NaN knot fails every compare, so it is refused, not interpolated
     for knots in ([(0.1, math.nan), (1.0, 1.0)], [(math.nan, 0.1), (1.0, 1.0)],
                   [(0.1, 0.2), (math.nan, 1.0)], [(math.nan, 1.0)]):
+        with pytest.raises(UsageError):
+            TableGauge(knots)
+    # an infinite knot or value is refused too, not weighed with a warning
+    for knots in ([(0.1, 0.2), (math.inf, 1.0)], [(math.inf, 1.0)],
+                  [(0.1, 0.2), (1.0, math.inf)], [(0.1, math.inf)]):
         with pytest.raises(UsageError):
             TableGauge(knots)
 

@@ -15,8 +15,7 @@ from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                               compose, unit_box)
 from rifslab import model
 from rifslab.model import (DeterministicIfs, _ExactSum, _SweepSet, _TILT,
-                           _cover_chunks, _image_chunks, _directed_sq_brute,
-                           _directed_sq_sweep)
+                           _cover_chunks, _image_chunks, _directed_sq_sweep)
 
 THIRD = 1.0 / 3.0
 
@@ -408,6 +407,18 @@ def test_hausdorff_input_checks():
             hausdorff_distance(np.zeros(shape), np.zeros(shape))
         with pytest.raises(UsageError, match="dim"):
             hausdorff_distance([[0.0, 0.0]], np.zeros(shape))
+
+
+def _directed_sq_brute(a, b):
+    """max over a of min over b of squared distance, brute force over every
+    pair, at most `model._BRUTE_CHUNK` pairs at a time."""
+    rows = max(1, model._BRUTE_CHUNK // b.shape[0])
+    worst = 0.0
+    for start in range(0, a.shape[0], rows):
+        chunk = a[start:start + rows]
+        d2 = ((chunk[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+        worst = max(worst, float(d2.min(axis=1).max()))
+    return worst
 
 
 def _brute_hausdorff(a, b):
