@@ -41,8 +41,7 @@ import numpy as np
 from . import model
 from .errors import ResourceError, UsageError
 from .geometry import AmbientBox
-from .model import (DEFAULT_BUDGET, Rifs, _cover_chunks, _level_maps,
-                    resolution_depth)
+from .model import DEFAULT_BUDGET, Rifs, _boxes, _chunks, resolution_depth
 from .sequences import OmegaSeq
 
 SNAP_TOL = 1e-9
@@ -309,10 +308,11 @@ def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
     rows = []
     for depth, rungs in itertools.groupby(zip(deltas, depths),
                                           key=lambda rung: rung[1]):
-        count = math.prod(map(len, _level_maps(rifs, omega, depth)))
+        walk, _ = _boxes(rifs, omega, depth, budget)
+        count = math.prod(map(len, walk[0]))
         sinks = [_Cells(delta, rifs.ambient, budget, count)
                  for delta, _ in rungs]
-        for boxes in _cover_chunks(rifs, omega, depth, budget):
+        for boxes in _chunks(*walk):
             for cells in sinks:
                 cells.add(boxes)
         rows += [(cells.delta, cells.count()) for cells in sinks]

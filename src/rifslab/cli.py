@@ -2,10 +2,9 @@
 
 Subcommands: `run <config.json> [--out DIR] [--seed N] [--budget M]`,
 `validate <config.json>`, `corpus list`.  Exit codes: 0 success,
-1 validation or usage failure, 2 resource limit (the cylinder or cell
-budget, or memory running out), 3 I/O failure.  The
-cylinder budget resolves as built-in default, then RIFSLAB_BUDGET, then
---budget.
+1 validation or usage failure, 2 resource limit (the budget, the depth
+limit, or memory running out), 3 I/O failure.  The budget resolves as
+built-in default, then RIFSLAB_BUDGET, then --budget.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     p_run.add_argument("--budget", type=int, default=None,
-                       help="cylinder budget override")
+                       help="budget override: most cylinders, canvas "
+                       "pixels, drawn symbols or curve points")
 
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.add_argument("config", help="path to a JSON experiment config")

@@ -210,8 +210,6 @@ def _parse_map(obj, path: str, dim: int) -> ContractionMap:
         if kind == "closed_form":
             _check_keys(obj, path, ("kind", "name"))
             return ClosedFormMap(_str_field(obj["name"], f"{path}.name"))
-    except ConfigSchemaError:
-        raise
     except UsageError as exc:
         raise _semantic(path, str(exc)) from exc
     raise _semantic(f"{path}.kind", f"unknown map kind {kind!r}")
@@ -304,8 +302,6 @@ def _parse_gauge(obj, path: str) -> Gauge:
             pairs = [_real_list(k, f"{path}.knots[{i}]", 2)
                      for i, k in enumerate(knots)]
             return TableGauge(pairs)
-    except ConfigSchemaError:
-        raise
     except UsageError as exc:
         raise _semantic(path, str(exc)) from exc
     raise _schema(f"{path}.type",

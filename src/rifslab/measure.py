@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import GeometryDomainError, UsageError
 from .dimension import CarpetSpec, similarity_dimension
-from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _ExactSum,
-                    _chunks, _cover_chunks, _whole, resolution_depth)
+from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _ExactSum, _boxes,
+                    _chunks, _levels, _whole, resolution_depth)
 from .sequences import OmegaSeq
 
 
@@ -259,19 +259,19 @@ def cylinder_mass(cm: CylinderMeasure, word) -> float:
     return math.prod(reversed(facs), start=1.0)
 
 
-def _masses(cm: CylinderMeasure, depth: int):
-    """(levels, leaf, image) of the depth-k masses, for _whole or
-    _chunks."""
-    if depth < 1:
-        raise UsageError("depth must be >= 1")
-    return ([cm.factors(cm.omega.entry(l)) for l in range(1, depth + 1)],
+def _masses(cm: CylinderMeasure, levels):
+    """(levels, leaf, image) of the masses of the cylinders down the
+    checked `levels`, for _whole or _chunks."""
+    return ([cm.factors(cm.omega.entry(l)) for l in range(1, len(levels) + 1)],
             np.ones(1), lambda f, m, out=None: np.multiply(f, m, out=out))
 
 
 def level_masses(cm: CylinderMeasure, depth: int,
                  budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Masses of all depth-k cylinders, aligned with cylinder_cover order."""
-    return _whole(*_masses(cm, depth), budget)
+    if depth < 1:
+        raise UsageError("depth must be >= 1")
+    return _whole(*_masses(cm, _levels(cm.rifs, cm.omega, depth, budget)[0]))
 
 
 @dataclass(frozen=True)
@@ -431,12 +431,12 @@ def mdp_bounds(cm: CylinderMeasure, s: float, radii, sample_points,
     limits = np.tile(limits, len(pts))
     # the cover is streamed, then the masses: one chunk's tree or masses,
     # and the blocks found, indexed per query, are held
-    fans = [len(cm.rifs.system_for_level(cm.omega, level).maps)
-            for level in range(depth, 0, -1)]
+    walk, _ = _boxes(cm.rifs, cm.omega, depth, budget)
+    fans = [len(maps) for maps in reversed(walk[0])]
     runs = [_chunk_runs(_ball_blocks(_hull_tree(boxes, fans), centres,
                                      limits, outer), limits.size)
-            for boxes in _cover_chunks(cm.rifs, cm.omega, depth, budget)]
-    sums = iter(_block_sums(runs, _chunks(*_masses(cm, depth), budget),
+            for boxes in _chunks(*walk)]
+    sums = iter(_block_sums(runs, _chunks(*_masses(cm, walk[0])),
                             limits.size))
 
     rows = []

@@ -89,14 +89,6 @@ def carpet_system(carpet: CarpetSpec, label: str) -> DeterministicIfs:
     return DeterministicIfs(tuple(maps), label)
 
 
-def _check_budget(levels, budget: int) -> int:
-    count = math.prod(len(items) for items in levels)
-    if count > budget:
-        raise ResourceError(
-            f"cylinder count {count} exceeds budget {budget}", count=count)
-    return count
-
-
 def _family(like: np.ndarray, rows: int) -> np.ndarray:
     """An empty family of `rows` rows laid out as the walk holds `like`'s:
     boxes (n, dim, 2) axis-major, as a view of one contiguous column per
@@ -105,10 +97,6 @@ def _family(like: np.ndarray, rows: int) -> np.ndarray:
         return np.empty(like.shape[1:] + (rows,),
                         dtype=like.dtype).transpose(2, 0, 1)
     return np.empty((rows,) + like.shape[1:], dtype=like.dtype)
-
-
-def _level_maps(rifs: Rifs, omega: OmegaSeq, depth: int):
-    return [rifs.system_for_level(omega, l).maps for l in range(1, depth + 1)]
 
 
 @dataclass(frozen=True)
@@ -135,29 +123,29 @@ class CylinderCover:
         # true cylinder diameter; otherwise fall back to the box diagonal.
         if all(m.kind == "similarity"
                for sys_ in self.rifs.systems for m in sys_.maps):
-            ratios = _whole(_level_maps(self.rifs, self.omega, self.depth),
-                            np.ones(1), lambda m, r, out: np.multiply(
-                                m.lip_hi, r, out=out), self.count)
+            levels, _ = _levels(self.rifs, self.omega, self.depth, self.count)
+            ratios = _whole(levels, np.ones(1), lambda m, r, out: np.multiply(
+                m.lip_hi, r, out=out))
             return ratios * self.rifs.ambient.diameter
         spans = self.boxes[:, :, 1] - self.boxes[:, :, 0]
         return np.linalg.norm(spans, axis=1)
 
 
-def _boxes(rifs: Rifs, omega: OmegaSeq, depth: int):
-    """(levels, leaf, image) of the depth-k boxes, for _whole or
-    _chunks."""
+def _boxes(rifs: Rifs, omega: OmegaSeq, depth: int, budget: int):
+    """(levels, leaf, image) of the depth-k boxes, for _whole or _chunks,
+    and the depth-k error bound."""
     if depth < 1:
         raise UsageError("depth must be >= 1")
-    return (_level_maps(rifs, omega, depth),
-            rifs.ambient.as_array()[None, :, :],
-            lambda m, boxes, out=None: m.image_box_array(boxes, out))
+    levels, bound = _levels(rifs, omega, depth, budget)
+    return (levels, rifs.ambient.as_array()[None, :, :],
+            lambda m, boxes, out=None: m.image_box_array(boxes, out)), bound
 
 
-def _points(rifs: Rifs, omega: OmegaSeq, depth: int, seeds):
+def _points(rifs: Rifs, omega: OmegaSeq, depth: int, seeds, budget: int):
     """(levels, leaf, image) of the depth-k images of the seeds."""
     if depth < 0:
         raise UsageError("depth must be >= 0")
-    return (_level_maps(rifs, omega, depth),
+    return (_levels(rifs, omega, depth, budget)[0],
             np.atleast_2d(np.asarray(seeds, dtype=float)),
             lambda m, pts, out=None: m.apply_array(pts, out))
 
@@ -165,9 +153,8 @@ def _points(rifs: Rifs, omega: OmegaSeq, depth: int, seeds):
 def cylinder_cover(rifs: Rifs, omega: OmegaSeq, depth: int,
                    budget: int = DEFAULT_BUDGET) -> CylinderCover:
     """Enumerate all depth-k cylinders along omega."""
-    boxes = _whole(*_boxes(rifs, omega, depth), budget)
-    return CylinderCover(rifs, omega, depth, boxes,
-                         _error_bound(rifs, omega, depth))
+    walk, bound = _boxes(rifs, omega, depth, budget)
+    return CylinderCover(rifs, omega, depth, _whole(*walk), bound)
 
 
 def cylinder_images(rifs: Rifs, omega: OmegaSeq, depth: int, seeds: np.ndarray,
@@ -177,29 +164,29 @@ def cylinder_images(rifs: Rifs, omega: OmegaSeq, depth: int, seeds: np.ndarray,
     Returns (count * len(seeds), dim); each word's block keeps seed order,
     blocks are in lexicographic word order.
     """
-    return _whole(*_points(rifs, omega, depth, seeds), budget)
+    return _whole(*_points(rifs, omega, depth, seeds, budget))
 
 
 _CHUNK_LEAVES = 1 << 15    # most cylinders per chunk of a streamed family
 
 
-def _chunks(levels, leaf, image, budget: int, most=None):
+def _chunks(levels, leaf, image, most=None):
     """The depth-k family grown from `leaf` in word order, one array of
     rows per level-j prefix: the walk every per-cylinder array comes from.
 
     `levels` lists each level's items (maps, or per-map factors) from level
-    1 down; `image(item, batch, out=None)` maps a whole batch into `out` (or
-    a new array laid out as the batch) and returns it.  The count is
-    checked against the budget once, before any row is built; j is the
-    least prefix length whose subtrees have at most `most` cylinders
-    (`_CHUNK_LEAVES` if None).  The levels below j are built once, deepest
+    1 down, for levels `_levels` has checked against the budget; `image(
+    item, batch, out=None)` maps a whole batch into `out` (or a new array
+    laid out as the batch) and returns it.  j is the least prefix length
+    whose subtrees have at most `most` cylinders (`_CHUNK_LEAVES` if
+    None).  The levels below j are built once, deepest
     first, each into one `_family` array (boxes axis-major); each prefix
     maps that family through its items, innermost first, each step into
     one new array.  Every map step is elementwise, so a row's image does
     not depend on the batch it is in, and the chunks concatenate bit for
     bit to the family of j = 0 (`_whole`).
     """
-    leaves = _check_budget(levels, budget)
+    leaves = math.prod(len(items) for items in levels)
     most = _CHUNK_LEAVES if most is None else most
     j = 0
     while leaves > most:
@@ -219,10 +206,10 @@ def _chunks(levels, leaf, image, budget: int, most=None):
         yield batch
 
 
-def _whole(levels, leaf, image, budget: int) -> np.ndarray:
+def _whole(levels, leaf, image) -> np.ndarray:
     """The whole family: the walk of `_chunks` run as one chunk, with
     prefix length 0."""
-    (family,) = _chunks(levels, leaf, image, budget, math.inf)
+    (family,) = _chunks(levels, leaf, image, math.inf)
     return family
 
 
@@ -281,32 +268,50 @@ class _ExactSum:
 def _cover_chunks(rifs: Rifs, omega: OmegaSeq, depth: int,
                   budget: int = DEFAULT_BUDGET):
     """cylinder_cover's boxes, streamed by _chunks."""
-    return _chunks(*_boxes(rifs, omega, depth), budget)
+    return _chunks(*_boxes(rifs, omega, depth, budget)[0])
 
 
 def _image_chunks(rifs: Rifs, omega: OmegaSeq, depth: int, seeds,
                   budget: int = DEFAULT_BUDGET):
     """cylinder_images's points, streamed by _chunks in whole word blocks."""
-    return _chunks(*_points(rifs, omega, depth, seeds), budget)
+    return _chunks(*_points(rifs, omega, depth, seeds, budget))
 
 
-def _level_bounds(rifs: Rifs, omega: OmegaSeq):
+_MAX_DEPTH = 10_000        # deepest level any walk goes down to
+
+
+def _level_bounds(rifs: Rifs, omega: OmegaSeq, budget: int):
     """Yield (maps, bound) for levels 1, 2, ...: the level's maps and the
-    error bound of the cover down to that level, which is the level-1-first
-    product of per-level max lip_hi times the ambient diameter."""
-    scale = 1.0
+    error bound down to it (the level-1-first product of per-level max
+    lip_hi, times the ambient diameter).  Every walk takes its levels from
+    here: before level l is yielded, a cylinder count down to l above the
+    budget, or l above `_MAX_DEPTH`, raises `ResourceError` with that count
+    and the bound down to level l - 1 as the best error."""
+    count, scale, bound = 1, 1.0, rifs.ambient.diameter
     for level in itertools.count(1):
         maps = rifs.system_for_level(omega, level).maps
+        count *= len(maps)
+        if count > budget:
+            raise ResourceError(
+                f"cylinder count {count} at depth {level} exceeds budget "
+                f"{budget}; best achievable error {bound:.6g}",
+                count=count, best_error=bound)
+        if level > _MAX_DEPTH:
+            raise ResourceError(f"depth {level} exceeds {_MAX_DEPTH} levels",
+                                count=count, best_error=bound)
         scale *= max(m.lip_hi for m in maps)
-        yield maps, scale * rifs.ambient.diameter
+        bound = scale * rifs.ambient.diameter
+        yield maps, bound
 
 
-def _error_bound(rifs: Rifs, omega: OmegaSeq, depth: int) -> float:
-    """Hausdorff-metric error bound of the depth-k cover along omega."""
-    bound = rifs.ambient.diameter
-    for _, bound in itertools.islice(_level_bounds(rifs, omega), depth):
-        pass
-    return bound
+def _levels(rifs: Rifs, omega: OmegaSeq, depth: int, budget: int):
+    """The checked maps of levels 1..depth, and the Hausdorff-metric error
+    bound of the depth-k cover along omega."""
+    levels, bound = [], rifs.ambient.diameter
+    for maps, bound in itertools.islice(_level_bounds(rifs, omega, budget),
+                                        depth):
+        levels.append(maps)
+    return levels, bound
 
 
 def resolution_depth(rifs: Rifs, omega: OmegaSeq, target_error: float,
@@ -314,25 +319,11 @@ def resolution_depth(rifs: Rifs, omega: OmegaSeq, target_error: float,
     """Smallest depth (at least 1) whose cover error bound meets the target.
 
     The bound shrinks by each level's largest lip_hi, so the search is pure
-    arithmetic; the cylinder count is still checked against the budget.
+    arithmetic over the levels `_level_bounds` checks.
     """
     if not target_error > 0.0:         # NaN fails the compare too
         raise UsageError("target error must be > 0")
-    bound = rifs.ambient.diameter
-    count = 1
-    for depth, (maps, next_bound) in enumerate(_level_bounds(rifs, omega), 1):
-        count *= len(maps)
-        if count > budget:
-            raise ResourceError(
-                f"cylinder count {count} at depth {depth} exceeds "
-                f"budget {budget} before reaching error {target_error:.6g}; "
-                f"best achievable error {bound:.6g}",
-                count=count, best_error=bound)
-        bound = next_bound
-        if depth > 10_000:
-            raise ResourceError(
-                "contraction too weak to reach target error",
-                best_error=bound)
+    for depth, (_, bound) in enumerate(_level_bounds(rifs, omega, budget), 1):
         if bound <= target_error:
             return depth
 
@@ -354,7 +345,7 @@ def attractor_points(rifs: Rifs, omega: OmegaSeq, target_error: float,
     bound of the attractor in the Hausdorff metric.
     """
     depth = resolution_depth(rifs, omega, target_error, budget)
-    bound = _error_bound(rifs, omega, depth)
+    bound = _levels(rifs, omega, depth, budget)[1]
     center = np.asarray(rifs.ambient.center)[None, :]
     pts = cylinder_images(rifs, omega, depth, center, budget)
     return AttractorPoints(pts, depth, bound)
@@ -553,15 +544,15 @@ def continuity_probe(rifs: Rifs, omega: OmegaSeq, k: int,
         raise UsageError("probe depth must be >= splice depth k")
     center = np.asarray(rifs.ambient.center)[None, :]
     base = _SweepSet(cylinder_images(rifs, omega, depth, center, budget))
-    base_err = _error_bound(rifs, omega, depth)
-    splice_err = _error_bound(rifs, omega, k)
+    base_err = _levels(rifs, omega, depth, budget)[1]
+    splice_err = _levels(rifs, omega, k, budget)[1]
     rows = []
     for tail in tails:
         spliced = splice(omega, k, tail)
         d_om = omega_distance(omega, spliced)
         pts = cylinder_images(rifs, spliced, depth, center, budget)
         d_h = _hausdorff(base, _SweepSet(pts))
-        err = max(base_err, _error_bound(rifs, spliced, depth))
+        err = max(base_err, _levels(rifs, spliced, depth, budget)[1])
         bound = 2.0 * splice_err + 2.0 * err
         rows.append(ProbeRow(tail, d_om, d_h, bound))
     return rows

@@ -25,7 +25,7 @@ from .config import (ExperimentConfig, _check_keys, _int_field, _parse_gauge,
 from .dimension import (carpet_dimension_curve, minimize_carpet_dimension,
                         random_carpet_dimension,
                         randomized_similarity_dimension)
-from .errors import UsageError
+from .errors import ResourceError, UsageError
 from .measure import CylinderMeasure, mdp_bounds
 from .model import (DEFAULT_BUDGET, BernoulliSampler, _ExactSum,
                     _image_chunks, resolution_depth, sample_omega)
@@ -53,6 +53,13 @@ def _seq_text(seq) -> str:
     # space-separated to stay comma-free inside CSV cells
     return (" ".join(str(s) for s in seq.prefix) + "|"
             + " ".join(str(s) for s in seq.cycle))
+
+
+def _charge(size: int, what: str, budget: int) -> None:
+    """Refuse a size a run asks for above the budget, before anything of
+    that size is allocated."""
+    if size > budget:
+        raise ResourceError(f"{what} exceeds budget {budget}", count=size)
 
 
 def _parse_dim(obj, path, n_systems, dim, all_carpets) -> dict:
@@ -96,6 +103,7 @@ def _parse_curve(obj, path, n_systems, dim, all_carpets) -> dict:
 def _task_curve(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
     grid = params["grid"]
+    _charge(grid, f"curve grid of {grid} points", budget)
     ps = [i / (grid - 1) for i in range(grid)]
     curve = carpet_dimension_curve(list(cfg.carpets),
                                    [(p, 1.0 - p) for p in ps])
@@ -132,6 +140,12 @@ def _parse_boxdim(obj, path, n_systems, dim, all_carpets) -> dict:
              for i, e in enumerate(exps)]
     if any(b <= a for a, b in zip(evals, evals[1:])):
         raise _semantic(f"{lpath}.exponents", "must be strictly increasing")
+    for i, e in enumerate(evals):
+        # below 2^-1100 a rung rounds to 0; the first test keeps an e
+        # beyond the float range out of the power
+        if e > 1100 / math.log2(base) or base ** -e == 0.0:
+            raise _semantic(f"{lpath}.exponents[{i}]",
+                            "base ** -exponent rounds to 0")
     return {"deltas": tuple(base ** -e for e in evals)}
 
 
@@ -214,12 +228,14 @@ def _parse_render(obj, path, n_systems, dim, all_carpets) -> dict:
 
 def _task_render(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
+    width, height = params["width"], params["height"]
+    _charge(width * height, f"canvas of {width}x{height} pixels", budget)
     depth = params.get("depth") or resolution_depth(
         cfg.rifs, cfg.omega, params["target_error"], budget)
     center = np.asarray(cfg.ambient.center)[None, :]
     colours = {k: params[k] for k in ("foreground", "background")
                if k in params}
-    spec = RenderSpec(params["width"], params["height"], **colours)
+    spec = RenderSpec(width, height, **colours)
     chunks = _image_chunks(cfg.rifs, cfg.omega, depth, center, budget)
     return [(params["output"], _paint_ppm(chunks, spec, cfg.ambient))]
 
@@ -285,8 +301,10 @@ def _parse_sample(obj, path, n_systems, dim, all_carpets) -> dict:
 
 def _task_sample(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
+    horizon = params["horizon"]
+    _charge(horizon, f"horizon of {horizon} symbols", budget)
     sampler = BernoulliSampler(tuple(params["weights"]), cfg.seed)
-    seq = sample_omega(sampler, params["horizon"])
+    seq = sample_omega(sampler, horizon)
     rows = [(i + 1, sym) for i, sym in enumerate(seq.prefix)]
     return [(params["output"], _csv(("index", "symbol"), rows))]
 

@@ -30,16 +30,21 @@ def cookie_cfg():
 
 @pytest.fixture
 def run_cli():
-    """Invoke the CLI in a subprocess with a clean budget environment."""
+    """Invoke the CLI in a subprocess with a clean budget environment.
 
-    def _run(*args, env_extra=None, cwd=None):
+    A run still going after `timeout` seconds raises
+    `subprocess.TimeoutExpired`, so a hang fails its test.
+    """
+
+    def _run(*args, env_extra=None, cwd=None, timeout=120):
         env = dict(os.environ)
         env.pop("RIFSLAB_BUDGET", None)
         if env_extra:
             env.update(env_extra)
         return subprocess.run(
             [sys.executable, "-m", "rifslab", *args],
-            capture_output=True, text=True, env=env, cwd=cwd)
+            capture_output=True, text=True, env=env, cwd=cwd,
+            timeout=timeout)
 
     return _run
 

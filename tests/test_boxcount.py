@@ -362,13 +362,13 @@ def test_estimate_rejects_bad_ladders(cantor_cfg):
 def test_estimate_checks_ladder_order_before_any_cover(cantor_cfg,
                                                       monkeypatch):
     calls = []
-    real_cover = boxcount._cover_chunks
+    real_walk = boxcount._chunks
 
-    def counting_cover(*args, **kwargs):
+    def counting_walk(*args, **kwargs):
         calls.append(args)
-        return real_cover(*args, **kwargs)
+        return real_walk(*args, **kwargs)
 
-    monkeypatch.setattr(boxcount, "_cover_chunks", counting_cover)
+    monkeypatch.setattr(boxcount, "_chunks", counting_walk)
     for ladder in ([1 / 9, 1 / 3], [1 / 3, 1 / 9, 1 / 9]):
         with pytest.raises(UsageError, match="strictly decreasing"):
             estimate_box_dims(cantor_cfg.rifs, cantor_cfg.omega, ladder)

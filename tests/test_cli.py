@@ -1,4 +1,8 @@
+import json
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from rifslab import cli, corpus_path, tasks
 
@@ -66,6 +70,63 @@ def test_budget_flag_overrides_env(run_cli, tmp_path):
                   env_extra={"RIFSLAB_BUDGET": "10"})
     assert res.returncode == 0
     assert (tmp_path / "render.ppm").exists()
+
+
+def patched_corpus(tmp_path, name, **fields):
+    """A copy of a bundled config with task fields replaced."""
+    doc = json.loads(Path(corpus_path(name)).read_text())
+    doc["task"].update(fields)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def limit_line(res):
+    """The one resource-limit line of a refused run, after its start line."""
+    err = res.stderr.splitlines()
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert len(err) == 2 and err[0].startswith("rifslab: running")
+    return err[1]
+
+
+def test_deep_render_is_refused_in_one_line(run_cli, tmp_path):
+    # the count is checked level by level, so depth 10^5 stops at the first
+    # level over budget, without a 10^5-level list or a huge count
+    res = run_cli("run", patched_corpus(tmp_path, "pictorial-a",
+                                        depth=100_000),
+                  "--out", str(tmp_path / "out"), timeout=20)
+    assert limit_line(res) == (
+        "rifslab: resource limit: cylinder count 15116544 at depth 18 "
+        "exceeds budget 10000000; best achievable error 1.41421")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, field, what", [
+    ("cantor-render", "width", f"canvas of {10 ** 30}x1 pixels"),
+    ("sample", "horizon", f"horizon of {10 ** 30} symbols"),
+    ("carpet-curve", "grid", f"curve grid of {10 ** 30} points"),
+])
+def test_run_sizes_beyond_the_budget_are_refused(run_cli, tmp_path, name,
+                                                 field, what):
+    res = run_cli("run", patched_corpus(tmp_path, name, **{field: 10 ** 30}),
+                  "--out", str(tmp_path), timeout=20)
+    assert limit_line(res) == (
+        f"rifslab: resource limit: {what} exceeds budget 10000000")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_validate_catches_a_ladder_rung_that_rounds_to_zero(run_cli,
+                                                            tmp_path,
+                                                            command):
+    path = patched_corpus(tmp_path, "cookie-boxdim",
+                          ladder={"base": 2, "exponents": [2, 10 ** 400]})
+    extra = ("--out", str(tmp_path)) if command == "run" else ()
+    res = run_cli(command, path, *extra, timeout=20)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.rstrip().endswith(
+        ".ladder.exponents[1]: base ** -exponent rounds to 0")
 
 
 def test_malformed_budget_env(run_cli, tmp_path):

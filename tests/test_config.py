@@ -224,6 +224,19 @@ def test_boxdim_ladder_checks():
         parse_config(d)
 
 
+def test_boxdim_ladder_rungs_must_be_positive_floats():
+    # 2^-1074 is the least positive float; a rung below it rounds to 0, and
+    # 10^400 is beyond the float range before the power is taken
+    d = doc(task={"type": "boxdim",
+                  "ladder": {"base": 2, "exponents": [1, 1074]}})
+    assert parse_config(d).task.params["deltas"] == (0.5, 2.0 ** -1074)
+    for big in (1075, 2000, 10 ** 400):
+        d["task"]["ladder"] = {"base": 2, "exponents": [1, big, big + 1]}
+        with pytest.raises(ConfigSemanticError, match=re.escape(
+                "task.ladder.exponents[1]: base ** -exponent rounds to 0")):
+            parse_config(d)
+
+
 def test_render_task_needs_a_stopping_rule():
     d = doc(task={"type": "render", "width": 8, "height": 8})
     with pytest.raises(ConfigSchemaError,

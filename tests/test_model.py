@@ -142,7 +142,8 @@ def test_cylinder_budget_enforced():
     om = OmegaSeq((), (2,))
     with pytest.raises(ResourceError) as exc:
         cylinder_cover(rifs, om, 10, budget=100)
-    assert exc.value.count == 3 ** 10
+    # the count at the first level over budget: 3^4 = 81 fits, 3^5 does not
+    assert exc.value.count == 3 ** 5
 
 
 def _streamed_count(rifs, om, k, budget):
@@ -325,7 +326,8 @@ def test_flipped_axes_walk_equals_contiguous_maps(data):
     assert np.all(want[:, :, 0] <= want[:, :, 1])     # flipped ends swap
     got = cylinder_cover(rifs, om, depth).boxes
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    sizes = [len(maps) for maps in model._level_maps(rifs, om, depth)]
+    sizes = [len(rifs.system_for_level(om, level).maps)
+             for level in range(1, depth + 1)]
     for j in (0, 1, 2):
         # chunks of the leaves below level j: a walk of j prefix levels
         with pytest.MonkeyPatch.context() as mp:
@@ -374,6 +376,57 @@ def test_resolution_depth_reports_best_error_on_budget():
     # 2^6 = 64 fits, 2^7 = 128 does not
     assert exc.value.count == 128
     assert exc.value.best_error == pytest.approx(THIRD ** 6)
+
+
+def test_walks_and_resolution_depth_refuse_the_same_level():
+    # one level walk checks both: the first level over budget, with the
+    # error bound of the level above it
+    rifs = cantor_rifs()
+    om = OmegaSeq((), (1,))
+    with pytest.raises(ResourceError) as by_target:
+        resolution_depth(rifs, om, 1e-6, budget=100)
+    with pytest.raises(ResourceError) as by_depth:
+        cylinder_cover(rifs, om, 12, budget=100)
+    for exc in (by_target, by_depth):
+        assert exc.value.count == 128
+        assert exc.value.best_error == cylinder_cover(rifs, om, 6).error_bound
+        assert str(exc.value) == ("cylinder count 128 at depth 7 exceeds "
+                                  "budget 100; best achievable error "
+                                  "0.00137174")
+
+
+def one_map_rifs():
+    # 0.999^10000 is about 4.5e-5, so 1e-6 needs more than 10,000 levels
+    slow = DeterministicIfs((Similarity(0.999, (0.0,)),), "slow")
+    return Rifs((slow,), unit_box(1))
+
+
+def test_depth_limit_is_ten_thousand_levels():
+    om = OmegaSeq((), (1,))
+    assert cylinder_cover(one_map_rifs(), om, 10_000).count == 1
+    for build in (lambda: cylinder_cover(one_map_rifs(), om, 10_001),
+                  lambda: resolution_depth(one_map_rifs(), om, 1e-6)):
+        with pytest.raises(ResourceError,
+                           match="^depth 10001 exceeds 10000 levels$"):
+            build()
+
+
+def test_deep_one_map_cover_is_refused_at_once(run_isolated):
+    # one map per level never raises the count, so only the depth limit
+    # stops the walk, before it builds a level list a million long
+    code = """
+from rifslab import (DeterministicIfs, OmegaSeq, ResourceError, Rifs,
+                     Similarity, cylinder_cover, unit_box)
+rifs = Rifs((DeterministicIfs((Similarity(0.999, (0.0,)),), "slow"),),
+            unit_box(1))
+try:
+    cylinder_cover(rifs, OmegaSeq((), (1,)), 10 ** 6)
+except ResourceError as exc:
+    print(exc)
+"""
+    res = run_isolated(code, timeout=2)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "depth 10001 exceeds 10000 levels"
 
 
 def test_attractor_points_certificate():

@@ -9,8 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rifslab import (PowerGauge, PowerLogGauge, TableGauge, cylinder_images,
-                     load_corpus, render_ppm, resolution_depth, splice, tasks)
+from rifslab import (PowerGauge, PowerLogGauge, ResourceError, TableGauge,
+                     cylinder_images, load_corpus, render_ppm,
+                     resolution_depth, splice, tasks)
 from rifslab import model
 from rifslab.render import RenderSpec
 
@@ -94,6 +95,21 @@ def test_render_task_colours_default_to_render_spec(colours, monkeypatch):
                       spec, cfg.ambient)
     (_, data), = tasks.TASKS["render"].handler(cfg, model.DEFAULT_BUDGET)
     assert data == want
+
+
+@pytest.mark.parametrize("name, size", [
+    ("cantor-render", lambda p: p["width"] * p["height"]),
+    ("sample", lambda p: p["horizon"]),
+    ("carpet-curve", lambda p: p["grid"]),
+], ids=["render-pixels", "sample-horizon", "curve-grid"])
+def test_run_sizes_are_charged_to_the_budget(name, size):
+    cfg = load_corpus(name)
+    handler = tasks.TASKS[cfg.task.type].handler
+    need = size(cfg.task.params)
+    assert handler(cfg, need)
+    with pytest.raises(ResourceError, match="exceeds budget") as exc:
+        handler(cfg, need - 1)
+    assert exc.value.count == need
 
 
 def test_splice_demo_holds_one_chunk():
