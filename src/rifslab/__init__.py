@@ -23,7 +23,7 @@ from .errors import (ConfigError, ConfigParseError, ConfigSchemaError,
                      ConfigSemanticError, GeometryDomainError, ResourceError,
                      RifsError, UnsupportedShapeError, UsageError)
 from .geometry import (Affine2, AmbientBox, ClosedFormMap, ContractionMap,
-                       MapComposition, Similarity, compose, unit_box)
+                       Similarity, unit_box)
 from .measure import (CylinderMeasure, DoublingReport, Gauge, MdpReport,
                       PackingReport, PowerGauge, PowerLogGauge, TableGauge,
                       check_msc_grid, cylinder_mass, doubling_constants,
@@ -47,15 +47,15 @@ __all__ = [
     "ConfigSemanticError", "ContractionMap", "CylinderCover",
     "CylinderMeasure", "DEFAULT_BUDGET", "DeterministicIfs",
     "DimensionReport", "DoublingReport", "ExperimentConfig", "Gauge",
-    "GeometryDomainError", "GrowthReport", "MapComposition",
-    "MdpReport", "OmegaSeq", "PackingReport", "PowerGauge", "PowerLogGauge",
+    "GeometryDomainError", "GrowthReport", "MdpReport", "OmegaSeq",
+    "PackingReport", "PowerGauge", "PowerLogGauge",
     "ProbeRow", "RenderSpec", "ResourceError", "Rifs", "RifsError",
     "Similarity", "TableGauge", "TaskSpec", "UnsupportedShapeError",
     "UsageError", "attractor_points",
     "bedford_mcmullen_dimension", "carpet_dimension_curve", "carpet_system",
     "check_growth_conditions", "check_msc_grid", "check_uosc_grid",
-    "compose", "continuity_probe", "corpus_entries", "corpus_names",
-    "corpus_path", "count_boxes", "cylinder_cover", "cylinder_images",
+    "continuity_probe", "corpus_entries", "corpus_names", "corpus_path",
+    "count_boxes", "cylinder_cover", "cylinder_images",
     "cylinder_mass", "doubling_constants", "estimate_box_dims",
     "extremal_ss_bounds", "hausdorff_distance", "hausdorff_upper_bound",
     "level_masses", "load_config", "load_corpus", "mdp_bounds",

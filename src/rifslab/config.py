@@ -37,6 +37,18 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed and validated experiment config.
+
+    `version` is the schema version (always 1), `description` the config's
+    free text, `ambient` the box every map must keep, `systems` the IFSs in
+    config order (omega's index i is `systems[i - 1]`), `carpets` per
+    system its grid carpet, or None for a system of explicit maps, `omega`
+    the index sequence, `seed` the random seed (>= 0), `task` the task and
+    its parsed fields, and `rifs` the systems on the ambient box, each map
+    checked to keep the box.  Nothing here is computed, so nothing is
+    certified beyond the parsing and those checks.
+    """
+
     version: int
     description: str
     ambient: AmbientBox

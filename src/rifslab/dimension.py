@@ -25,6 +25,16 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DimensionReport:
+    """A dimension solved as the root of a decreasing equation.
+
+    `value` is the bisection root, `equation` names the equation
+    ("hutchinson" or "hutchinson_randomized"), `residual` is the equation's
+    value at the root, at most `RESIDUAL_TOL` in size, and `bracket` is the
+    search interval, always `BRACKET`.  None of these is certified: a small
+    residual does not bound the root's error, and the bracket is the start
+    of the search, not an interval known to hold the root.
+    """
+
     value: float
     equation: str
     residual: float
@@ -255,6 +265,16 @@ def extremal_ss_bounds(rifs: "Rifs") -> tuple[float, float, tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class GrowthReport:
+    """Per-system level factors at exponents h and p.
+
+    `factors_minus[i]` is Phi-_i(h), the sum over system i + 1's maps of
+    lip_lo ** h, and `factors_plus[i]` is Phi+_i(p), the sum of lip_hi ** p.
+    `lip_minus_witness` is the first system (1-based) with Phi- > 1 and
+    `lip_plus_witness` the first with Phi+ < 1, or None.  The factors are
+    float sums of the declared bounds' powers, each rounded to nearest, so
+    a factor within rounding of 1 certifies neither witness.
+    """
+
     h: float
     p: float
     factors_minus: tuple[float, ...]

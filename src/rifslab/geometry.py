@@ -3,8 +3,7 @@
 Everything downstream (cylinder covers, dimension solvers, measures) sits on
 top of three map kinds: exact similarities, 2x2 affine maps, and a closed
 catalog of nonlinear maps given by explicit formulas.  Maps carry declared
-bi-Lipschitz bounds; compositions track the product bounds, which are upper
-bounds for Lip+ and lower bounds for Lip-.
+bi-Lipschitz bounds.
 """
 
 from __future__ import annotations
@@ -233,9 +232,19 @@ def _arch(t):
 
 @dataclass(frozen=True)
 class _Entry:
+    """One closed-form map of the catalog.
+
+    `lip_lo` and `lip_hi` are its declared bi-Lipschitz bounds, from which
+    every error bound is certified (the tests keep a sampled check of
+    them).  `axes` holds, per output axis, the ordered one-variable terms
+    (input axis, fn, turning point or None) whose sum is that coordinate;
+    an image box adds each term's range over the box, taken from its values
+    at the box ends and at a turning point inside.
+    """
+
     lip_lo: float
     lip_hi: float
-    axes: tuple   # per output axis, the terms (input axis, fn, turn) in order
+    axes: tuple
 
 
 def _x(fn, turn=None):
@@ -329,46 +338,3 @@ class ClosedFormMap(ContractionMap):
 
     def describe(self) -> str:
         return f"closed_form({self.name})"
-
-
-@dataclass(frozen=True)
-class MapComposition:
-    """Ordered composition; factors apply right to left, as written."""
-
-    factors: tuple[ContractionMap, ...]
-    lip_lo_bound: float
-    lip_hi_bound: float
-
-    @property
-    def dim(self) -> int:
-        return self.factors[0].dim
-
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        for m in reversed(self.factors):
-            pts = m.apply_array(pts)
-        return pts
-
-    def image_box_array(self, boxes: np.ndarray) -> np.ndarray:
-        for m in reversed(self.factors):
-            boxes = m.image_box_array(boxes)
-        return boxes
-
-
-def compose(maps) -> MapComposition:
-    """Compose maps left-to-right-outermost, multiplying the Lip bounds.
-
-    Lip+ is submultiplicative and Lip- is supermultiplicative, so the products
-    bound the composite from the correct sides.
-    """
-    maps = tuple(maps)
-    if not maps:
-        raise UsageError("cannot compose an empty list of maps")
-    dims = {m.dim for m in maps}
-    if len(dims) != 1:
-        raise UsageError("cannot compose maps of different dimensions")
-    lo = 1.0
-    hi = 1.0
-    for m in maps:
-        lo *= m.lip_lo
-        hi *= m.lip_hi
-    return MapComposition(maps, lo, hi)

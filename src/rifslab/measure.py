@@ -183,6 +183,15 @@ def hausdorff_upper_bound(cover, g: Gauge) -> float:
 
 @dataclass(frozen=True)
 class PackingReport:
+    """A greedy packing of a finite point set at separation delta.
+
+    `count` is the size of a subset whose points lie pairwise more than
+    `delta` apart (exact for the given points, though not always the largest
+    such subset), and `gauge_value` is count * G(delta).  It bounds the
+    packing sum of the given points from below, not of the attractor they
+    approximate.
+    """
+
     count: int
     delta: float
     gauge_value: float

@@ -278,15 +278,18 @@ def _image_chunks(rifs: Rifs, omega: OmegaSeq, depth: int, seeds,
 
 
 _MAX_DEPTH = 10_000        # deepest level any walk goes down to
+_LEAST = math.ulp(0.0)     # least positive float: no bound rounds below it
 
 
 def _level_bounds(rifs: Rifs, omega: OmegaSeq, budget: int):
     """Yield (maps, bound) for levels 1, 2, ...: the level's maps and the
     error bound down to it (the level-1-first product of per-level max
-    lip_hi, times the ambient diameter).  Every walk takes its levels from
-    here: before level l is yielded, a cylinder count down to l above the
-    budget, or l above `_MAX_DEPTH`, raises `ResourceError` with that count
-    and the bound down to level l - 1 as the best error."""
+    lip_hi, times the ambient diameter; the product and the bound are each
+    kept at or above the least positive float, so neither underflows to
+    0).  Every walk takes its levels from here: before level l is yielded,
+    a cylinder count down to l above the budget, or l above `_MAX_DEPTH`,
+    raises `ResourceError` with that count and the bound down to level
+    l - 1 as the best error."""
     count, scale, bound = 1, 1.0, rifs.ambient.diameter
     for level in itertools.count(1):
         maps = rifs.system_for_level(omega, level).maps
@@ -299,8 +302,8 @@ def _level_bounds(rifs: Rifs, omega: OmegaSeq, budget: int):
         if level > _MAX_DEPTH:
             raise ResourceError(f"depth {level} exceeds {_MAX_DEPTH} levels",
                                 count=count, best_error=bound)
-        scale *= max(m.lip_hi for m in maps)
-        bound = scale * rifs.ambient.diameter
+        scale = max(scale * max(m.lip_hi for m in maps), _LEAST)
+        bound = max(scale * rifs.ambient.diameter, _LEAST)
         yield maps, bound
 
 
@@ -330,6 +333,16 @@ def resolution_depth(rifs: Rifs, omega: OmegaSeq, target_error: float,
 
 @dataclass(frozen=True)
 class AttractorPoints:
+    """One point per depth-k cylinder, within a certified distance of the
+    attractor.
+
+    `points` has shape (count, dim): the image of the ambient center under
+    each depth-`depth` composition, in word order.  `error_bound` is the
+    cover's bound on the Hausdorff distance between these points and the
+    attractor, taken from the declared Lipschitz bounds; it is the certified
+    value, though it is rounded to nearest, not up.
+    """
+
     points: np.ndarray
     depth: int
     error_bound: float
@@ -497,6 +510,13 @@ def hausdorff_distance(a, b) -> float:
 
 @dataclass(frozen=True)
 class BernoulliSampler:
+    """I.i.d. draws of 1-based system indices.
+
+    `weights` holds one probability per system (non-negative, summing to 1
+    within 1e-12) and `seed` seeds the PCG64 stream, so the same pair always
+    draws the same symbols.  The draws are random, not certified.
+    """
+
     weights: tuple[float, ...]
     seed: int
 
@@ -526,6 +546,18 @@ def sample_omega(sampler: BernoulliSampler, horizon: int) -> OmegaSeq:
 
 @dataclass(frozen=True)
 class ProbeRow:
+    """One spliced tail of a continuity probe.
+
+    `tail` is the sequence spliced in after k symbols, `d_omega` the
+    ultrametric distance from omega to the spliced sequence, and
+    `d_hausdorff` the exact Hausdorff distance between the two point
+    approximations at the probe depth (finite sets, not the attractors).
+    `bound` is 2 * (the error bound down to depth k) + 2 * (the larger of
+    the two sequences' error bounds at the probe depth), all from the
+    declared Lipschitz bounds: the certified bound `d_hausdorff` stays
+    under.
+    """
+
     tail: OmegaSeq
     d_omega: float
     d_hausdorff: float

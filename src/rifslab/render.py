@@ -35,6 +35,10 @@ def _check_rgb(name: str, rgb) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class RenderSpec:
+    """Canvas size in pixels (whole numbers, at least 1x1) and the RGB
+    triples, each channel 0..255, of painted and empty pixels.  A raster
+    certifies nothing."""
+
     width: int
     height: int
     foreground: tuple[int, int, int] = _BLACK

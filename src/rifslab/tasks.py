@@ -258,6 +258,10 @@ def _parse_splice_demo(obj, path, n_systems, dim, all_carpets) -> dict:
 
 def _task_splice_demo(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
+    # every depth d is walked from the root, d levels
+    max_depth = params["max_depth"]
+    levels = max_depth * (max_depth + 1) // 2
+    _charge(levels, f"splice-demo depth sweep of {levels} levels", budget)
     eps = params["epsilon"]
     k = max(0, math.ceil(math.log2(1.0 / eps)))
     tail = params["tail"]
@@ -268,7 +272,7 @@ def _task_splice_demo(cfg: ExperimentConfig, budget: int):
     n_seeds = seeds.shape[0]
     spliced_text = _seq_text(spliced)
     rows = []
-    for depth in range(1, params["max_depth"] + 1):
+    for depth in range(1, max_depth + 1):
         # one chunk of points is held; its gauge values are summed exactly
         mass = _ExactSum()
         count = 0

@@ -1,4 +1,7 @@
+import gc
 import json
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -115,6 +118,30 @@ def test_run_sizes_beyond_the_budget_are_refused(run_cli, tmp_path, name,
         f"rifslab: resource limit: {what} exceeds budget 10000000")
 
 
+def test_long_splice_sweep_is_refused_at_once(run_cli, tmp_path):
+    # each depth is walked from the root, so max_depth 10,000 asks for
+    # 50,005,000 levels; a one-map system never raises the cylinder count
+    doc = {
+        "version": 1, "description": "one-map splice sweep",
+        "ambient": {"lo": [0], "hi": [1]},
+        "systems": [{"label": "half", "maps": [
+            {"kind": "similarity", "ratio": "1/2", "translation": [0]}]}],
+        "omega": {"prefix": [], "cycle": [1]},
+        "task": {"type": "splice-demo", "epsilon": "1/2",
+                 "tail": {"prefix": [], "cycle": [1]},
+                 "seed_set": [[0], [1]], "gauge": {"type": "power", "s": 1},
+                 "max_depth": 10_000, "output": "splice.csv"},
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("run", str(path), "--out", str(tmp_path / "out"),
+                  timeout=20)
+    assert limit_line(res) == (
+        "rifslab: resource limit: splice-demo depth sweep of 50005000 "
+        "levels exceeds budget 10000000")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_validate_catches_a_ladder_rung_that_rounds_to_zero(run_cli,
                                                             tmp_path,
@@ -173,3 +200,34 @@ def test_memory_error_exits_with_resource_limit(monkeypatch, tmp_path,
     assert err[-1] == ("rifslab: resource limit: out of memory: "
                        "Unable to allocate 2.51 GiB for an array")
     assert not any("Traceback" in line for line in err)
+
+
+def test_module_launcher_freezes_the_heap_before_exit():
+    # the atexit hook is registered before the CLI runs, so it runs last
+    code = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("freeze count", gc.get_freeze_count()))
+sys.argv = ["rifslab", "corpus", "list"]
+runpy.run_module("rifslab", run_name="__main__", alter_sys=True)
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "cantor" in res.stdout
+    last = res.stdout.splitlines()[-1]
+    assert last.startswith("freeze count ")
+    assert int(last.split()[-1]) > 0
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["corpus", "list"]) == 0
+    assert "cantor" in capsys.readouterr().out
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_takes_the_entry():
+    tomllib = pytest.importorskip("tomllib")    # 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert meta["project"]["scripts"]["rifslab"] == "rifslab.cli:entry"

@@ -6,13 +6,15 @@ import pytest
 from rifslab import (CarpetSpec, GeometryDomainError, OmegaSeq,
                      UnsupportedShapeError, UsageError,
                      bedford_mcmullen_dimension, carpet_dimension_curve,
-                     check_growth_conditions, check_uosc_grid, compose,
+                     check_growth_conditions, check_uosc_grid,
                      extremal_ss_bounds, minimize_carpet_dimension,
                      random_carpet_dimension,
                      randomized_similarity_dimension, similarity_dimension)
 from rifslab.dimension import check_weights
 from rifslab.model import DeterministicIfs, Rifs
 from rifslab.geometry import Similarity, unit_box
+
+from composition import compose
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 

@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rifslab import (Affine2, AmbientBox, ClosedFormMap, Similarity,
-                     UsageError, compose, unit_box)
+                     UsageError, unit_box)
 from rifslab.geometry import CLOSED_FORMS
+
+from composition import compose
 
 
 def _corners(box):

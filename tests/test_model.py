@@ -12,10 +12,12 @@ from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure, OmegaSeq,
                      cylinder_images, hausdorff_distance, level_masses,
                      resolution_depth, sample_omega, splice)
 from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
-                              compose, unit_box)
+                              unit_box)
 from rifslab import model
 from rifslab.model import (DeterministicIfs, _ExactSum, _SweepSet, _TILT,
                            _cover_chunks, _image_chunks, _directed_sq_sweep)
+
+from composition import compose
 
 THIRD = 1.0 / 3.0
 
@@ -427,6 +429,31 @@ except ResourceError as exc:
     res = run_isolated(code, timeout=2)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "depth 10001 exceeds 10000 levels"
+
+
+def halving_rifs(ambient):
+    return Rifs((DeterministicIfs((Similarity(0.5, (0.0,)),), "half"),),
+                ambient)
+
+
+def test_error_bound_never_underflows_to_zero():
+    # 2^-1075 rounds to 0.0; the bound stays at the least positive float
+    om = OmegaSeq((), (1,))
+    rifs = halving_rifs(unit_box(1))
+    assert cylinder_cover(rifs, om, 1074).error_bound == 2.0 ** -1074
+    assert cylinder_cover(rifs, om, 1075).error_bound == math.ulp(0.0)
+    with pytest.raises(ResourceError) as refused:
+        cylinder_cover(rifs, om, 10 ** 6)
+    assert refused.value.best_error == math.ulp(0.0)
+
+
+def test_error_bound_on_a_huge_box_keeps_its_scale():
+    # the level product 2^-1100 underflows on its own, yet times the 1e300
+    # diameter the bound is about 7e-32; a product that dropped to 0 would
+    # leave only the least positive float, which understates it
+    rifs = halving_rifs(AmbientBox((0.0,), (1e300,)))
+    bound = cylinder_cover(rifs, OmegaSeq((), (1,)), 1100).error_bound
+    assert bound >= math.ldexp(1e300, -1100)
 
 
 def test_attractor_points_certificate():

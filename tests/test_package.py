@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import pkgutil
@@ -13,8 +14,10 @@ def test_public_names_resolve():
     names = rifslab.__all__
     assert [n for n in names if not hasattr(rifslab, n)] == []
     assert len(set(names)) == len(names)
-    # the sampled Lipschitz check and the one-point apply live in the tests
-    for gone in ("apply", "validate_lip_bounds", "LipValidation"):
+    # the sampled Lipschitz check, the one-point apply and the explicit
+    # composition oracle live in the tests
+    for gone in ("apply", "validate_lip_bounds", "LipValidation",
+                 "compose", "MapComposition"):
         assert gone not in names
         assert not hasattr(rifslab, gone)
 
@@ -30,12 +33,16 @@ def module_map_names() -> list[str]:
             if Path(n).suffix not in (".py", ".json", ".toml", ".md")]
 
 
-def test_module_map_names_resolve():
-    # every submodule imported, so each is an attribute of rifslab;
+def submodules():
     # __main__ runs the CLI on import
-    roots = [rifslab] + [importlib.import_module(f"rifslab.{info.name}")
-                         for info in pkgutil.iter_modules(rifslab.__path__)
-                         if info.name != "__main__"]
+    return [importlib.import_module(f"rifslab.{info.name}")
+            for info in pkgutil.iter_modules(rifslab.__path__)
+            if info.name != "__main__"]
+
+
+def test_module_map_names_resolve():
+    # every submodule imported, so each is an attribute of rifslab
+    roots = [rifslab] + submodules()
 
     def resolves(name):
         for root in roots:
@@ -49,3 +56,13 @@ def test_module_map_names_resolve():
     names = module_map_names()
     assert len(names) >= 25
     assert [n for n in names if not resolves(n)] == []
+
+
+def test_every_dataclass_has_its_own_docstring():
+    # without one, dataclasses fills __doc__ with the generated signature
+    records = [cls for module in submodules() for cls in vars(module).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and cls.__module__ == module.__name__]
+    assert len(records) >= 20
+    assert [cls.__qualname__ for cls in records
+            if cls.__doc__.startswith(f"{cls.__name__}(")] == []
