@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -277,8 +278,11 @@ class BoxCountTable:
 
 @dataclass(frozen=True)
 class BoxDimEstimate:
-    """Per-rung exponents log N / log(1/delta), the least-squares slope over
-    the trailing window, and the min/max exponent over that window."""
+    """Per-rung exponents log N / log(1/delta), the least-squares slope of
+    log N against log(1/delta) over the trailing window, and the min/max
+    exponent over that window.  The slope is the exact least-squares
+    slope of those float logs, taken as rationals and rounded once; a
+    window with a single log(1/delta) gives the last exponent instead."""
 
     lower_est: float
     upper_est: float
@@ -286,6 +290,16 @@ class BoxDimEstimate:
     exponents: tuple[float, ...]
     depths: tuple[int, ...]
     window: tuple[int, int]
+
+
+def _lsq_slope(xs, ys) -> float:
+    """Least-squares slope of the points (xs, ys), taken exactly from the
+    floats as rationals and rounded once."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    sxx = sum(x * x for x in xs)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    return float((n * sxy - sx * sy) / (n * sxx - sx * sx))
 
 
 def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
@@ -323,12 +337,11 @@ def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
     start = n // 2 if n >= 4 else 0
     window = (start, n)
     tail = exps[start:]
-    if n - start >= 2:
-        xs = [-math.log(d) for d, _ in rows[start:]]
-        ys = [math.log(c) for _, c in rows[start:]]
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = exps[-1]
+    xs = [-math.log(d) for d, _ in rows[start:]]
+    ys = [math.log(c) for _, c in rows[start:]]
+    # a window of one rung, or of deltas whose logs round alike, has no
+    # slope; it gives the last exponent
+    slope = _lsq_slope(xs, ys) if len(set(xs)) > 1 else exps[-1]
     est = BoxDimEstimate(min(tail), max(tail), slope, exps,
                          tuple(depths), window)
     return table, est

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import UsageError
 
 CONTAIN_TOL = 1e-9
+_SQRT_BITS = 128       # bits of a bracketed square root, before rounding
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,51 @@ class _AffineMap(ContractionMap):
         return out
 
 
+def _finite(what: str, values) -> tuple[float, ...]:
+    """The values as floats, refused unless every one is finite."""
+    vals = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"{what} must be finite, not {vals}")
+    return vals
+
+
+def _sqrt_up(x: Fraction) -> Fraction:
+    """A rational at or above sqrt(x), by at most one part in about
+    2^_SQRT_BITS, and equal to it when sqrt(x) is rational.
+
+    sqrt(n/d) = sqrt(n d 4^j) / (d 2^j), read off math.isqrt of the
+    integer n d 4^j, which is a perfect square whenever x is a square."""
+    n, d = x.numerator, x.denominator
+    j = max(0, _SQRT_BITS - (n * d).bit_length() // 2)
+    big = (n * d) << (2 * j)
+    root = math.isqrt(big)
+    return Fraction(root + (root * root != big), d << j)
+
+
+def _round_down(x: Fraction) -> float:
+    f = float(x)
+    return math.nextafter(f, -math.inf) if f > x else f
+
+
+def _round_up(x: Fraction) -> float:
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
+
+
+def _singular_bounds(matrix) -> tuple[float, float]:
+    """Floats lo <= sigma_min and sigma_max <= hi of a 2x2 matrix, from
+    its four entries taken exactly: sigma_max = (p + q) / 2 with
+    p = |(a + d, c - b)| and q = |(a - d, b + c)|, and sigma_min =
+    |det| / sigma_max, from p and q taken at or above their roots, and
+    rounded outward.  A diagonal matrix gets |a| and |d| exactly; a
+    singular one gets lo = 0."""
+    (a, b), (c, d) = ((Fraction(v) for v in row) for row in matrix)
+    top = (_sqrt_up((a + d) ** 2 + (c - b) ** 2)
+           + _sqrt_up((a - d) ** 2 + (b + c) ** 2)) / 2
+    det = abs(a * d - b * c)
+    return (_round_down(det / top) if det else 0.0), _round_up(top)
+
+
 class Similarity(_AffineMap):
     """Exact similarity: x -> ratio * O x + translation, O orthogonal.
 
@@ -150,8 +197,8 @@ class Similarity(_AffineMap):
     def __init__(self, ratio: float, translation: tuple[float, ...],
                  rotation_deg: float = 0.0, reflect: bool = False):
         self.ratio = float(ratio)
-        self.translation = tuple(float(t) for t in translation)
-        self.rotation_deg = float(rotation_deg)
+        self.translation = _finite("translation", translation)
+        (self.rotation_deg,) = _finite("rotation", (rotation_deg,))
         self.reflect = bool(reflect)
         self.dim = len(self.translation)
         if self.dim not in (1, 2):
@@ -167,7 +214,7 @@ class Similarity(_AffineMap):
             rot = np.array([[math.cos(th), -math.sin(th)],
                             [math.sin(th), math.cos(th)]])
             if reflect:
-                rot = rot @ np.array([[-1.0, 0.0], [0.0, 1.0]])
+                rot[:, 0] = -rot[:, 0]
             self._set_affine(self.ratio * rot)
 
     def describe(self) -> str:
@@ -175,7 +222,11 @@ class Similarity(_AffineMap):
 
 
 class Affine2(_AffineMap):
-    """2x2 affine map; Lipschitz bounds are the singular values."""
+    """2x2 affine map x -> matrix x + translation, every entry finite.
+
+    lip_lo and lip_hi are the matrix's exact singular values rounded
+    outward to floats (`_singular_bounds`), so a singular matrix, whose
+    lip_lo is 0, is refused."""
 
     kind = "affine2"
 
@@ -183,11 +234,12 @@ class Affine2(_AffineMap):
         self.matrix = np.asarray(matrix, dtype=float)
         if self.matrix.shape != (2, 2):
             raise UsageError("affine2 needs a 2x2 matrix")
-        self.translation = tuple(float(t) for t in translation)
+        _finite("affine2 matrix", self.matrix.flat)
+        self.translation = _finite("translation", translation)
+        if len(self.translation) != 2:
+            raise UsageError("affine2 needs a 2-entry translation")
         self.dim = 2
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        self.lip_lo = float(sv[-1])
-        self.lip_hi = float(sv[0])
+        self.lip_lo, self.lip_hi = _singular_bounds(self.matrix.tolist())
         self._check_lips()
         self._set_affine(self.matrix)
 

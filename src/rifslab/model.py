@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -508,13 +509,105 @@ def hausdorff_distance(a, b) -> float:
 # --- Bernoulli sampling ------------------------------------------------------
 
 
+# numpy's Generator(PCG64(seed)).random(n), bit for bit, without the
+# numpy.random import, which adds about 6 MB to a process's peak RSS: the
+# seed goes through numpy's SeedSequence hash (`_seed_words`), and the
+# 128-bit LCG runs as `_PCG_LANES` lanes of (high, low) uint64 halves,
+# every lane jumping ahead by the lane count at each block, each state
+# output by XSL-RR and its top 53 bits scaled to [0, 1).
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_LANES = 1 << 12
+
+
+def _seed_hash(value: int, const: int,
+               mult: int = 0x931E8875) -> tuple[int, int]:
+    """SeedSequence's 32-bit hash of value: (hash, next constant)."""
+    const_next = const * mult & _M32
+    value = (value ^ const) * const_next & _M32
+    return value ^ (value >> 16), const_next
+
+
+def _seed_mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _seed_words(seed: int) -> list[int]:
+    """SeedSequence(seed).generate_state(8, np.uint32): the seed's 32-bit
+    words hashed into a pool of four, then read out eight times."""
+    entropy = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1),
+                                               32)]
+    entropy += [0] * (4 - len(entropy))
+    const, pool = 0x43B0D7E5, []
+    for word in entropy[:4]:
+        value, const = _seed_hash(word, const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _seed_hash(pool[src], const)
+                pool[dst] = _seed_mix(pool[dst], value)
+    for word in entropy[4:]:
+        for dst in range(4):
+            value, const = _seed_hash(word, const)
+            pool[dst] = _seed_mix(pool[dst], value)
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value, const = _seed_hash(pool[i % 4], const, 0x58F38DED)
+        words.append(value)
+    return words
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of each a * b, a uint64 and b < 2^64, by 32-bit
+    halves."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    lo_hi, hi_lo = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (lo_hi & _M32) + (hi_lo & _M32)
+    return a1 * b1 + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
+
+
+def _pcg64_random(seed: int, n: int) -> np.ndarray:
+    """Generator(PCG64(seed)).random(n), bit for bit."""
+    w = [lo | hi << 32 for lo, hi in zip(*[iter(_seed_words(seed))] * 2)]
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _M128
+    lanes = min(n, _PCG_LANES)
+    states, jump_a, jump_c = [], 1, 0    # state -> jump_a state + jump_c
+    for _ in range(lanes):
+        state = (state * _PCG_MULT + inc) & _M128
+        states.append(state)
+        jump_a = jump_a * _PCG_MULT & _M128
+        jump_c = (jump_c * _PCG_MULT + inc) & _M128
+    hi = np.array([s >> 64 for s in states], dtype=np.uint64)
+    lo = np.array([s & _M64 for s in states], dtype=np.uint64)
+    a_hi, a_lo, c_hi, c_lo = (np.uint64(v) for v in (
+        jump_a >> 64, jump_a & _M64, jump_c >> 64, jump_c & _M64))
+    out = np.empty(n)
+    for start in range(0, n, lanes):
+        k = min(lanes, n - start)
+        x, rot = hi[:k] ^ lo[:k], hi[:k] >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[start:start + k] = (x >> 11) * (1.0 / 9007199254740992.0)
+        low = lo * a_lo
+        hi = hi * a_lo + lo * a_hi + _mulhi64(lo, int(a_lo))
+        lo = low + c_lo
+        hi += c_hi + (lo < low)
+    return out
+
+
 @dataclass(frozen=True)
 class BernoulliSampler:
     """I.i.d. draws of 1-based system indices.
 
     `weights` holds one probability per system (non-negative, summing to 1
-    within 1e-12) and `seed` seeds the PCG64 stream, so the same pair always
-    draws the same symbols.  The draws are random, not certified.
+    within 1e-12) and `seed`, a non-negative integer, seeds the PCG64
+    stream, so the same pair always draws the same symbols.  The draws are
+    random, not certified.
     """
 
     weights: tuple[float, ...]
@@ -522,6 +615,10 @@ class BernoulliSampler:
 
     def __post_init__(self) -> None:
         check_weights(self.weights)
+        if isinstance(self.seed, bool) or not isinstance(
+                self.seed, numbers.Integral) or self.seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, "
+                             f"not {self.seed!r}")
 
 
 def sample_omega(sampler: BernoulliSampler, horizon: int) -> OmegaSeq:
@@ -532,8 +629,7 @@ def sample_omega(sampler: BernoulliSampler, horizon: int) -> OmegaSeq:
     """
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(sampler.seed))
-    u = rng.random(horizon)
+    u = _pcg64_random(int(sampler.seed), horizon)
     edges = np.cumsum(np.asarray(sampler.weights))
     symbols = np.searchsorted(edges, u, side="right") + 1
     symbols = np.minimum(symbols, len(sampler.weights))  # guard u ~ 1 edge

@@ -62,14 +62,15 @@ def render_ppm(points, spec: RenderSpec, ambient: AmbientBox) -> bytes:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise UsageError("nothing to render")
-    return _paint_ppm((pts,), spec, ambient)
+    return bytes(_paint_ppm((pts,), spec, ambient))
 
 
-def _paint_ppm(chunks, spec: RenderSpec, ambient: AmbientBox) -> bytes:
+def _paint_ppm(chunks, spec: RenderSpec,
+               ambient: AmbientBox) -> bytearray:
     """render_ppm of the points of every chunk, painted one chunk at a time
-    onto one canvas.  The canvas is a view of a buffer that already holds
-    the header, so at most two canvas-sized copies are alive: that buffer
-    and the bytes returned."""
+    onto one canvas, as the bytearray that holds the header and the
+    canvas: the canvas is a view of that buffer, so one canvas-sized copy
+    is alive."""
     w, h = spec.width, spec.height
     lo = np.asarray(ambient.lo)
     hi = np.asarray(ambient.hi)
@@ -93,4 +94,4 @@ def _paint_ppm(chunks, spec: RenderSpec, ambient: AmbientBox) -> bytes:
         else:
             rows = np.zeros(pts.shape[0], dtype=np.int64)
         image[rows, cols] = spec.foreground
-    return bytes(ppm)
+    return ppm

@@ -339,7 +339,7 @@ TASKS = {
 }
 
 
-def _write_atomic(path: str, data: bytes) -> None:
+def _write_atomic(path: str, data: bytes | bytearray) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rifslab-", suffix=".tmp")
     try:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -430,6 +431,36 @@ def test_dyadic_ladder_on_the_full_interval(cantor_cfg):
     table, est = estimate_box_dims(cantor_cfg.rifs, om, deltas)
     assert table.counts == tuple(2 ** k for k in range(2, 9))
     assert est.slope == pytest.approx(1.0, abs=1e-9)
+
+
+def test_interval_ladder_slope_is_exactly_one():
+    # log N = -log delta, float for float, so the exact slope is 1; a
+    # floating least-squares fit read 0.9999999999999996
+    cfg = load_corpus("interval-boxdim")
+    _, est = estimate_box_dims(cfg.rifs, cfg.omega, cfg.task.params["deltas"])
+    assert est.slope == 1.0
+
+
+def test_slope_is_the_exact_least_squares_slope_rounded_once(cantor_cfg):
+    table, est = estimate_box_dims(cantor_cfg.rifs, OmegaSeq((), (1,)),
+                                   [3.0 ** -k for k in range(1, 6)])
+    start, stop = est.window
+    xs = [Fraction(-math.log(d)) for d, _ in table.rows[start:stop]]
+    ys = [Fraction(math.log(c)) for _, c in table.rows[start:stop]]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    want = (sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+            / sum((x - x_bar) ** 2 for x in xs))
+    assert est.slope == float(want)
+
+
+def test_window_of_equal_logs_falls_back_to_exponent(cantor_cfg):
+    # two deltas an ulp apart whose logs round to one float
+    d = 0.3
+    assert math.log(d) == math.log(math.nextafter(d, 0.0))
+    deltas = [0.5, 0.4, d, math.nextafter(d, 0.0)]
+    _, est = estimate_box_dims(cantor_cfg.rifs, OmegaSeq((), (1,)), deltas)
+    assert est.window == (2, 4)
+    assert est.slope == est.exponents[-1]
 
 
 def test_single_rung_slope_falls_back_to_exponent(cantor_cfg):

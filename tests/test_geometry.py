@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import namedtuple
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -11,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from rifslab import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                      UsageError, unit_box)
-from rifslab.geometry import CLOSED_FORMS
+from rifslab.geometry import CLOSED_FORMS, _singular_bounds
 
 from composition import compose
 
@@ -72,6 +73,81 @@ def test_affine2_lipschitz_is_singular_values():
     m = Affine2([[0.5, 0.0], [0.0, 0.25]], (0.0, 0.0))
     assert m.lip_hi == pytest.approx(0.5)
     assert m.lip_lo == pytest.approx(0.25)
+
+
+def test_affine2_diagonal_bounds_are_its_entries():
+    m = Affine2([[1.0 / 6.0, 0.0], [0.0, -1.0 / 9.0]], (0.5, 0.5))
+    assert (m.lip_lo, m.lip_hi) == (1.0 / 9.0, 1.0 / 6.0)
+
+
+def test_affine2_refuses_a_singular_matrix():
+    with pytest.raises(UsageError, match="Lipschitz"):
+        Affine2([[0.3, 0.1], [0.3, 0.1]], (0.0, 0.0))
+
+
+_SQUARE = [[0.5, 0.0], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Affine2(_SQUARE, (0.1,)),
+    lambda: Affine2(_SQUARE, (0.1, 0.2, 0.3)),
+    lambda: Affine2([[math.nan, 0.0], [0.0, 0.5]], (0.1, 0.2)),
+    lambda: Affine2([[0.5, math.inf], [0.0, 0.5]], (0.1, 0.2)),
+    lambda: Affine2(_SQUARE, (math.nan, 0.2)),
+    lambda: Affine2(_SQUARE, (0.1, math.inf)),
+    lambda: Similarity(0.5, (math.nan, 0.2)),
+    lambda: Similarity(0.5, (-math.inf,)),
+    lambda: Similarity(0.5, (0.1, 0.2), rotation_deg=math.inf),
+    lambda: Similarity(0.5, (0.1, 0.2), rotation_deg=math.nan),
+], ids=["short-shift", "long-shift", "nan-entry", "inf-entry", "nan-shift",
+        "inf-shift", "similarity-nan-shift", "similarity-inf-shift",
+        "inf-rotation", "nan-rotation"])
+def test_affine_maps_refuse_bad_shapes_and_non_finite_entries(make):
+    with pytest.raises(UsageError):
+        make()
+
+
+def _squared_singular_values(matrix):
+    """(t, det^2): sigma_min^2 and sigma_max^2 are the roots of
+    y^2 - t y + det^2, t the squared Frobenius norm, in exact rationals."""
+    (a, b), (c, d) = ((Fraction(v) for v in row) for row in matrix)
+    return a * a + b * b + c * c + d * d, (a * d - b * c) ** 2
+
+
+def _below_sigma_min(x, t, det2):
+    y = Fraction(x) ** 2
+    return y <= t / 2 and y * y - t * y + det2 >= 0
+
+
+def _above_sigma_max(x, t, det2):
+    y = Fraction(x) ** 2
+    return y >= t / 2 and y * y - t * y + det2 >= 0
+
+
+@given(hnp.arrays(np.float64, (2, 2),
+                  elements=st.just(0.0) | st.floats(-0.45, 0.45)))
+@settings(deadline=None)
+def test_affine2_bounds_are_the_singular_values_rounded_outward(matrix):
+    lo, hi = _singular_bounds(matrix.tolist())
+    t, det2 = _squared_singular_values(matrix)
+    # exact in rationals: the bounds hold, and the float next inside each
+    # one does not
+    assert _below_sigma_min(lo, t, det2) and _above_sigma_max(hi, t, det2)
+    assert not _below_sigma_min(math.nextafter(lo, 1.0), t, det2)
+    assert hi == 0.0 or not _above_sigma_max(math.nextafter(hi, 0.0), t, det2)
+    if lo > 0.0:
+        m = Affine2(matrix, (0.0, 0.0))
+        assert (m.lip_lo, m.lip_hi) == (lo, hi)
+    else:
+        with pytest.raises(UsageError):
+            Affine2(matrix, (0.0, 0.0))
+    # LAPACK as an oracle only, where its own error is small: it differs
+    # from the exact values by up to about 6 ulps of sigma_max on
+    # matrices of condition number below 2
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    if sv[0] >= 1e-3 and sv[0] <= 4.0 * sv[1]:
+        tol = 8.0 * math.ulp(sv[0])
+        assert abs(hi - sv[0]) <= tol and abs(lo - sv[1]) <= tol
 
 
 def test_affine2_image_box_exact():
@@ -359,8 +435,10 @@ def affine_map_cases(draw):
     else:
         matrix = draw(hnp.arrays(np.float64, (2, 2), elements=st.just(0.0)
                                  | st.floats(-0.45, 0.45)))
-        assume(np.linalg.svd(matrix, compute_uv=False)[-1] > 0.0)
-        m = Affine2(matrix, shift)
+        try:
+            m = Affine2(matrix, shift)
+        except UsageError:
+            assume(False)
     return m, draw(_boxes(m.dim))
 
 

@@ -757,6 +757,49 @@ def test_sampler_rejects_bad_weights():
         sample_omega(BernoulliSampler((1.0,), seed=0), 0)
 
 
+_SEEDS = (0, 7, 42, 2 ** 32 + 5, 2 ** 64 + 3, 10 ** 30)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_seed_words_are_numpys_seed_sequence(seed):
+    # numpy.random serves as a test oracle only
+    from numpy.random import SeedSequence
+    want = SeedSequence(seed).generate_state(8, np.uint32).tolist()
+    assert model._seed_words(seed) == want
+
+
+@pytest.mark.parametrize("lanes, n", [
+    (1, 9), (3, 1), (3, 2), (3, 3), (3, 50), (64, 1000),
+    (model._PCG_LANES, model._PCG_LANES + 1),
+    (model._PCG_LANES, 3 * model._PCG_LANES - 7),
+])
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_pcg64_stream_is_numpys_bit_for_bit(seed, lanes, n, monkeypatch):
+    from numpy.random import PCG64, Generator
+    monkeypatch.setattr(model, "_PCG_LANES", lanes)
+    want = Generator(PCG64(seed)).random(n)
+    assert model._pcg64_random(seed, n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+def test_sampler_rejects_a_seed_that_is_not_a_natural(seed):
+    with pytest.raises(UsageError, match="seed"):
+        BernoulliSampler((0.5, 0.5), seed=seed)
+
+
+def test_sample_run_leaves_numpy_random_unimported(run_isolated, tmp_path):
+    # importing numpy.random adds about 6 MB to a process's peak RSS
+    code = f"""
+import sys
+from rifslab import cli, corpus
+cli.main(["run", corpus.corpus_path("sample"), "--out", {str(tmp_path)!r}])
+print("numpy.random" in sys.modules)
+"""
+    res = run_isolated(code, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False"]
+
+
 def test_degenerate_weight_never_drawn():
     s = BernoulliSampler((1.0, 0.0), seed=9)
     assert set(sample_omega(s, 500).prefix) == {1}

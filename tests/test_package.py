@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import importlib
@@ -8,6 +9,10 @@ from pathlib import Path
 import rifslab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# numpy names that run BLAS or LAPACK (np.linalg.norm with an axis is an
+# elementwise reduction, and allowed)
+_BLAS_NAMES = {"polyfit", "dot", "vdot", "inner", "matmul", "einsum",
+               "tensordot", "linalg"}
 
 
 def test_public_names_resolve():
@@ -66,3 +71,57 @@ def test_every_dataclass_has_its_own_docstring():
     assert len(records) >= 20
     assert [cls.__qualname__ for cls in records
             if cls.__doc__.startswith(f"{cls.__name__}(")] == []
+
+
+def blas_uses(source: str) -> list[str]:
+    """Each place in the source that calls BLAS or LAPACK: the @ operator,
+    a numpy name of _BLAS_NAMES, or np.linalg other than
+    norm(..., axis=...)."""
+    tree = ast.parse(source)
+    imports = [a for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names]
+    numpy = {a.asname or "numpy" for a in imports if a.name == "numpy"}
+    axis_norms = {id(call.func.value) for call in ast.walk(tree)
+                  if isinstance(call, ast.Call)
+                  and isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "norm"
+                  and any(kw.arg == "axis" for kw in call.keywords)}
+    found = [f"import {a.name}" for a in imports
+             if a.name.startswith("numpy.linalg")]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "") \
+                .startswith("numpy") and (
+                    "linalg" in node.module
+                    or any(a.name in _BLAS_NAMES for a in node.names)):
+            found.append(f"line {node.lineno}: from {node.module} import")
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id in numpy and node.attr in _BLAS_NAMES and \
+                id(node) not in axis_norms:
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_guard_finds_every_blas_call():
+    for snippet in ("a @ b", "a @= b", "np.linalg.svd(a)",
+                    "np.linalg.norm(a)", "np.polyfit(x, y, 1)",
+                    "np.dot(a, b)", "np.vdot(a, b)", "np.inner(a, b)",
+                    "np.matmul(a, b)", "np.einsum('ij->i', a)",
+                    "np.tensordot(a, b)", "la = np.linalg",
+                    "from numpy.linalg import svd", "import numpy.linalg",
+                    "from numpy import dot"):
+        assert blas_uses("import numpy as np\n" + snippet), snippet
+    assert blas_uses("import numpy as np\nnp.linalg.norm(a, axis=1)") == []
+
+
+def test_no_run_calls_blas_or_lapack():
+    # the first BLAS or LAPACK call of a process touches about 0.8 MB of
+    # OpenBLAS/LAPACK pages, all of it added to the run's peak RSS
+    found = {path.name: uses
+             for path in Path(rifslab.__file__).parent.glob("*.py")
+             if (uses := blas_uses(path.read_text(encoding="utf-8")))}
+    assert found == {}, (
+        "BLAS/LAPACK calls cost ~0.8 MB of peak RSS on first use", found)

@@ -78,6 +78,22 @@ def test_streamed_render_equals_whole_array(name, target, monkeypatch):
     assert data == whole
 
 
+def test_render_task_writes_its_one_canvas(tmp_path):
+    # the painted buffer, header included, is the bytes written: handing
+    # the writer a bytes copy of it held two canvases at once
+    cfg = with_params(load_corpus("cantor-render"), width=1000, height=1000)
+    canvas = 3 * 1000 * 1000
+    tracemalloc.start()
+    try:
+        path, = tasks.run(cfg, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(path, "rb") as fh:
+        assert len(fh.read()) == len(b"P6\n1000 1000\n255\n") + canvas
+    assert peak < 1.5 * canvas
+
+
 @pytest.mark.parametrize("colours", [
     {}, {"foreground": (200, 10, 10)}, {"background": (0, 0, 40)},
 ], ids=["none", "foreground", "background"])
