@@ -7,47 +7,36 @@ from importlib import resources
 from .config import ExperimentConfig, load_config
 from .errors import UsageError
 
-# (name, file, one-line description); names are CLI-facing
-_REGISTRY: tuple[tuple[str, str, str], ...] = (
-    ("cantor", "cantor.json",
-     "Randomized dimension of the middle-thirds interval systems"),
-    ("cantor-render", "cantor_render.json",
-     "243x1 image of the depth-5 triadic approximation"),
-    ("cantor-boxdim", "cantor_boxdim.json",
-     "Triadic box-count ladder along the two-map system"),
-    ("interval-boxdim", "interval_boxdim.json",
-     "Dyadic box-count ladder along the full three-map system"),
-    ("cantor-measure", "cantor_measure.json",
-     "Ball-mass bracketing on the middle-thirds set"),
-    ("carpet-splice", "carpet_splice.json",
-     "Segment-seeded splice demo on the 2x4 column carpets"),
-    ("carpet-packing", "carpet_packing.json",
-     "Mass-distribution packing bound on the bottom-row carpets"),
-    ("carpet-curve", "carpet_curve.json",
-     "Weighted carpet dimension across 101 mixes of two grids"),
-    ("carpet-minimize", "carpet_minimize.json",
-     "Golden-section minimum of the weighted carpet dimension"),
-    ("cookie-boxdim", "cookie_boxdim.json",
-     "Box counts for the square-root branch systems"),
-    ("pictorial-a", "pictorial_a.json",
-     "Depth-driven render mixing quadratic and similarity maps"),
-    ("pictorial-b", "pictorial_b.json",
-     "Depth-driven render mixing shear maps with arch-profile maps"),
-    ("sample", "sample_demo.json",
-     "Seeded Bernoulli draw of a length-100 index sequence"),
+# (name, file); names are CLI-facing, descriptions live in the configs
+_REGISTRY: tuple[tuple[str, str], ...] = (
+    ("cantor", "cantor.json"),
+    ("cantor-render", "cantor_render.json"),
+    ("cantor-boxdim", "cantor_boxdim.json"),
+    ("interval-boxdim", "interval_boxdim.json"),
+    ("cantor-measure", "cantor_measure.json"),
+    ("carpet-splice", "carpet_splice.json"),
+    ("carpet-packing", "carpet_packing.json"),
+    ("carpet-curve", "carpet_curve.json"),
+    ("carpet-minimize", "carpet_minimize.json"),
+    ("cookie-boxdim", "cookie_boxdim.json"),
+    ("pictorial-a", "pictorial_a.json"),
+    ("pictorial-b", "pictorial_b.json"),
+    ("sample", "sample_demo.json"),
 )
 
 
 def corpus_entries() -> tuple[tuple[str, str, str], ...]:
-    return _REGISTRY
+    """(name, file, description) per entry, read from each config."""
+    return tuple((name, filename, load_corpus(name).description)
+                 for name, filename in _REGISTRY)
 
 
 def corpus_names() -> tuple[str, ...]:
-    return tuple(name for name, _, _ in _REGISTRY)
+    return tuple(name for name, _ in _REGISTRY)
 
 
 def corpus_path(name: str) -> str:
-    for entry, filename, _ in _REGISTRY:
+    for entry, filename in _REGISTRY:
         if entry == name:
             return str(resources.files(__package__) / "corpus" / filename)
     raise UsageError(f"unknown corpus entry {name!r}; "

@@ -1,6 +1,7 @@
-"""Dimension formulas: Hutchinson, its randomized form, grid self-affine
-carpets and their random mixtures, extremal similarity bounds, and the
-per-level growth factors used to witness measure-killing conditions.
+"""Dimension formulas: the randomized Hutchinson equation and its
+one-system case, grid self-affine carpets and their random mixtures,
+extremal similarity bounds, and the per-level growth factors used to
+witness measure-killing conditions.
 
 Every root is found by bisection on a strictly decreasing function over the
 bracket [0, 64] with 200 iterations; no derivative methods.
@@ -9,7 +10,7 @@ bracket [0, 64] with 200 iterations; no derivative methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (GeometryDomainError, RifsError, UnsupportedShapeError,
@@ -28,11 +29,12 @@ class DimensionReport:
     """A dimension solved as the root of a decreasing equation.
 
     `value` is the bisection root, `equation` names the equation
-    ("hutchinson" or "hutchinson_randomized"), `residual` is the equation's
-    value at the root, at most `RESIDUAL_TOL` in size, and `bracket` is the
-    search interval, always `BRACKET`.  None of these is certified: a small
-    residual does not bound the root's error, and the bracket is the start
-    of the search, not an interval known to hold the root.
+    ("hutchinson" or "hutchinson_randomized"), `residual` is the log-form
+    equation's value at the root, at most `RESIDUAL_TOL` in size, and
+    `bracket` is the search interval, always `BRACKET`.  None of these is
+    certified: a small residual does not bound the root's error, and the
+    bracket is the start of the search, not an interval known to hold the
+    root.
     """
 
     value: float
@@ -55,15 +57,11 @@ def check_weights(weights: Sequence[float], n: int | None = None) -> tuple[float
 
 def _bisect_decreasing(f, equation: str) -> DimensionReport:
     lo, hi = BRACKET
-    flo = f(lo)
     fhi = f(hi)
-    if flo < 0.0:
-        # only possible for pathological inputs; the defining sums start >= 1
-        raise RifsError(f"{equation}: function already negative at s=0")
     if fhi > 0.0:
         raise GeometryDomainError(
             f"{equation}: no root in [0, 64]; f(64) = {fhi:.3g} > 0")
-    if flo == 0.0:
+    if f(lo) == 0.0:
         return DimensionReport(0.0, equation, 0.0, BRACKET)
     a, b = lo, hi
     for _ in range(BISECT_ITERS):
@@ -81,19 +79,9 @@ def _bisect_decreasing(f, equation: str) -> DimensionReport:
     return DimensionReport(root, equation, residual, BRACKET)
 
 
-def similarity_dimension(ratios: Sequence[float]) -> DimensionReport:
-    """Solve sum(r_i^s) = 1 for the list of similarity ratios."""
-    rs = [float(r) for r in ratios]
-    if not rs:
-        raise UsageError("need at least one ratio")
-    for r in rs:
-        if not (0.0 < r < 1.0):
-            raise GeometryDomainError(f"ratio {r} outside (0, 1)")
-
-    def f(s: float) -> float:
-        return math.fsum(r ** s for r in rs) - 1.0
-
-    return _bisect_decreasing(f, "hutchinson")
+def _log(x: float) -> float:
+    """log, with a power sum that underflowed to 0 taking log 0 = -inf."""
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def randomized_similarity_dimension(ratio_lists: Sequence[Sequence[float]],
@@ -113,10 +101,18 @@ def randomized_similarity_dimension(ratio_lists: Sequence[Sequence[float]],
     active = [(p, rs) for p, rs in zip(w, lists) if p > 0.0]
 
     def g(s: float) -> float:
-        return math.fsum(p * math.log(math.fsum(r ** s for r in rs))
+        return math.fsum(p * _log(math.fsum(r ** s for r in rs))
                          for p, rs in active)
 
     return _bisect_decreasing(g, "hutchinson_randomized")
+
+
+def similarity_dimension(ratios: Sequence[float]) -> DimensionReport:
+    """Solve sum(r_i^s) = 1 as the one-system case of
+    `randomized_similarity_dimension`: log S has the sign of S - 1 for every
+    float S > 0, so the bisection takes the same steps as on the sum."""
+    return replace(randomized_similarity_dimension([ratios], (1.0,)),
+                   equation="hutchinson")
 
 
 @dataclass(frozen=True)
@@ -201,8 +197,9 @@ def minimize_carpet_dimension(carpets: Sequence[CarpetSpec],
                               tol: float = 1e-10) -> tuple[float, float]:
     """Golden-section minimum of p -> dim over (p, 1-p) mixes of two carpets.
 
-    A 257-point pre-scan certifies unimodality first; a flat curve returns the
-    grid midpoint.
+    A 257-point pre-scan checks first that the sampled values fall, then
+    rise (a sample cannot certify unimodality between its points); a flat
+    curve returns the grid midpoint.
     """
     if len(carpets) != 2:
         raise UsageError("minimizer handles exactly two carpets")

@@ -136,7 +136,8 @@ def doubling_constants(g: Gauge, c: float, diameter: float,
     """Min and max of G(c*t)/G(t) at `samples` log-spaced scales t over
     [1e-9 * diameter, diameter]: a sample, not a certified bound.  Exact
     for c == 1 and for PowerGauge (both report samples = 0); for
-    PowerLogGauge the t -> 0 limit c**s is folded in as well."""
+    PowerLogGauge the t -> 0 limit c**s is folded in as well.  A gauge that
+    is 0 at a sampled scale, where the ratio is 0/0, is refused."""
     if not (0.0 < c <= 1.0):
         raise UsageError("scale factor c must lie in (0, 1]")
     if not 0.0 < diameter < math.inf:
@@ -149,7 +150,12 @@ def doubling_constants(g: Gauge, c: float, diameter: float,
         exact = c ** g.s
         return DoublingReport(c, exact, exact, g.label, 0)
     t = np.geomspace(1e-9 * diameter, diameter, samples)
-    ratios = np.asarray(g(c * t)) / np.asarray(g(t))
+    gt = np.asarray(g(t))
+    if not np.all(gt > 0.0):
+        raise UsageError(f"gauge {g.label} is 0 at sampled scale "
+                         f"t = {t[gt <= 0.0][-1]:.6g}, so G(c*t)/G(t) is "
+                         f"undefined there")
+    ratios = np.asarray(g(c * t)) / gt
     lo = float(ratios.min())
     hi = float(ratios.max())
     if isinstance(g, PowerLogGauge):
@@ -477,22 +483,19 @@ def check_msc_grid(carpets: Sequence[CarpetSpec], omega: OmegaSeq,
 
     Grid cells make this exact: a level-k cylinder occupies one cell of the
     product grid, so positive-area overlap happens only when two words land
-    on the same (column, row) pair.  Shared edges are allowed.
+    on the same (column, row) pair.  Shared edges are allowed.  That cell's
+    column and row are the word's cells read as mixed-radix digits, so two
+    words share a cell exactly when, at the first level where they differ,
+    that level's carpet repeats a cell: each level is checked on its own,
+    and the levels past one prefix and cycle repeat the ones before.
     """
     if depth < 0:
         raise UsageError("depth must be non-negative")
-    cells: set[tuple[int, int]] = {(0, 0)}
-    for level in range(1, depth + 1):
+    levels = min(depth, len(omega.prefix) + len(omega.cycle))
+    for level in range(1, levels + 1):
         idx = omega.entry(level)
         if not (1 <= idx <= len(carpets)):
             raise UsageError(f"sequence entry {idx} has no carpet")
-        carpet = carpets[idx - 1]
-        refined: set[tuple[int, int]] = set()
-        for col, row in cells:
-            for c, r in carpet.chosen:
-                child = (col * carpet.m + c, row * carpet.n + r)
-                if child in refined:
-                    return False
-                refined.add(child)
-        cells = refined
+        if not carpets[idx - 1].distinct_cells():
+            return False
     return True

@@ -3,8 +3,11 @@
 A sequence is a finite prefix followed by a repeating cycle, which covers
 every sequence the library manipulates explicitly (constant sequences,
 splices, sampled sequences).  Equality of two such sequences is decidable by
-unfolding to |prefix1| + |prefix2| + lcm(|cycle1|, |cycle2|) symbols, and the
-metric 2^(-first disagreement) follows from the same unfolding.
+unfolding to max(|prefix1|, |prefix2|) + a + b - gcd(a, b) symbols, where a
+and b are the cycle lengths: past both prefixes the tails have periods a and
+b, and by Fine & Wilf (Proc. AMS 16, 1965) two such tails that agree on
+a + b - gcd(a, b) entries agree forever.  The metric 2^(-first
+disagreement) follows from the same unfolding.
 """
 
 from __future__ import annotations
@@ -59,21 +62,23 @@ class OmegaSeq:
 
 
 def _equality_horizon(u: OmegaSeq, v: OmegaSeq) -> int:
-    return (len(u.prefix) + len(v.prefix)
-            + math.lcm(len(u.cycle), len(v.cycle)))
+    a, b = len(u.cycle), len(v.cycle)
+    return max(len(u.prefix), len(v.prefix)) + a + b - math.gcd(a, b)
 
 
 def omega_distance(u: OmegaSeq, v: OmegaSeq) -> float:
     """2^(-k) for the first disagreement index k, or 0 for equal sequences.
 
     Agreement over the full comparison horizon proves the sequences equal.
+    Past k = 1074, 2^(-k) underflows, so different sequences get the least
+    positive float instead.
     """
     horizon = _equality_horizon(u, v)
     a = u.unfold(horizon)
     b = v.unfold(horizon)
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
-            return 2.0 ** (-(i + 1))
+            return max(2.0 ** (-(i + 1)), math.ulp(0.0))
     return 0.0
 
 

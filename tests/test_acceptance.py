@@ -47,7 +47,7 @@ def test_criterion_02_randomized_solver_reduces_to_deterministic():
         ratios = [float(r) for r in rng.uniform(0.05, 0.45, n)]
         det = similarity_dimension(ratios).value
         rand = randomized_similarity_dimension([ratios], [1.0]).value
-        assert abs(rand - det) <= 1e-10
+        assert rand == det
     mixed = randomized_similarity_dimension(
         [[1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3]], [0.5, 0.5]).value
     assert abs(mixed - math.log(6.0) / (2.0 * math.log(3.0))) <= 1e-9

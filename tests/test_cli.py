@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,10 @@ def test_corpus_listing(run_cli):
     assert "cantor" in res.stdout
     assert "carpet-minimize" in res.stdout
     assert "cantor_render.json" in res.stdout
+    # descriptions come from the configs themselves
+    assert res.stdout.splitlines()[0] == (
+        "cantor             cantor.json            "
+        "Randomized dimension of the middle-thirds interval systems")
 
 
 def test_validate_reports_shape(run_cli):
@@ -73,6 +78,27 @@ def test_budget_flag_overrides_env(run_cli, tmp_path):
                   env_extra={"RIFSLAB_BUDGET": "10"})
     assert res.returncode == 0
     assert (tmp_path / "render.ppm").exists()
+
+
+def test_dim_of_tiny_ratios_runs(run_cli, tmp_path):
+    # sum(r^s) of two 1e-6 ratios underflows to 0 before s = 64
+    doc = {
+        "version": 1, "description": "two tiny similarities",
+        "ambient": {"lo": [0], "hi": [1]},
+        "systems": [{"label": "tiny", "maps": [
+            {"kind": "similarity", "ratio": "1e-6", "translation": [0]},
+            {"kind": "similarity", "ratio": "1e-6", "translation": [0.5]}]}],
+        "omega": {"prefix": [], "cycle": [1]},
+        "task": {"type": "dim", "output": "dim.csv"},
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 0, res.stderr
+    rows = dict(line.split(",") for line in
+                (tmp_path / "out" / "dim.csv").read_text().splitlines())
+    assert float(rows["dimension"]) == pytest.approx(
+        math.log(2.0) / math.log(1e6), abs=1e-12)
 
 
 def patched_corpus(tmp_path, name, **fields):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rifslab import (CarpetSpec, GeometryDomainError, OmegaSeq,
                      UnsupportedShapeError, UsageError,
@@ -88,7 +89,26 @@ def test_randomized_reduces_to_deterministic():
     ratios = [0.2, 0.3, 0.4]
     det = similarity_dimension(ratios).value
     rand = randomized_similarity_dimension([ratios], [1.0]).value
-    assert rand == pytest.approx(det, abs=1e-12)
+    assert rand == det
+
+
+@given(st.lists(st.one_of(st.floats(1e-6, 0.9),
+                          st.sampled_from([1e-6, 1e-7])),
+                min_size=1, max_size=6))
+def test_similarity_dimension_is_the_one_system_randomized_root(ratios):
+    # lists of 1e-6 ratios underflow their power sum to 0 before s = 64
+    assert similarity_dimension(ratios).value == \
+        randomized_similarity_dimension([ratios], [1.0]).value
+
+
+def test_underflowing_power_sums_still_have_a_root():
+    # 1e-6 ** 64 underflows to 0, whose log is -inf, not a domain error
+    for ratios in ([1e-6, 1e-6], [1e-7] * 3):
+        want = math.log(len(ratios)) / -math.log(ratios[0])
+        for rep in (similarity_dimension(ratios),
+                    randomized_similarity_dimension([ratios], [1.0])):
+            assert rep.value == pytest.approx(want, abs=1e-12)
+            assert abs(rep.residual) <= 1e-10
 
 
 def test_randomized_drops_zero_weight_systems():

@@ -128,6 +128,18 @@ def test_doubling_input_checks():
     assert doubling_constants(table, 0.5, 1.0, 1).samples == 1
 
 
+@pytest.mark.parametrize("gauge, scale", [
+    (TableGauge([(0.5, 0.0), (1.0, 1.0)]), "0.499425"),
+    # t^200 underflows to 0 below about 0.024
+    (PowerLogGauge(200.0), "0.024079"),
+])
+def test_doubling_refuses_a_gauge_that_is_zero_at_a_sampled_scale(gauge,
+                                                                   scale):
+    with pytest.raises(UsageError,
+                       match=f"is 0 at sampled scale t = {scale}"):
+        doubling_constants(gauge, 0.5, 1.0)
+
+
 # --- cover and packing bounds -------------------------------------------
 
 
@@ -484,3 +496,71 @@ def test_msc_grid_input_checks():
         check_msc_grid([c], OmegaSeq((), (1,)), -1)
     with pytest.raises(UsageError):
         check_msc_grid([c], OmegaSeq((), (2,)), 3)
+
+
+def _enumerated_msc_grid(carpets, omega, depth):
+    """check_msc_grid by brute force: refine every level's set of product
+    grid cells and look for a cell two words share."""
+    if depth < 0:
+        raise UsageError("depth must be non-negative")
+    cells = {(0, 0)}
+    for level in range(1, depth + 1):
+        idx = omega.entry(level)
+        if not (1 <= idx <= len(carpets)):
+            raise UsageError(f"sequence entry {idx} has no carpet")
+        carpet = carpets[idx - 1]
+        refined = set()
+        for col, row in cells:
+            for c, r in carpet.chosen:
+                child = (col * carpet.m + c, row * carpet.n + r)
+                if child in refined:
+                    return False
+                refined.add(child)
+        cells = refined
+    return True
+
+
+@st.composite
+def _grid_cases(draw):
+    carpets = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 3))
+        m = draw(st.integers(1, n))
+        cell = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+        carpets.append(CarpetSpec(m, n, tuple(
+            draw(st.lists(cell, min_size=1, max_size=4)))))
+    # one index past the carpets, so the entry check is reached as well
+    entry = st.integers(1, len(carpets) + 1)
+    omega = OmegaSeq(tuple(draw(st.lists(entry, max_size=3))),
+                     tuple(draw(st.lists(entry, min_size=1, max_size=3))))
+    return carpets, omega, draw(st.integers(-1, 5))
+
+
+def _grid_outcome(check, carpets, omega, depth):
+    try:
+        return check(carpets, omega, depth)
+    except UsageError as exc:
+        return str(exc)
+
+
+@given(_grid_cases())
+def test_msc_grid_equals_cell_enumeration(case):
+    assert _grid_outcome(check_msc_grid, *case) == \
+        _grid_outcome(_enumerated_msc_grid, *case)
+
+
+def test_msc_grid_checks_deep_carpets_per_level(run_isolated):
+    # enumerating the depth-12 Sierpinski carpet holds 8^12 cells; past
+    # one prefix and cycle the levels repeat, so depth 10^12 checks one
+    code = """
+from rifslab import CarpetSpec, OmegaSeq, check_msc_grid
+cells = tuple((c, r) for r in range(3) for c in range(3) if (c, r) != (1, 1))
+sierpinski = CarpetSpec(3, 3, cells)
+print(check_msc_grid([sierpinski], OmegaSeq((), (1,)), 12),
+      check_msc_grid([sierpinski, CarpetSpec(2, 2, cells[:1] * 2)],
+                     OmegaSeq((1,) * 11, (2,)), 12),
+      check_msc_grid([sierpinski], OmegaSeq((), (1,)), 10 ** 12))
+"""
+    res = run_isolated(code, timeout=30, max_bytes=300 << 20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "False", "True"]

@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from rifslab import OmegaSeq, UsageError, omega_distance, splice
+from rifslab.sequences import _equality_horizon
 
 seqs = st.builds(
     OmegaSeq,
@@ -103,3 +107,52 @@ def test_splice_stays_within_two_power_k(om, k, tail):
 @given(seqs, st.integers(0, 12))
 def test_splicing_own_tail_reproduces_the_sequence(om, k):
     assert omega_distance(om, splice(om, k, om.shift(k))) == 0.0
+
+
+def test_distance_past_the_underflow_is_not_zero():
+    # the first disagreement is at 1201, where 2^-1201 underflows to 0.0
+    om = OmegaSeq((), (1,) * 1200 + (2,))
+    spliced = splice(om, 1, OmegaSeq((), (1,)))
+    assert omega_distance(om, spliced) == math.ulp(0.0)
+    assert omega_distance(om, splice(om, 1200, om.shift(1200))) == 0.0
+
+
+def _binary_words(max_len):
+    return [w for n in range(max_len + 1)
+            for w in itertools.product((1, 2), repeat=n)]
+
+
+def test_fine_wilf_horizon_matches_the_lcm_horizon():
+    # every pair of binary cycles up to length 4 behind prefixes up to
+    # length 2: the first disagreement found over |p_u| + |p_v| +
+    # lcm(a, b) entries lies within the shorter horizon, which some pair
+    # reaches
+    seqs_ = [OmegaSeq(p, c) for p in _binary_words(2)
+             for c in _binary_words(4) if c]
+    reached = False
+    for u in seqs_:
+        for v in seqs_:
+            lcm_horizon = (len(u.prefix) + len(v.prefix)
+                           + math.lcm(len(u.cycle), len(v.cycle)))
+            pairs = zip(u.unfold(lcm_horizon), v.unfold(lcm_horizon))
+            first = next((i + 1 for i, (x, y) in enumerate(pairs) if x != y),
+                         None)
+            horizon = _equality_horizon(u, v)
+            assert first is None or first <= horizon
+            assert omega_distance(u, v) == (0.0 if first is None
+                                            else 2.0 ** -first)
+            reached = reached or first == horizon
+    assert reached
+
+
+def test_coprime_long_cycles_compare_in_small_memory(run_isolated):
+    # lcm(10007, 10009) is about 10^8 entries; a + b - gcd is about 2 * 10^4
+    code = """
+from rifslab import OmegaSeq, omega_distance
+ones = [OmegaSeq((), (1,) * n) for n in (10007, 10009)]
+ends = [OmegaSeq((), (1,) * (n - 1) + (2,)) for n in (10007, 10009)]
+print(omega_distance(*ones), omega_distance(*ends))
+"""
+    res = run_isolated(code, timeout=30, max_bytes=300 << 20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0.0", repr(math.ulp(0.0))]
