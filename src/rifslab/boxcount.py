@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
 from . import model
+from ._record import Record, record
 from .errors import ResourceError, UsageError
 from .geometry import AmbientBox
 from .model import DEFAULT_BUDGET, Rifs, _boxes, _chunks, resolution_depth
@@ -252,8 +252,8 @@ def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox,
     return cells.count()
 
 
-@dataclass(frozen=True)
-class BoxCountTable:
+@record
+class BoxCountTable(Record):
     """Rows of (delta, count) with strictly decreasing deltas and counts that
     never drop as the grid refines."""
 
@@ -276,8 +276,8 @@ class BoxCountTable:
         return tuple(c for _, c in self.rows)
 
 
-@dataclass(frozen=True)
-class BoxDimEstimate:
+@record
+class BoxDimEstimate(Record):
     """Per-rung exponents log N / log(1/delta), the least-squares slope of
     log N against log(1/delta) over the trailing window, and the min/max
     exponent over that window.  The slope is the exact least-squares

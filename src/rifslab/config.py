@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, record
 from .dimension import CarpetSpec, check_weights
 from .errors import (ConfigParseError, ConfigSchemaError, ConfigSemanticError,
                      UsageError)
@@ -27,16 +27,16 @@ from .sequences import OmegaSeq
 
 _LOG_RATIO = re.compile(r"^log\((\d+)\)/log\((\d+)\)$")
 
-@dataclass(frozen=True)
-class TaskSpec:
+@record
+class TaskSpec(Record):
     """Validated task request: a type tag plus normalized parameters."""
 
     type: str
     params: dict
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@record
+class ExperimentConfig(Record):
     """A parsed and validated experiment config.
 
     `version` is the schema version (always 1), `description` the config's

@@ -10,9 +10,10 @@ bracket [0, 64] with 200 iterations; no derivative methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
+from ._record import Record, record
 from .errors import (GeometryDomainError, RifsError, UnsupportedShapeError,
                      UsageError)
 
@@ -24,8 +25,8 @@ BISECT_ITERS = 200
 RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+@record
+class DimensionReport(Record):
     """A dimension solved as the root of a decreasing equation.
 
     `value` is the bisection root, `equation` names the equation
@@ -115,8 +116,8 @@ def similarity_dimension(ratios: Sequence[float]) -> DimensionReport:
                    equation="hutchinson")
 
 
-@dataclass(frozen=True)
-class CarpetSpec:
+@record
+class CarpetSpec(Record):
     """Grid carpet: m columns, n rows (m <= n), and the chosen cells.
 
     Cells are (column, row) pairs with 0-based indices, columns along x.
@@ -260,8 +261,8 @@ def extremal_ss_bounds(rifs: "Rifs") -> tuple[float, float, tuple[float, ...]]:
     return min(ss), max(ss), tuple(ss)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+@record
+class GrowthReport(Record):
     """Per-system level factors at exponents h and p.
 
     `factors_minus[i]` is Phi-_i(h), the sum over system i + 1's maps of

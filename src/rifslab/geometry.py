@@ -9,21 +9,21 @@ bi-Lipschitz bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
 
 import numpy as np
 
+from ._record import Record, record
 from .errors import UsageError
 
 CONTAIN_TOL = 1e-9
 _SQRT_BITS = 128       # bits of a bracketed square root, before rounding
 
 
-@dataclass(frozen=True)
-class AmbientBox:
+@record
+class AmbientBox(Record):
     """Axis-aligned box in R^1 or R^2 with the Euclidean metric."""
 
     lo: tuple[float, ...]
@@ -282,8 +282,8 @@ def _arch(t):
     return t * (1.0 - t) / 2.0
 
 
-@dataclass(frozen=True)
-class _Entry:
+@record
+class _Entry(Record):
     """One closed-form map of the catalog.
 
     `lip_lo` and `lip_hi` are its declared bi-Lipschitz bounds, from which

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record, record
 from .errors import GeometryDomainError, UsageError
 from .dimension import CarpetSpec, similarity_dimension
 from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _ExactSum, _boxes,
@@ -119,8 +119,8 @@ class TableGauge(Gauge):
         return out
 
 
-@dataclass(frozen=True)
-class DoublingReport:
+@record
+class DoublingReport(Record):
     """Envelope for G(c*t)/G(t) over scales up to the given diameter: a
     sample, not a certified bound, unless `samples` is 0 (exact)."""
 
@@ -142,7 +142,8 @@ def doubling_constants(g: Gauge, c: float, diameter: float,
         raise UsageError("scale factor c must lie in (0, 1]")
     if not 0.0 < diameter < math.inf:
         raise UsageError("diameter must be finite and > 0")
-    if not isinstance(samples, numbers.Integral) or samples < 1:
+    if isinstance(samples, bool) or not isinstance(
+            samples, numbers.Integral) or samples < 1:
         raise UsageError("samples must be an integer >= 1")
     if c == 1.0:
         return DoublingReport(c, 1.0, 1.0, g.label, 0)
@@ -187,8 +188,8 @@ def hausdorff_upper_bound(cover, g: Gauge) -> float:
     return float(np.asarray(g(diams)).sum())
 
 
-@dataclass(frozen=True)
-class PackingReport:
+@record
+class PackingReport(Record):
     """A greedy packing of a finite point set at separation delta.
 
     `count` is the size of a subset whose points lie pairwise more than
@@ -229,8 +230,8 @@ def packing_lower_bound(points, g: Gauge, delta: float) -> PackingReport:
     return PackingReport(count, delta, count * float(g(delta)))
 
 
-@dataclass(frozen=True)
-class CylinderMeasure:
+@record
+class CylinderMeasure(Record):
     """Unit mass split across the cylinder tree.
 
     Each system i carries an exponent s_i; a map with upper Lipschitz bound
@@ -241,7 +242,7 @@ class CylinderMeasure:
 
     rifs: Rifs
     omega: OmegaSeq
-    exponents: tuple[float, ...] = field(default=())
+    exponents: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.exponents:
@@ -289,8 +290,8 @@ def level_masses(cm: CylinderMeasure, depth: int,
     return _whole(*_masses(cm, _levels(cm.rifs, cm.omega, depth, budget)[0]))
 
 
-@dataclass(frozen=True)
-class MdpReport:
+@record
+class MdpReport(Record):
     """Empirical mass-distribution bracket over the probed balls.
 
     lambda_sup bounds mass(B(x, r)) / r**s from above via cylinders meeting

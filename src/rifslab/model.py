@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, record
 from .dimension import CarpetSpec, check_weights
 from .errors import ResourceError, UsageError
 from .geometry import Affine2, AmbientBox, ContractionMap, Similarity
@@ -26,8 +26,8 @@ from .sequences import OmegaSeq, omega_distance, splice
 DEFAULT_BUDGET = 10 ** 7
 
 
-@dataclass(frozen=True)
-class DeterministicIfs:
+@record
+class DeterministicIfs(Record):
     """One IFS: a non-empty ordered family of maps over a shared box."""
 
     maps: tuple[ContractionMap, ...]
@@ -45,8 +45,8 @@ class DeterministicIfs:
         return self.maps[0].dim
 
 
-@dataclass(frozen=True)
-class Rifs:
+@record
+class Rifs(Record):
     """An ordered list of IFSs acting on one ambient box."""
 
     systems: tuple[DeterministicIfs, ...]
@@ -100,8 +100,8 @@ def _family(like: np.ndarray, rows: int) -> np.ndarray:
     return np.empty((rows,) + like.shape[1:], dtype=like.dtype)
 
 
-@dataclass(frozen=True)
-class CylinderCover:
+@record
+class CylinderCover(Record):
     """Depth-k cover of the attractor by composed images of the ambient box.
 
     Boxes are exact per-axis ranges propagated through the factor maps, so a
@@ -332,8 +332,8 @@ def resolution_depth(rifs: Rifs, omega: OmegaSeq, target_error: float,
             return depth
 
 
-@dataclass(frozen=True)
-class AttractorPoints:
+@record
+class AttractorPoints(Record):
     """One point per depth-k cylinder, within a certified distance of the
     attractor.
 
@@ -600,8 +600,8 @@ def _pcg64_random(seed: int, n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BernoulliSampler:
+@record
+class BernoulliSampler(Record):
     """I.i.d. draws of 1-based system indices.
 
     `weights` holds one probability per system (non-negative, summing to 1
@@ -640,8 +640,8 @@ def sample_omega(sampler: BernoulliSampler, horizon: int) -> OmegaSeq:
 # --- continuity of omega -> attractor ---------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+@record
+class ProbeRow(Record):
     """One spliced tail of a continuity probe.
 
     `tail` is the sequence spliced in after k symbols, `d_omega` the

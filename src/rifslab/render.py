@@ -9,10 +9,10 @@ from a one-dimensional ambient render on row 0.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, record
 from .errors import UsageError
 from .geometry import AmbientBox
 
@@ -33,8 +33,8 @@ def _check_rgb(name: str, rgb) -> tuple[int, int, int]:
     return vals
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+@record
+class RenderSpec(Record):
     """Canvas size in pixels (whole numbers, at least 1x1) and the RGB
     triples, each channel 0..255, of painted and empty pixels.  A raster
     certifies nothing."""

@@ -13,13 +13,13 @@ disagreement) follows from the same unfolding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, record
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
-class OmegaSeq:
+@record
+class OmegaSeq(Record):
     """Entries are 1-based system indices; entry(k) for k = 1, 2, ..."""
 
     prefix: tuple[int, ...]
@@ -29,7 +29,7 @@ class OmegaSeq:
         if not self.cycle:
             raise UsageError("cycle must be non-empty")
         for s in (*self.prefix, *self.cycle):
-            if not (isinstance(s, int) and s >= 1):
+            if isinstance(s, bool) or not (isinstance(s, int) and s >= 1):
                 raise UsageError(f"sequence entries must be integers >= 1, got {s!r}")
 
     def entry(self, k: int) -> int:

@@ -13,11 +13,11 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import Record, record
 from .boxcount import estimate_box_dims
 from .config import (ExperimentConfig, _check_keys, _int_field, _parse_gauge,
                      _parse_omega, _parse_points, _positive, _real,
@@ -309,12 +309,14 @@ def _task_sample(cfg: ExperimentConfig, budget: int):
     _charge(horizon, f"horizon of {horizon} symbols", budget)
     sampler = BernoulliSampler(tuple(params["weights"]), cfg.seed)
     seq = sample_omega(sampler, horizon)
-    rows = [(i + 1, sym) for i, sym in enumerate(seq.prefix)]
-    return [(params["output"], _csv(("index", "symbol"), rows))]
+    # one join over whole rows: _csv formats a value at a time, which at
+    # 10^6 rows takes most of the run
+    body = "\n".join(f"{i},{s}" for i, s in enumerate(seq.prefix, 1))
+    return [(params["output"], f"index,symbol\n{body}\n".encode())]
 
 
-@dataclass(frozen=True)
-class Task:
+@record
+class Task(Record):
     """One task type; config parses its type, output and summary fields."""
 
     output: str                 # default output file name

@@ -122,7 +122,7 @@ def test_doubling_input_checks():
                 doubling_constants(gauge, 0.5, diameter)
     assert doubling_constants(PowerGauge(1.0), 1.0, 1.0).d_plus == 1.0
     table = TableGauge([(0.1, 0.2), (1.0, 1.0)])
-    for samples in (0, -3, 2.5):
+    for samples in (0, -3, 2.5, True):
         with pytest.raises(UsageError, match="samples"):
             doubling_constants(table, 0.5, 1.0, samples)
     assert doubling_constants(table, 0.5, 1.0, 1).samples == 1

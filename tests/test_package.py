@@ -2,11 +2,18 @@ import ast
 import dataclasses
 import functools
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import rifslab
+from rifslab import (OmegaSeq, RenderSpec, TaskSpec, geometry, load_corpus,
+                     tasks)
+from rifslab._record import Record, record
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # numpy names that run BLAS or LAPACK (np.linalg.norm with an axis is an
@@ -63,14 +70,162 @@ def test_module_map_names_resolve():
     assert [n for n in names if not resolves(n)] == []
 
 
+def package_records() -> list[type]:
+    """Every dataclass a submodule defines."""
+    return [cls for module in submodules() for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+            and cls.__module__ == module.__name__]
+
+
 def test_every_dataclass_has_its_own_docstring():
     # without one, dataclasses fills __doc__ with the generated signature
-    records = [cls for module in submodules() for cls in vars(module).values()
-               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-               and cls.__module__ == module.__name__]
+    records = package_records()
     assert len(records) >= 20
     assert [cls.__qualname__ for cls in records
             if cls.__doc__.startswith(f"{cls.__name__}(")] == []
+
+
+@pytest.fixture(scope="module")
+def record_samples() -> dict[type, list]:
+    """Instances of the package records, keyed by class: three corpus
+    configs and every record they hold, the task table, the closed-form
+    catalog, and one result of each call that returns a record."""
+    cfg = load_corpus("carpet-splice")
+    rifs, omega = cfg.rifs, cfg.omega
+    cm = rifslab.CylinderMeasure(rifs, omega)
+    roots = [
+        cfg, load_corpus("cantor"), load_corpus("sample"),
+        tasks.TASKS, geometry.CLOSED_FORMS,
+        rifslab.estimate_box_dims(rifs, omega, (0.5, 0.25)),
+        rifslab.similarity_dimension((0.5, 0.25)),
+        rifslab.check_growth_conditions(rifs, 1.0, 1.0),
+        rifslab.doubling_constants(rifslab.PowerGauge(1.0), 0.5, 1.0),
+        rifslab.packing_lower_bound(np.eye(2), rifslab.PowerGauge(1.0), 0.5),
+        cm, rifslab.mdp_bounds(cm, 1.5, (0.25,), np.array([[0.5, 0.5]])),
+        rifslab.cylinder_cover(rifs, omega, 2),
+        rifslab.attractor_points(rifs, omega, 0.3),
+        rifslab.BernoulliSampler((0.5, 0.5), 3), RenderSpec(3, 2),
+        rifslab.continuity_probe(rifs, omega, 1, [OmegaSeq((), (2,))], 2)]
+    samples: dict[type, list] = {}
+
+    def collect(obj):
+        if isinstance(obj, dict):
+            obj = list(obj.values())
+        if isinstance(obj, (tuple, list)):
+            for item in obj:
+                collect(item)
+        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            samples.setdefault(type(obj), []).append(obj)
+            for f in dataclasses.fields(obj):
+                collect(getattr(obj, f.name))
+
+    collect(roots)
+    return samples
+
+
+def stdlib_twin(cls: type) -> type:
+    """A `@dataclass(frozen=True)` with the fields, defaults, name and
+    `__post_init__` of `cls` (which reads nothing but its fields)."""
+    fields = dataclasses.fields(cls)
+    body = {"__qualname__": cls.__qualname__, "__module__": cls.__module__,
+            "__annotations__": {f.name: f.type for f in fields},
+            **{f.name: f.default for f in fields
+               if f.default is not dataclasses.MISSING}}
+    if "__post_init__" in vars(cls):
+        body["__post_init__"] = cls.__post_init__
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), body))
+
+
+def outcome(call):
+    """The repr of what `call()` returns, or the type and text of what it
+    raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cls", package_records(),
+                         ids=lambda cls: cls.__qualname__)
+def test_record_behaves_as_a_stdlib_frozen_dataclass(cls, record_samples):
+    twin = stdlib_twin(cls)
+    assert [(f.name, f.type, f.default) for f in dataclasses.fields(cls)] \
+        == [(f.name, f.type, f.default) for f in dataclasses.fields(twin)]
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert cls.__match_args__ == twin.__match_args__
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert cls in record_samples
+    rows = [[getattr(obj, n) for n in names] for obj in record_samples[cls]]
+    for values in rows:
+        required = [v for v, f in zip(values, dataclasses.fields(cls))
+                    if f.default is dataclasses.MISSING]
+        calls = [(values, {}), ([], dict(zip(names, values))),
+                 (required, {}), (values[:-1], {}), ([], {}),
+                 ([*values, 0], {}), (values, {"unknown": 0}),
+                 (values, {names[0]: values[0]})]
+        for args, kwargs in calls:
+            assert outcome(lambda: cls(*args, **kwargs)) \
+                == outcome(lambda: twin(*args, **kwargs))
+        obj, twin_obj = cls(*values), twin(*values)
+        for op in (hash, lambda x: setattr(x, names[0], 0),
+                   lambda x: setattr(x, "unknown", 0),
+                   lambda x: delattr(x, names[-1]),
+                   lambda x: x.__eq__(0), lambda x: x != x,
+                   lambda x: dataclasses.replace(x, **{names[-1]: values[-1]})):
+            assert outcome(lambda: op(obj)) == outcome(lambda: op(twin_obj))
+        for other in rows:
+            assert outcome(lambda: obj == cls(*other)) \
+                == outcome(lambda: twin_obj == twin(*other))
+
+
+def test_a_record_in_its_own_field_reprs_as_a_stdlib_one():
+    reprs = []
+    for make in (TaskSpec, stdlib_twin(TaskSpec)):
+        params = {}
+        params["spec"] = make("dim", params)
+        reprs.append(repr(params["spec"]))
+    assert reprs == ["TaskSpec(type='dim', params={'spec': ...})"] * 2
+
+
+def test_record_refuses_fields_its_methods_ignore():
+    for base, field in ((Record, dataclasses.field(default_factory=list)),
+                        (Record, dataclasses.field(default=0, compare=False)),
+                        (object, 0)):
+        with pytest.raises(TypeError, match="not a Record of plain fields"):
+            record(type("Loose", (base,), {"__annotations__": {"x": "int"},
+                                           "x": field}))
+
+
+def test_importing_the_cli_execs_no_source(run_isolated):
+    # numpy and the stdlib modules the package imports load first, so the
+    # count is the package's own: six generated methods per
+    # @dataclass(frozen=True) would make it 132
+    nodes = [node for path in Path(rifslab.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+    imported = sorted(
+        {alias.name for node in nodes if isinstance(node, ast.Import)
+         for alias in node.names}
+        | {node.module for node in nodes
+           if isinstance(node, ast.ImportFrom) and node.level == 0})
+    code = f"""
+import builtins
+import importlib
+for name in {imported!r}:
+    importlib.import_module(name)
+sources = []
+real_exec = builtins.exec
+def counting_exec(source, *args, **kwargs):
+    if isinstance(source, str):
+        sources.append(source)
+    return real_exec(source, *args, **kwargs)
+builtins.exec = counting_exec
+import rifslab.cli
+builtins.exec = real_exec
+print(len(sources))
+"""
+    done = run_isolated(code, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 def blas_uses(source: str) -> list[str]:

@@ -23,6 +23,9 @@ def test_entries_are_one_based_positive():
         OmegaSeq((0,), (1,))
     with pytest.raises(UsageError):
         OmegaSeq((), (1, -2))
+    # True == 1, but a flag is no system index
+    with pytest.raises(UsageError, match="True"):
+        OmegaSeq((True,), (2,))
     om = OmegaSeq((2,), (1, 3))
     with pytest.raises(UsageError):
         om.entry(0)

@@ -59,6 +59,17 @@ def test_streamed_splice_rows_equal_whole_arrays(splice_cfg, gauge, target,
     assert [row[1:4] for row in rows] == whole_splice_rows(cfg)
 
 
+@pytest.mark.parametrize("horizon", [1, 100, 10 ** 5])
+def test_sample_output_equals_the_csv_writer(horizon):
+    cfg = with_params(load_corpus("sample"), horizon=horizon)
+    params = cfg.task.params
+    seq = model.sample_omega(
+        model.BernoulliSampler(tuple(params["weights"]), cfg.seed), horizon)
+    rows = [(i + 1, sym) for i, sym in enumerate(seq.prefix)]
+    (_, data), = tasks.TASKS["sample"].handler(cfg, model.DEFAULT_BUDGET)
+    assert data == tasks._csv(("index", "symbol"), rows)
+
+
 @pytest.mark.parametrize("name, target", [
     ("pictorial-a", 1 << 10), ("pictorial-a", model._CHUNK_LEAVES),
     ("cantor-render", 1), ("cantor-render", 3),
