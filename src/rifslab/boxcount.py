@@ -18,11 +18,12 @@ marks at most 2^dim cells unless it is expanded, so a grid of at most
 switches to it when expanded cells bring the runs' bound up to the grid.
 Each axis's first and last cells come from both ends of every box in one
 pass over a (2, n) block.  A box spanning at most two cells on every axis
-is marked at its clipped corners, one id per corner built from those
-blocks in one broadcast add, with no per-cell expansion (and, into the
-map, no sort).  That covers the boxes `estimate_box_dims` counts: it
-resolves each rung to cylinders of side at most delta/4, and even rotated
-maps' boxes, which outgrow their cylinders, have measured below delta.
+is marked at its clipped corners, one corner at a time: a corner's ids,
+one per box, are one add of its axes' first or last cells, so one n-long
+id array is alive, with no per-cell expansion (and, into the map, no
+sort).  That covers the boxes `estimate_box_dims` counts: it resolves
+each rung to cylinders of side at most delta/4, and even rotated maps'
+boxes, which outgrow their cylinders, have measured below delta.
 Wider boxes are expanded at most `_CELL_CHUNK` cells at a time, and the
 cells so expanded are charged to a budget of 2^dim cells per cylinder of
 the cylinder budget, so a huge box fails at once with `ResourceError`
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import model
 from ._record import Record, record
-from .errors import ResourceError, UsageError
+from .errors import ResourceError, UsageError, check_int
 from .geometry import AmbientBox
 from .model import DEFAULT_BUDGET, Rifs, _boxes, _chunks, resolution_depth
 from .sequences import OmegaSeq
@@ -182,17 +183,16 @@ class _Cells:
         # a box at most two cells wide on every axis meets exactly its
         # corner cells, its first or last cell on each axis; an axis where
         # no box spans two cells has no upper corner
-        corners = []
+        axes = []
         for block, stride in zip(ends, self.strides):
             block *= stride
-            corners.append(block if np.any(block[0] != block[1])
-                           else block[:1])
-        # one id per corner, each axis's (first, last) broadcast over the
-        # corners of the axes before it
-        ids = reduce(lambda acc, block: acc[..., None, :] + block, corners)
-        del ends, corners           # freed before the runs sort the ids
-        if ids.size:
-            self._mark(ids.ravel())
+            axes.append(block if np.any(block[0] != block[1]) else block[:1])
+        # one n-long id array per corner, marked before the next is built
+        # (on one axis it is that axis's row, which no later corner reads)
+        for corner in itertools.product(*axes):
+            ids = reduce(np.add, corner)
+            if ids.size:
+                self._mark(ids)
 
     def _expand(self, js: np.ndarray, span: np.ndarray) -> None:
         """Mark every cell of the boxes' index ranges js..js+span-1, at most
@@ -236,6 +236,7 @@ def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox,
     `ResourceError`."""
     if not 0.0 < delta < math.inf:
         raise UsageError("delta must be finite and > 0")
+    check_int("budget", budget)
     arr = np.asarray(items, dtype=float)
     if arr.ndim == 2:
         arr = np.stack([arr, arr], axis=-1)

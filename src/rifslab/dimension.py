@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record, record
 from .errors import (GeometryDomainError, RifsError, UnsupportedShapeError,
-                     UsageError)
+                     UsageError, check_int)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Rifs
@@ -130,12 +130,13 @@ class CarpetSpec(Record):
     chosen: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not (1 <= self.m <= self.n):
+        if not (1 <= check_int("m", self.m) <= check_int("n", self.n)):
             raise UsageError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         if not self.chosen:
             raise UsageError("carpet needs at least one chosen cell")
         for col, row in self.chosen:
-            if not (0 <= col < self.m and 0 <= row < self.n):
+            if not (0 <= check_int("cell column", col) < self.m
+                    and 0 <= check_int("cell row", row) < self.n):
                 raise UsageError(f"cell ({col}, {row}) outside {self.m}x{self.n} grid")
 
     @property

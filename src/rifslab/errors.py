@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: usage/validation problems exit 1,
 resource limits exit 2, I/O trouble exits 3.
 """
 
+import numbers
+
 
 class RifsError(Exception):
     """Base class for all library errors."""
@@ -45,3 +47,11 @@ class ConfigSemanticError(ConfigError):
 
 class UnsupportedShapeError(RifsError):
     """The data falls outside what an operation can certify."""
+
+
+def check_int(name: str, value) -> int:
+    """`value` as an int; a bool, or any value that is not an integral
+    number, raises UsageError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, not {value!r}")
+    return int(value)

@@ -10,13 +10,12 @@ produce two-sided dimension-print style constants.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Sequence
 
 import numpy as np
 
 from ._record import Record, record
-from .errors import GeometryDomainError, UsageError
+from .errors import GeometryDomainError, UsageError, check_int
 from .dimension import CarpetSpec, similarity_dimension
 from .model import (DEFAULT_BUDGET, CylinderCover, Rifs, _ExactSum, _boxes,
                     _chunks, _levels, _whole, resolution_depth)
@@ -142,8 +141,7 @@ def doubling_constants(g: Gauge, c: float, diameter: float,
         raise UsageError("scale factor c must lie in (0, 1]")
     if not 0.0 < diameter < math.inf:
         raise UsageError("diameter must be finite and > 0")
-    if isinstance(samples, bool) or not isinstance(
-            samples, numbers.Integral) or samples < 1:
+    if check_int("samples", samples) < 1:
         raise UsageError("samples must be an integer >= 1")
     if c == 1.0:
         return DoublingReport(c, 1.0, 1.0, g.label, 0)
@@ -285,7 +283,7 @@ def _masses(cm: CylinderMeasure, levels):
 def level_masses(cm: CylinderMeasure, depth: int,
                  budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Masses of all depth-k cylinders, aligned with cylinder_cover order."""
-    if depth < 1:
+    if check_int("depth", depth) < 1:
         raise UsageError("depth must be >= 1")
     return _whole(*_masses(cm, _levels(cm.rifs, cm.omega, depth, budget)[0]))
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 
 import numpy as np
 
 from ._record import Record, record
 from .dimension import CarpetSpec, check_weights
-from .errors import ResourceError, UsageError
+from .errors import ResourceError, UsageError, check_int
 from .geometry import Affine2, AmbientBox, ContractionMap, Similarity
 from .sequences import OmegaSeq, omega_distance, splice
 
@@ -135,7 +134,7 @@ class CylinderCover(Record):
 def _boxes(rifs: Rifs, omega: OmegaSeq, depth: int, budget: int):
     """(levels, leaf, image) of the depth-k boxes, for _whole or _chunks,
     and the depth-k error bound."""
-    if depth < 1:
+    if check_int("depth", depth) < 1:
         raise UsageError("depth must be >= 1")
     levels, bound = _levels(rifs, omega, depth, budget)
     return (levels, rifs.ambient.as_array()[None, :, :],
@@ -144,7 +143,7 @@ def _boxes(rifs: Rifs, omega: OmegaSeq, depth: int, budget: int):
 
 def _points(rifs: Rifs, omega: OmegaSeq, depth: int, seeds, budget: int):
     """(levels, leaf, image) of the depth-k images of the seeds."""
-    if depth < 0:
+    if check_int("depth", depth) < 0:
         raise UsageError("depth must be >= 0")
     return (_levels(rifs, omega, depth, budget)[0],
             np.atleast_2d(np.asarray(seeds, dtype=float)),
@@ -168,7 +167,7 @@ def cylinder_images(rifs: Rifs, omega: OmegaSeq, depth: int, seeds: np.ndarray,
     return _whole(*_points(rifs, omega, depth, seeds, budget))
 
 
-_CHUNK_LEAVES = 1 << 15    # most cylinders per chunk of a streamed family
+_CHUNK_LEAVES = 1 << 15    # most rows per chunk of a streamed family
 
 
 def _chunks(levels, leaf, image, most=None):
@@ -179,19 +178,23 @@ def _chunks(levels, leaf, image, most=None):
     1 down, for levels `_levels` has checked against the budget; `image(
     item, batch, out=None)` maps a whole batch into `out` (or a new array
     laid out as the batch) and returns it.  j is the least prefix length
-    whose subtrees have at most `most` cylinders (`_CHUNK_LEAVES` if
-    None).  The levels below j are built once, deepest
-    first, each into one `_family` array (boxes axis-major); each prefix
-    maps that family through its items, innermost first, each step into
-    one new array.  Every map step is elementwise, so a row's image does
-    not depend on the batch it is in, and the chunks concatenate bit for
-    bit to the family of j = 0 (`_whole`).
+    whose subtrees have at most `most` rows (`_CHUNK_LEAVES` if None),
+    a subtree's rows being its cylinders times the rows of `leaf`, or
+    len(levels), where a subtree is one cylinder.  The levels below j are
+    built once, deepest first, each into one `_family` array (boxes
+    axis-major).  Two buffers laid out as that family (one for j = 1,
+    none for j = 0) are allocated once, and each prefix maps the family
+    through its items, innermost first, step s into buffer s % 2, so a
+    chunk yielded is valid only until the next one is asked for.  Every
+    map step is elementwise, so a row's image does not depend on the
+    batch it is in, and the chunks concatenate bit for bit to the family
+    of j = 0 (`_whole`).
     """
-    leaves = math.prod(len(items) for items in levels)
+    rows = math.prod(len(items) for items in levels) * len(leaf)
     most = _CHUNK_LEAVES if most is None else most
     j = 0
-    while leaves > most:
-        leaves //= len(levels[j])
+    while rows > most and j < len(levels):
+        rows //= len(levels[j])
         j += 1
     family = leaf
     for items in reversed(levels[j:]):
@@ -200,10 +203,11 @@ def _chunks(levels, leaf, image, most=None):
         for i, item in enumerate(items):
             image(item, family, level[i * n:(i + 1) * n])
         family = level
+    bufs = [np.empty_like(family) for _ in range(min(j, 2))]
     for prefix in itertools.product(*levels[:j]):
         batch = family
-        for item in reversed(prefix):
-            batch = image(item, batch)
+        for s, item in enumerate(reversed(prefix)):
+            batch = image(item, batch, bufs[s % 2])
         yield batch
 
 
@@ -291,6 +295,7 @@ def _level_bounds(rifs: Rifs, omega: OmegaSeq, budget: int):
     a cylinder count down to l above the budget, or l above `_MAX_DEPTH`,
     raises `ResourceError` with that count and the bound down to level
     l - 1 as the best error."""
+    check_int("budget", budget)
     count, scale, bound = 1, 1.0, rifs.ambient.diameter
     for level in itertools.count(1):
         maps = rifs.system_for_level(omega, level).maps
@@ -615,8 +620,7 @@ class BernoulliSampler(Record):
 
     def __post_init__(self) -> None:
         check_weights(self.weights)
-        if isinstance(self.seed, bool) or not isinstance(
-                self.seed, numbers.Integral) or self.seed < 0:
+        if check_int("seed", self.seed) < 0:
             raise UsageError(f"seed must be a non-negative integer, "
                              f"not {self.seed!r}")
 
@@ -627,7 +631,7 @@ def sample_omega(sampler: BernoulliSampler, horizon: int) -> OmegaSeq:
     Deterministic in the seed: a PCG64 stream mapped through the inverse CDF.
     The result is the drawn prefix with the last symbol repeating.
     """
-    if horizon < 1:
+    if check_int("horizon", horizon) < 1:
         raise UsageError("horizon must be >= 1")
     u = _pcg64_random(int(sampler.seed), horizon)
     edges = np.cumsum(np.asarray(sampler.weights))
@@ -668,7 +672,7 @@ def continuity_probe(rifs: Rifs, omega: OmegaSeq, k: int,
     The Hausdorff column is bounded by 2 * (max composed lip_hi over depth-k
     cylinders) * diameter + 2 * error_bound, which is also reported.
     """
-    if depth < k:
+    if check_int("probe depth", depth) < check_int("splice depth k", k):
         raise UsageError("probe depth must be >= splice depth k")
     center = np.asarray(rifs.ambient.center)[None, :]
     base = _SweepSet(cylinder_images(rifs, omega, depth, center, budget))

@@ -8,26 +8,18 @@ from a one-dimensional ambient render on row 0.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from ._record import Record, record
-from .errors import UsageError
+from .errors import UsageError, check_int
 from .geometry import AmbientBox
 
 _BLACK = (0, 0, 0)
 _WHITE = (255, 255, 255)
 
 
-def _whole(name: str, v) -> int:
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise UsageError(f"{name} must be an integer, not {v!r}")
-    return int(v)
-
-
 def _check_rgb(name: str, rgb) -> tuple[int, int, int]:
-    vals = tuple(_whole(f"{name} channel", v) for v in rgb)
+    vals = tuple(check_int(f"{name} channel", v) for v in rgb)
     if len(vals) != 3 or any(not (0 <= v <= 255) for v in vals):
         raise UsageError(f"{name} must be three channel values in 0..255")
     return vals
@@ -45,7 +37,8 @@ class RenderSpec(Record):
     background: tuple[int, int, int] = _WHITE
 
     def __post_init__(self) -> None:
-        if min(_whole("width", self.width), _whole("height", self.height)) < 1:
+        if min(check_int("width", self.width),
+               check_int("height", self.height)) < 1:
             raise UsageError("render resolution must be at least 1x1")
         object.__setattr__(self, "foreground",
                            _check_rgb("foreground", self.foreground))

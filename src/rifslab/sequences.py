@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record, record
-from .errors import UsageError
+from .errors import UsageError, check_int
 
 
 @record
@@ -87,6 +87,6 @@ def splice(omega: OmegaSeq, k: int, tail: OmegaSeq) -> OmegaSeq:
 
     The result is within 2^(-k) of omega.
     """
-    if k < 0:
+    if check_int("splice depth", k) < 0:
         raise UsageError("splice depth must be >= 0")
     return OmegaSeq(omega.unfold(k) + tail.prefix, tail.cycle)

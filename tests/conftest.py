@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -71,3 +72,20 @@ def run_isolated():
             preexec_fn=None if max_bytes is None else cap)
 
     return _run
+
+
+@pytest.fixture
+def traced_peak():
+    """Call `fn()` with tracemalloc on, and return its result and the
+    traced peak in bytes; tracing stops after the call, also when it
+    raises."""
+
+    def _trace(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return _trace

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -255,26 +254,24 @@ def test_runs_move_to_the_map_once_expansion_could_fill_it(monkeypatch):
 @pytest.mark.parametrize("map_cells", [boxcount._MAP_CELLS, 0],
                          ids=["map", "runs"])
 def test_marking_a_chunk_holds_under_ten_chunk_arrays(map_cells,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      traced_peak):
     # one chunk of 2^15 boxes at most two cells wide on a 128 x 128 grid:
-    # the per-axis (first, last) blocks and the corner ids are about eight
-    # n-long int64 arrays at once; the bound leaves room for small
-    # temporaries, not for an id array doubled by concatenation (12x)
+    # the per-axis (first, last) blocks and one corner's ids are about six
+    # n-long int64 arrays at once (every corner's ids at once were eight),
+    # and the runs' sorts and folds add about two more; the bounds leave
+    # room for small temporaries, not for an id array doubled by
+    # concatenation (12x)
     n, delta = model._CHUNK_LEAVES, 1.0 / 128
     rng = np.random.default_rng(0)
     lo = rng.uniform(0.0, 1.0 - delta, (n, 2))
     boxes = np.stack((lo, lo + rng.uniform(0.0, delta, (n, 2))), axis=-1)
     monkeypatch.setattr(boxcount, "_MAP_CELLS", map_cells)
     cells = boxcount._Cells(delta, unit_box(2), n, n)
-    tracemalloc.start()
-    try:
-        cells.add(boxes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: cells.add(boxes))
     assert (cells.map is not None) == (map_cells > 0)
     assert cells.count() == _oracle_count(boxes, delta, unit_box(2))
-    assert peak < 10 * n * 8
+    assert peak < (7 if map_cells else 10) * n * 8
 
 
 def _axis_cells_oracle(n_cells, lo, a, b, delta):

@@ -187,7 +187,7 @@ def test_cover_chunks_concatenate_to_the_cover(data):
     target = data.draw(st.sampled_from((1, 2, 3, 7, model._CHUNK_LEAVES)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_CHUNK_LEAVES", target)
-        chunks = list(_cover_chunks(rifs, om, depth))
+        chunks = [boxes.copy() for boxes in _cover_chunks(rifs, om, depth)]
     assert max(len(boxes) for boxes in chunks) <= target
     assert np.array_equal(np.concatenate(chunks),
                           cylinder_cover(rifs, om, depth).boxes)
@@ -285,10 +285,50 @@ def test_image_chunks_concatenate_to_the_images(data):
     target = data.draw(st.sampled_from((1, 2, 3, 7, model._CHUNK_LEAVES)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_CHUNK_LEAVES", target)
-        chunks = list(_image_chunks(rifs, om, depth, seeds))
+        chunks = [pts.copy() for pts in _image_chunks(rifs, om, depth, seeds)]
     assert max(len(pts) // len(seeds) for pts in chunks) <= target
     assert np.array_equal(np.concatenate(chunks),
                           cylinder_images(rifs, om, depth, seeds))
+
+
+def test_cover_walk_holds_the_family_and_two_buffers(traced_peak):
+    # depth 8 of the carpet mix: 13,824-box chunks below two prefix levels.
+    # A new array per map step held four chunk arrays while the caller kept
+    # the last chunk (the family, that chunk and two steps); two reused
+    # buffers hold three
+    rifs, chunk = _carpet_mix(), 13_824 * 2 * 2 * 8
+
+    def walk():
+        for boxes in _cover_chunks(rifs, _mix, 8):
+            assert len(boxes) == 13_824
+
+    _, peak = traced_peak(walk)
+    assert peak < 3.25 * chunk
+
+
+def test_many_seeds_stream_in_chunks_of_rows(run_isolated):
+    # 2048 seeds at depth 6 of the carpet mix: 13,824 cylinders, 28.3M
+    # rows.  Chunks cut at 2^15 cylinders made them one 432 MiB family;
+    # cut at 2^15 rows, a chunk holds three words' seed blocks
+    code = """
+import numpy as np
+from rifslab import CarpetSpec, OmegaSeq, Rifs, carpet_system
+from rifslab.geometry import unit_box
+from rifslab.model import _image_chunks
+cells = tuple((c, r) for r in range(3) for c in range(3) if (c, r) != (1, 1))
+rifs = Rifs((carpet_system(CarpetSpec(3, 3, cells), "sierpinski"),
+             carpet_system(CarpetSpec(2, 3, ((0, 0), (1, 1), (0, 2))),
+                           "grid")), unit_box(2))
+t = np.linspace(0.0, 1.0, 2048)
+rows = most = 0
+for pts in _image_chunks(rifs, OmegaSeq((), (1, 2)), 6,
+                         np.column_stack((t, 1.0 - t))):
+    rows, most = rows + len(pts), max(most, len(pts))
+print(rows, most)
+"""
+    res = run_isolated(code, timeout=120, max_bytes=300 << 20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [str(13_824 * 2048), str(3 * 2048)]
 
 
 def flipped_rifs():
@@ -334,7 +374,8 @@ def test_flipped_axes_walk_equals_contiguous_maps(data):
         # chunks of the leaves below level j: a walk of j prefix levels
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_CHUNK_LEAVES", math.prod(sizes[j:]))
-            chunks = list(_cover_chunks(rifs, om, depth))
+            chunks = [boxes.copy()
+                      for boxes in _cover_chunks(rifs, om, depth)]
         assert len(chunks) == math.prod(sizes[:j])
         got = np.concatenate(chunks)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 import rifslab
-from rifslab import (OmegaSeq, RenderSpec, TaskSpec, geometry, load_corpus,
-                     tasks)
+from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure,
+                     OmegaSeq, RenderSpec, TaskSpec, UsageError,
+                     continuity_probe, count_boxes, cylinder_cover,
+                     cylinder_images, geometry, level_masses, load_corpus,
+                     sample_omega, splice, tasks)
 from rifslab._record import Record, record
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -280,3 +283,24 @@ def test_no_run_calls_blas_or_lapack():
              if (uses := blas_uses(path.read_text(encoding="utf-8")))}
     assert found == {}, (
         "BLAS/LAPACK calls cost ~0.8 MB of peak RSS on first use", found)
+
+
+# each call passes True where the library means a whole number
+@pytest.mark.parametrize("call", [
+    lambda cfg: CarpetSpec(True, 2, ((0, 0),)),
+    lambda cfg: CarpetSpec(2, 2, ((True, 0),)),
+    lambda cfg: cylinder_cover(cfg.rifs, cfg.omega, True),
+    lambda cfg: cylinder_cover(cfg.rifs, cfg.omega, 2, budget=True),
+    lambda cfg: cylinder_images(cfg.rifs, cfg.omega, True, [[0.5]]),
+    lambda cfg: splice(cfg.omega, True, cfg.omega),
+    lambda cfg: continuity_probe(cfg.rifs, cfg.omega, True, [cfg.omega],
+                                 True),
+    lambda cfg: count_boxes(np.array([[0.25]]), 0.5, cfg.ambient, True),
+    lambda cfg: level_masses(CylinderMeasure(cfg.rifs, cfg.omega), True),
+    lambda cfg: sample_omega(BernoulliSampler((0.5, 0.5), 1), True),
+], ids=["carpet-size", "carpet-cell", "cover-depth", "walk-budget",
+        "images-depth", "splice-depth", "probe-depths", "count-budget",
+        "masses-depth", "sample-horizon"])
+def test_bool_is_refused_where_an_integer_is_meant(call, cantor_cfg):
+    with pytest.raises(UsageError, match="must be an integer, not True"):
+        call(cantor_cfg)

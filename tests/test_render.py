@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -122,19 +120,14 @@ def test_streamed_painter_checks_every_chunk():
         render_ppm(good, spec, unit_box(2))
 
 
-def test_painter_holds_at_most_two_canvas_copies():
+def test_painter_holds_at_most_two_canvas_copies(traced_peak):
     # the canvas, its tobytes() copy and the header concatenation were
     # three copies at once; painting into the header's buffer leaves that
     # buffer and the bytes returned
     spec = RenderSpec(1000, 1000)
     canvas = 3 * spec.width * spec.height
     pts = np.array([[0.25, 0.75], [0.5, 0.5]])
-    tracemalloc.start()
-    try:
-        data = render_ppm(pts, spec, unit_box(2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    data, peak = traced_peak(lambda: render_ppm(pts, spec, unit_box(2)))
     assert len(data) == len(header_of(data)) + canvas
     assert isinstance(data, bytes)
     assert peak < 2.5 * canvas

@@ -3,7 +3,6 @@ whole-array formulas they replace, bit for bit, in bounded memory."""
 
 import itertools
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -89,17 +88,12 @@ def test_streamed_render_equals_whole_array(name, target, monkeypatch):
     assert data == whole
 
 
-def test_render_task_writes_its_one_canvas(tmp_path):
+def test_render_task_writes_its_one_canvas(tmp_path, traced_peak):
     # the painted buffer, header included, is the bytes written: handing
     # the writer a bytes copy of it held two canvases at once
     cfg = with_params(load_corpus("cantor-render"), width=1000, height=1000)
     canvas = 3 * 1000 * 1000
-    tracemalloc.start()
-    try:
-        path, = tasks.run(cfg, str(tmp_path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (path,), peak = traced_peak(lambda: tasks.run(cfg, str(tmp_path)))
     with open(path, "rb") as fh:
         assert len(fh.read()) == len(b"P6\n1000 1000\n255\n") + canvas
     assert peak < 1.5 * canvas
@@ -139,16 +133,12 @@ def test_run_sizes_are_charged_to_the_budget(name, size):
     assert exc.value.count == need
 
 
-def test_splice_demo_holds_one_chunk():
+def test_splice_demo_holds_one_chunk(traced_peak):
     # carpet-splice reaches 4^10 cylinders: one gauge value per cylinder
     # traced an 11 MB peak, the streamed sum holds one chunk (2.5 MB)
     cfg = load_corpus("carpet-splice")
-    tracemalloc.start()
-    try:
-        tasks.TASKS["splice-demo"].handler(cfg, model.DEFAULT_BUDGET)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: tasks.TASKS["splice-demo"].handler(
+        cfg, model.DEFAULT_BUDGET))
     assert peak < 4 << 20
 
 
