@@ -24,6 +24,7 @@ from .errors import (ConfigError, ConfigParseError, ConfigSchemaError,
                      RifsError, UnsupportedShapeError, UsageError)
 from .geometry import (Affine2, AmbientBox, ClosedFormMap, ContractionMap,
                        Similarity, unit_box)
+from .hausdorff import hausdorff_distance
 from .measure import (CylinderMeasure, DoublingReport, Gauge, MdpReport,
                       PackingReport, PowerGauge, PowerLogGauge, TableGauge,
                       check_msc_grid, cylinder_mass, doubling_constants,
@@ -32,8 +33,8 @@ from .measure import (CylinderMeasure, DoublingReport, Gauge, MdpReport,
 from .model import (DEFAULT_BUDGET, AttractorPoints, BernoulliSampler,
                     CylinderCover, DeterministicIfs, ProbeRow, Rifs,
                     attractor_points, carpet_system, continuity_probe,
-                    cylinder_cover, cylinder_images, hausdorff_distance,
-                    resolution_depth, sample_omega)
+                    cylinder_cover, cylinder_images, resolution_depth,
+                    sample_omega)
 from .render import RenderSpec, render_ppm
 from .sequences import OmegaSeq, omega_distance, splice
 from .tasks import run

@@ -20,7 +20,10 @@ from .errors import UsageError, check_int
 
 @record
 class OmegaSeq(Record):
-    """Entries are 1-based system indices; entry(k) for k = 1, 2, ..."""
+    """Entries are 1-based system indices; entry(k) for k = 1, 2, ...
+
+    Any integral entries, numpy's included, are stored as a tuple of ints.
+    """
 
     prefix: tuple[int, ...]
     cycle: tuple[int, ...]
@@ -28,9 +31,16 @@ class OmegaSeq(Record):
     def __post_init__(self) -> None:
         if not self.cycle:
             raise UsageError("cycle must be non-empty")
-        for s in (*self.prefix, *self.cycle):
-            if isinstance(s, bool) or not (isinstance(s, int) and s >= 1):
-                raise UsageError(f"sequence entries must be integers >= 1, got {s!r}")
+        for name in ("prefix", "cycle"):
+            # plain ints skip the check: a sampled prefix can hold millions
+            entries = tuple(s if type(s) is int
+                            else check_int("sequence entry", s)
+                            for s in getattr(self, name))
+            for s in entries:
+                if s < 1:
+                    raise UsageError(
+                        f"sequence entries must be integers >= 1, got {s!r}")
+            object.__setattr__(self, name, entries)
 
     def entry(self, k: int) -> int:
         """k is 1-based."""

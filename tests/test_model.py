@@ -13,9 +13,10 @@ from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure, OmegaSeq,
                      resolution_depth, sample_omega, splice)
 from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                               unit_box)
-from rifslab import model
-from rifslab.model import (DeterministicIfs, _ExactSum, _SweepSet, _TILT,
-                           _cover_chunks, _image_chunks, _directed_sq_sweep)
+from rifslab import hausdorff, model
+from rifslab.hausdorff import _SweepSet, _TILT, _directed_sq_sweep
+from rifslab.model import (DeterministicIfs, _ExactSum, _cover_chunks,
+                           _image_chunks)
 
 from composition import compose
 
@@ -532,8 +533,8 @@ def test_hausdorff_input_checks():
 
 def _directed_sq_brute(a, b):
     """max over a of min over b of squared distance, brute force over every
-    pair, at most `model._BRUTE_CHUNK` pairs at a time."""
-    rows = max(1, model._BRUTE_CHUNK // b.shape[0])
+    pair, at most `hausdorff._BRUTE_CHUNK` pairs at a time."""
+    rows = max(1, hausdorff._BRUTE_CHUNK // b.shape[0])
     worst = 0.0
     for start in range(0, a.shape[0], rows):
         chunk = a[start:start + rows]
@@ -632,7 +633,7 @@ _mix_ties = (_carpet_mix_points(_mix),
 # Layouts on which the sweep key ties or rounds, each set larger than one
 # sweep block: two vertical lines; one point repeated against a spread set;
 # two runs along the key's level lines x + alpha * y = c
-_n = model._SWEEP_BLOCK + 52
+_n = hausdorff._SWEEP_BLOCK + 52
 _vertical = tuple(np.column_stack((np.zeros(m), _rng.random(m)))
                   for m in (_n, _n + 100))
 _one_point = (np.full((_n, 2), 0.25), _rng.random((_n, 2)))
@@ -661,6 +662,43 @@ def _key_rounding_sets():
     return p, np.vstack([p + ulp * o for o in offsets])
 
 
+def _bound_not_farthest():
+    """Points of a at (0, 0), (10, 0) and (20, 0) whose nearest points of
+    b, 0.1, 0.3 and 0.2 to the right, lie past far points of b on each
+    side of the key: one on each side for the first two, four for the
+    third.
+
+    Their window-1 bounds are about 900, 100 and 900, and the largest does
+    not belong to the farthest point: the directed value is 0.09, that of
+    (10, 0).  The second pass certifies (0, 0) and (10, 0) one window
+    before (20, 0) reaches its nearest point.  Every far point of b has a
+    partner in a 0.001 away, so the reverse direction is 0.09 as well.
+    Raising the running maximum from a bound not yet certified, in either
+    pass, returns about 900.
+    """
+    far = np.array([[0.05, -30.0], [-0.05, 30.0], [10.05, -10.0], [9.95, 10.0]]
+                   + [[20.05 - 0.01 * j, -30.0 - j] for j in range(4)]
+                   + [[19.95 + 0.01 * j, 30.0 + j] for j in range(4)])
+    partners = far + [0.0, 0.001] * np.sign(far)
+    a = np.vstack(([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]], partners))
+    b = np.vstack((far, [[0.1, 0.0], [10.3, 0.0], [20.2, 0.0]]))
+    return a, b
+
+
+# uniform sets: almost no point is certified at window 1, so nearly all
+# are left to widen, more than the first two second-pass batches hold
+_survivors = (
+    _rng.random((hausdorff._FIRST_BATCH + hausdorff._BATCH + 200, 2)),
+    _rng.random((1000, 2)))
+# a larger than one superblock, its farthest points (x near 1) in the last
+_superblocks = (_rng.random((hausdorff._SUPERBLOCK + 1000, 2)),
+                _rng.random((300, 2)) * [0.9, 1.0])
+# points on a horizontal line against a grid on it: each point's key
+# neighbours are its nearest points, so the first pass certifies every one
+_certified = (np.column_stack((_rng.random(_n), np.full(_n, 0.25))),
+              np.column_stack((np.arange(1001) / 1000, np.full(1001, 0.25))))
+
+
 @given(point_set_pairs())
 @example((_many, _rng.random((700, 2)) * 3.0))
 @example(_mix_ties)
@@ -668,6 +706,10 @@ def _key_rounding_sets():
 @example(_one_point)
 @example(_level_lines)
 @example(_key_rounding_sets())
+@example(_bound_not_farthest())
+@example(_survivors)
+@example(_superblocks)
+@example(_certified)
 @settings(deadline=None)
 def test_hausdorff_sweep_equals_brute(sets):
     a, b = sets
@@ -718,6 +760,17 @@ def test_hausdorff_sweep_stop_rule_clamps_the_key_margin(side):
     want = _directed_sq_brute(a, b)
     assert want == 17 * ulp ** 2
     assert _directed_sq_sweep(_SweepSet(a), _SweepSet(b)) == want
+
+
+@pytest.mark.parametrize("log_n", [15, 17])
+def test_hausdorff_sweep_state_stays_bounded(log_n, traced_peak):
+    # one superblock's bounds and order at most, whatever the set sizes:
+    # 1.24 and 1.31 MiB; with the whole of a as one superblock, 2^17
+    # points read 4.02 MiB
+    rng = np.random.default_rng(17)
+    a, b = (_SweepSet(rng.random((1 << log_n, 2))) for _ in range(2))
+    _, peak = traced_peak(lambda: _directed_sq_sweep(a, b))
+    assert peak < 2 << 20
 
 
 def test_hausdorff_outlier_exact_in_bounded_memory(run_isolated):
@@ -863,7 +916,19 @@ def test_continuity_probe_certifies_bound():
 
 
 def test_continuity_probe_equals_brute_on_every_tail():
-    # one prepared base set serves every tail
+    # one prepared base set serves every tail: every arrangement of two 1s
+    # and two 2s at depth 4, where (1 2 1 2) splices the sequence back to
+    # itself, at distance 0 with nothing left for the second pass
+    rifs, center = _carpet_mix(), np.full((1, 2), 0.5)
+    tails = [OmegaSeq(t, (1, 2))
+             for t in sorted(set(itertools.permutations((1, 1, 2, 2))))]
+    rows = continuity_probe(rifs, _mix, 2, tails, depth=4)
+    base = cylinder_images(rifs, _mix, 4, center)
+    for tail, row in zip(tails, rows, strict=True):
+        pts = cylinder_images(rifs, splice(_mix, 2, tail), 4, center)
+        assert row.d_hausdorff == _brute_hausdorff(base, pts)
+    assert rows[tails.index(OmegaSeq((1, 2, 1, 2), (1, 2)))].d_hausdorff == 0.0
+    # depth 5, over more than two sweep blocks
     tails = [OmegaSeq(t, (1, 2)) for t in ((2, 2, 1, 1), (1, 1, 2, 2))]
     rows = continuity_probe(_carpet_mix(), _mix, 2, tails, depth=5)
     for tail, row in zip(tails, rows):

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +30,23 @@ def test_entries_are_one_based_positive():
     om = OmegaSeq((2,), (1, 3))
     with pytest.raises(UsageError):
         om.entry(0)
+
+
+def test_entries_take_numpy_integers_as_ints():
+    # splice already took a numpy depth; the sequence itself refused one
+    om = OmegaSeq((np.int64(1), np.uint8(2)), (np.int32(3),))
+    assert om == OmegaSeq((1, 2), (3,))
+    assert hash(om) == hash(OmegaSeq((1, 2), (3,)))
+    assert all(type(s) is int for s in (*om.prefix, *om.cycle))
+    assert splice(om, np.int64(2), om) == splice(om, 2, om)
+    for bad in (True, np.bool_(True), 1.0, np.float64(1.0), "1"):
+        with pytest.raises(UsageError, match="integer"):
+            OmegaSeq((bad,), (1,))
+        with pytest.raises(UsageError, match="integer"):
+            OmegaSeq((), (2, bad))
+    for bad in (0, np.int64(0), -1):
+        with pytest.raises(UsageError, match=">= 1"):
+            OmegaSeq((1,), (bad,))
 
 
 def test_entry_walks_prefix_then_cycle():
