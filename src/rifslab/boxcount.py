@@ -37,9 +37,8 @@ import math
 from fractions import Fraction
 from functools import reduce
 
-import numpy as np
-
 from . import model
+from ._lazy import np
 from ._record import Record, record
 from .errors import ResourceError, UsageError, check_int
 from .geometry import AmbientBox
@@ -49,7 +48,7 @@ from .sequences import OmegaSeq
 SNAP_TOL = 1e-9
 _CELL_CHUNK = 1 << 17      # cells expanded per step
 _MAP_CELLS = 1 << 24       # largest grid counted into an occupancy map
-_MAX_CELLS = np.iinfo(np.int64).max   # cells an int64 index can number
+_MAX_CELLS = 2 ** 63 - 1   # cells an int64 index can number
 
 
 def _snap(q: np.ndarray) -> np.ndarray:

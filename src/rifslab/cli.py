@@ -123,9 +123,10 @@ def entry() -> None:
     """Run `main()` and exit the process with its code.
 
     The heap is frozen first: what is alive then is mostly the modules,
-    functions and classes of the numpy and rifslab imports, which the
-    exiting process drops anyway, and the interpreter's final full
-    collections would walk them all again (several ms per collection).
+    functions and classes of the rifslab imports, and of numpy's once a
+    walk has loaded it, which the exiting process drops anyway, and the
+    interpreter's final full collections would walk them all again
+    (several ms per collection).
     Atexit handlers, stdio flushing and exit codes are unchanged.
     `main()` freezes nothing, so in-process callers keep their collector.
     """

@@ -9,12 +9,12 @@ bi-Lipschitz bounds.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import reduce
 from operator import add
 
-import numpy as np
-
+from ._lazy import np
 from ._record import Record, record
 from .errors import UsageError
 
@@ -58,6 +58,12 @@ class AmbientBox(Record):
         hi = np.asarray(self.hi) + CONTAIN_TOL
         return bool(np.all(pts >= lo) and np.all(pts <= hi))
 
+    def holds(self, ranges) -> bool:
+        """Whether both ends of every per-axis (lo, hi) range lie in the
+        box, up to CONTAIN_TOL: `contains` of the two corners, in floats."""
+        return all(l - CONTAIN_TOL <= v <= h + CONTAIN_TOL
+                   for rng, l, h in zip(ranges, self.lo, self.hi) for v in rng)
+
 
 def unit_box(dim: int) -> AmbientBox:
     return AmbientBox((0.0,) * dim, (1.0,) * dim)
@@ -86,6 +92,11 @@ class ContractionMap:
         """Bounding boxes of the images of boxes (n, dim, 2), written to
         `out` of the same shape (any layout) or to a new array."""
         raise NotImplementedError
+
+    def image_box(self, box: AmbientBox):
+        """Per output axis, the (lo, hi) range of the image of `box`, as
+        `image_box_array` gives it."""
+        return self.image_box_array(box.as_array()[None])[0]
 
     def describe(self) -> str:
         return self.kind
@@ -119,12 +130,11 @@ class _AffineMap(ContractionMap):
         self._terms = tuple(
             tuple((a, float(c)) for a, c in enumerate(row) if c != 0.0)
             for row in linear)
-        self._shift = np.asarray(self.translation)
 
     def apply_array(self, pts: np.ndarray, out=None) -> np.ndarray:
         if out is None:
             out = np.empty_like(pts, dtype=float)
-        for k, (terms, t) in enumerate(zip(self._terms, self._shift)):
+        for k, (terms, t) in enumerate(zip(self._terms, self.translation)):
             _affine_column(out[:, k], ((pts[:, a], c) for a, c in terms), t)
         return out
 
@@ -133,10 +143,19 @@ class _AffineMap(ContractionMap):
             out = np.empty_like(boxes)
         # (dim, 2, n) views: per axis, the (lo, hi) block of every box
         ends, image = boxes.transpose(1, 2, 0), out.transpose(1, 2, 0)
-        for k, (terms, t) in enumerate(zip(self._terms, self._shift)):
+        for k, (terms, t) in enumerate(zip(self._terms, self.translation)):
             _affine_column(image[k], ((ends[a, ::-1] if c < 0 else ends[a], c)
                                       for a, c in terms), t)
         return out
+
+    def image_box(self, box: AmbientBox):
+        # image_box_array's sums for one box in Python floats: the same
+        # IEEE operations in the same order, so the same floats
+        ends = tuple(zip(box.lo, box.hi))
+        return tuple(
+            tuple(reduce(add, (ends[a][end ^ (c < 0)] * c for a, c in terms))
+                  + t for end in (0, 1))
+            for terms, t in zip(self._terms, self.translation))
 
 
 def _finite(what: str, values) -> tuple[float, ...]:
@@ -211,11 +230,11 @@ class Similarity(_AffineMap):
             self._set_affine([[-self.ratio if reflect else self.ratio]])
         else:
             th = math.radians(self.rotation_deg)
-            rot = np.array([[math.cos(th), -math.sin(th)],
-                            [math.sin(th), math.cos(th)]])
-            if reflect:
-                rot[:, 0] = -rot[:, 0]
-            self._set_affine(self.ratio * rot)
+            c, s = math.cos(th), math.sin(th)
+            # the reflection of the x axis, applied first, negates column 0
+            c0 = (-c, -s) if reflect else (c, s)
+            rot = ((c0[0], -s), (c0[1], c))
+            self._set_affine([[self.ratio * v for v in row] for row in rot])
 
     def describe(self) -> str:
         return f"similarity(ratio={self.ratio:g})"
@@ -231,17 +250,27 @@ class Affine2(_AffineMap):
     kind = "affine2"
 
     def __init__(self, matrix, translation: tuple[float, float]):
-        self.matrix = np.asarray(matrix, dtype=float)
-        if self.matrix.shape != (2, 2):
+        try:
+            rows = [tuple(row) for row in matrix]
+        except TypeError:       # not a sequence of sequences
+            rows = []
+        if len(rows) != 2 or any(len(row) != 2 for row in rows) or not all(
+                isinstance(v, numbers.Real) for row in rows for v in row):
             raise UsageError("affine2 needs a 2x2 matrix")
-        _finite("affine2 matrix", self.matrix.flat)
+        entries = _finite("affine2 matrix", rows[0] + rows[1])
+        self._rows = (entries[:2], entries[2:])
         self.translation = _finite("translation", translation)
         if len(self.translation) != 2:
             raise UsageError("affine2 needs a 2-entry translation")
         self.dim = 2
-        self.lip_lo, self.lip_hi = _singular_bounds(self.matrix.tolist())
+        self.lip_lo, self.lip_hi = _singular_bounds(self._rows)
         self._check_lips()
-        self._set_affine(self.matrix)
+        self._set_affine(self._rows)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The 2x2 matrix, as a new float array."""
+        return np.array(self._rows)
 
     def describe(self) -> str:
         return f"affine2(sv=[{self.lip_lo:g},{self.lip_hi:g}])"

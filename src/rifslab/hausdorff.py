@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._lazy import np
 from .errors import UsageError
 
 _BRUTE_CHUNK = 1 << 13    # pair evaluations per chunk or sweep step

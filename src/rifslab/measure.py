@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from ._record import Record, record
 from .errors import GeometryDomainError, UsageError, check_int
 from .dimension import CarpetSpec, similarity_dimension
@@ -90,23 +89,22 @@ class TableGauge(Gauge):
         pts = sorted((float(t), float(g)) for t, g in knots)
         if not pts:
             raise UsageError("table gauge needs at least one knot")
-        self.kt = np.array([t for t, _ in pts])
-        self.kg = np.array([g for _, g in pts])
+        kt, kg = zip(*pts)
+        self.kt, self.kg = kt, kg
         # negated, so that a NaN knot fails the compare too
-        if not 0.0 < self.kt[0] <= self.kt[-1] < math.inf:
+        if not 0.0 < kt[0] <= kt[-1] < math.inf:
             raise UsageError("table gauge knots must have finite t > 0")
-        if not np.all(np.diff(self.kt) > 0.0):
+        if not all(b - a > 0.0 for a, b in zip(kt, kt[1:])):
             raise UsageError("table gauge knots must be strictly increasing")
-        if not (self.kg[0] >= 0.0 and np.all(np.diff(self.kg) >= 0.0)
-                and self.kg[-1] < math.inf):
+        if not (kg[0] >= 0.0 and all(b - a >= 0.0 for a, b in zip(kg, kg[1:]))
+                and kg[-1] < math.inf):
             raise UsageError(
                 "table gauge values must be finite and non-decreasing")
-        if self.kt.size >= 2:
-            self.tail_slope = float(
-                (self.kg[-1] - self.kg[-2]) / (self.kt[-1] - self.kt[-2]))
+        if len(kt) >= 2:
+            self.tail_slope = (kg[-1] - kg[-2]) / (kt[-1] - kt[-2])
         else:
-            self.tail_slope = float(self.kg[0] / self.kt[0])
-        self.label = f"table[{self.kt.size} knots]"
+            self.tail_slope = kg[0] / kt[0]
+        self.label = f"table[{len(kt)} knots]"
 
     def _eval(self, t: np.ndarray) -> np.ndarray:
         out = np.interp(t, self.kt, self.kg)

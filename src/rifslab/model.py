@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
+from ._lazy import np
 from ._record import Record, record
 from .dimension import CarpetSpec, check_weights
 from .errors import ResourceError, UsageError, check_int
@@ -57,15 +56,14 @@ class Rifs(Record):
     def __post_init__(self) -> None:
         if not self.systems:
             raise UsageError("a RIFS needs at least one system")
-        box = self.ambient.as_array()[None]
         for sys_ in self.systems:
             if sys_.dim != self.ambient.dim:
                 raise UsageError(
                     f"system {sys_.label!r} dimension {sys_.dim} does not match "
                     f"ambient dimension {self.ambient.dim}")
             for m in sys_.maps:
-                # image_box_array is the exact image range for every map kind
-                if not self.ambient.contains(m.image_box_array(box)[0].T):
+                # image_box is the exact image range for every map kind
+                if not self.ambient.holds(m.image_box(self.ambient)):
                     raise UsageError(f"map {m.describe()} of system "
                                      f"{sys_.label!r} leaves the ambient box")
 

@@ -8,8 +8,7 @@ from a one-dimensional ambient render on row 0.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._lazy import np
 from ._record import Record, record
 from .errors import UsageError, check_int
 from .geometry import AmbientBox

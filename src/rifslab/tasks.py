@@ -10,13 +10,13 @@ digits and LF line endings so repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 import tempfile
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import np
 from ._record import Record, record
 from .boxcount import estimate_box_dims
 from .config import (ExperimentConfig, _check_keys, _int_field, _parse_gauge,
@@ -38,7 +38,7 @@ def _fmt(v) -> str:
         return v
     if isinstance(v, bool):
         raise UsageError("boolean has no CSV form")
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):
         return str(int(v))
     return format(float(v), ".12g")
 

@@ -89,6 +89,8 @@ _SQUARE = [[0.5, 0.0], [0.0, 0.5]]
 
 
 @pytest.mark.parametrize("make", [
+    lambda: Affine2(0.5, (0.1, 0.2)),
+    lambda: Affine2(np.full((2, 2, 1), 0.5), (0.1, 0.2)),
     lambda: Affine2(_SQUARE, (0.1,)),
     lambda: Affine2(_SQUARE, (0.1, 0.2, 0.3)),
     lambda: Affine2([[math.nan, 0.0], [0.0, 0.5]], (0.1, 0.2)),
@@ -99,9 +101,10 @@ _SQUARE = [[0.5, 0.0], [0.0, 0.5]]
     lambda: Similarity(0.5, (-math.inf,)),
     lambda: Similarity(0.5, (0.1, 0.2), rotation_deg=math.inf),
     lambda: Similarity(0.5, (0.1, 0.2), rotation_deg=math.nan),
-], ids=["short-shift", "long-shift", "nan-entry", "inf-entry", "nan-shift",
-        "inf-shift", "similarity-nan-shift", "similarity-inf-shift",
-        "inf-rotation", "nan-rotation"])
+], ids=["scalar-matrix", "deep-matrix", "short-shift", "long-shift",
+        "nan-entry", "inf-entry", "nan-shift", "inf-shift",
+        "similarity-nan-shift", "similarity-inf-shift", "inf-rotation",
+        "nan-rotation"])
 def test_affine_maps_refuse_bad_shapes_and_non_finite_entries(make):
     with pytest.raises(UsageError):
         make()
@@ -212,7 +215,39 @@ def test_shear_image_boxes_bound_every_corner():
     m = Affine2([[0.5, 0.25], [0.0, 0.5]], (0.1, 0.2))
     boxes = np.sort(np.random.default_rng(3).uniform(-1, 1, (50, 2, 2)))
     assert np.array_equal(m.image_box_array(boxes),
-                          _corner_image_boxes(m.matrix, m._shift, boxes))
+                          _corner_image_boxes(m.matrix, m.translation, boxes))
+
+
+@st.composite
+def affine_box_cases(draw):
+    """An affine map and a box of its dimension: 1-D similarities with
+    and without reflection, 2-D similarities at any rotation, reflected or
+    not, and Affine2 maps whose entries may be negative or 0."""
+    dim = draw(st.sampled_from((1, 2)))
+    lo = tuple(draw(st.floats(-1.0, 0.0)) for _ in range(dim))
+    box = AmbientBox(lo, tuple(l + draw(st.floats(0.5, 2.0)) for l in lo))
+    shift = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(dim))
+    if dim == 2 and draw(st.booleans()):
+        matrix = draw(hnp.arrays(np.float64, (2, 2), elements=st.just(0.0)
+                                 | st.floats(-0.45, 0.45)))
+        assume(_singular_bounds(matrix.tolist())[0] > 0.0)
+        return Affine2(matrix, shift), box
+    rotation = draw(st.floats(-360.0, 360.0)) if dim == 2 else 0.0
+    return Similarity(draw(st.floats(0.05, 0.95)), shift, rotation,
+                      draw(st.booleans())), box
+
+
+@given(affine_box_cases())
+@settings(deadline=None)
+def test_affine_image_box_in_floats_is_the_array_kernels(case):
+    # Rifs checks containment through image_box, in Python floats: the
+    # same floats as image_box_array, bit for bit, and the same decision
+    # as the array check of the two corners
+    m, box = case
+    want = m.image_box_array(box.as_array()[None])[0]
+    got = m.image_box(box)
+    assert np.array(got).tobytes() == want.tobytes()
+    assert box.holds(got) == box.contains(want.T)
 
 
 @pytest.mark.parametrize("m", [
@@ -352,7 +387,7 @@ def _per_end_affine_boxes(m, boxes):
     each term takes the input end its coefficient's sign picks, added in
     order, then the shift."""
     out = np.empty_like(boxes)
-    for k, (terms, t) in enumerate(zip(m._terms, m._shift)):
+    for k, (terms, t) in enumerate(zip(m._terms, m.translation)):
         for end in (0, 1):
             (a, c), *rest = terms
             col = boxes[:, a, end ^ (c < 0)] * c

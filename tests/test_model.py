@@ -56,6 +56,14 @@ def test_rifs_accepts_boundary_touching_maps():
     cantor_rifs()
 
 
+def test_rifs_accepts_an_overshoot_inside_the_tolerance():
+    # containment is checked up to CONTAIN_TOL, not exactly: this map's
+    # image ends 5e-10 past the box
+    edge = Similarity(0.5, (0.5 + 5e-10,))
+    assert edge.image_box(unit_box(1))[0][1] > 1.0
+    Rifs((DeterministicIfs((edge,), "edge"),), unit_box(1))
+
+
 def test_carpet_system_grid_cells():
     carpet = CarpetSpec(2, 4, ((0, 0), (1, 3)))
     sys_ = carpet_system(carpet, "cells")

@@ -200,9 +200,9 @@ def test_record_refuses_fields_its_methods_ignore():
 
 
 def test_importing_the_cli_execs_no_source(run_isolated):
-    # numpy and the stdlib modules the package imports load first, so the
-    # count is the package's own: six generated methods per
-    # @dataclass(frozen=True) would make it 132
+    # the stdlib modules the package imports load first, so the count is
+    # the package's own: six generated methods per @dataclass(frozen=True)
+    # would make it 132
     nodes = [node for path in Path(rifslab.__file__).parent.glob("*.py")
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
     imported = sorted(
@@ -238,7 +238,10 @@ def blas_uses(source: str) -> list[str]:
     tree = ast.parse(source)
     imports = [a for node in ast.walk(tree) if isinstance(node, ast.Import)
                for a in node.names]
-    numpy = {a.asname or "numpy" for a in imports if a.name == "numpy"}
+    numpy = {a.asname or "numpy" for a in imports if a.name == "numpy"} | {
+        a.asname or a.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "_lazy"
+        for a in node.names if a.name == "np"}
     axis_norms = {id(call.func.value) for call in ast.walk(tree)
                   if isinstance(call, ast.Call)
                   and isinstance(call.func, ast.Attribute)
@@ -272,6 +275,8 @@ def test_guard_finds_every_blas_call():
                     "from numpy.linalg import svd", "import numpy.linalg",
                     "from numpy import dot"):
         assert blas_uses("import numpy as np\n" + snippet), snippet
+        if snippet.startswith(("np.", "la = np")):
+            assert blas_uses("from ._lazy import np\n" + snippet), snippet
     assert blas_uses("import numpy as np\nnp.linalg.norm(a, axis=1)") == []
 
 
