@@ -302,11 +302,9 @@ def _lsq_slope(xs, ys) -> float:
     return float((n * sxy - sx * sy) / (n * sxx - sx * sx))
 
 
-def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
-                      budget: int = DEFAULT_BUDGET,
-                      ) -> tuple[BoxCountTable, BoxDimEstimate]:
-    """Count cylinder boxes on each grid of the ladder, then read off the
-    dimension two ways: per-rung exponents and a log-log slope."""
+def _check_ladder(deltas) -> tuple[float, ...]:
+    """The ladder's deltas as floats: non-empty, in (0, 1) and strictly
+    decreasing, or UsageError."""
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise UsageError("empty delta ladder")
@@ -314,6 +312,15 @@ def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
         raise UsageError("ladder deltas must lie in (0, 1)")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise UsageError("deltas must be strictly decreasing")
+    return deltas
+
+
+def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
+                      budget: int = DEFAULT_BUDGET,
+                      ) -> tuple[BoxCountTable, BoxDimEstimate]:
+    """Count cylinder boxes on each grid of the ladder, then read off the
+    dimension two ways: per-rung exponents and a log-log slope."""
+    deltas = _check_ladder(deltas)
 
     # resolve each rung to cylinders no larger than a quarter cell; depths
     # never decrease down the ladder, so each depth's rungs are adjacent and

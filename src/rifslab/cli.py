@@ -80,7 +80,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    print(f"{args.config}: OK ({len(cfg.systems)} systems, "
+    print(f"{args.config}: OK ({len(cfg.rifs.systems)} systems, "
           f"task {cfg.task.type})")
     return 0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 from ._record import Record, record
@@ -39,20 +40,16 @@ class TaskSpec(Record):
 class ExperimentConfig(Record):
     """A parsed and validated experiment config.
 
-    `version` is the schema version (always 1), `description` the config's
-    free text, `ambient` the box every map must keep, `systems` the IFSs in
-    config order (omega's index i is `systems[i - 1]`), `carpets` per
-    system its grid carpet, or None for a system of explicit maps, `omega`
-    the index sequence, `seed` the random seed (>= 0), `task` the task and
-    its parsed fields, and `rifs` the systems on the ambient box, each map
-    checked to keep the box.  Nothing here is computed, so nothing is
-    certified beyond the parsing and those checks.
+    `description` is the config's free text, `carpets` per system its grid
+    carpet, or None for a system of explicit maps, `omega` the index
+    sequence (its index i is `rifs.systems[i - 1]`), `seed` the random
+    seed (>= 0), `task` the task and its parsed fields, and `rifs` the
+    systems in config order on the ambient box, each map checked to keep
+    the box.  Nothing here is computed, so nothing is certified beyond the
+    parsing and those checks.
     """
 
-    version: int
     description: str
-    ambient: AmbientBox
-    systems: tuple[DeterministicIfs, ...]
     carpets: tuple[CarpetSpec | None, ...]
     omega: OmegaSeq
     seed: int
@@ -76,6 +73,15 @@ def _schema(path: str, msg: str) -> ConfigSchemaError:
 
 def _semantic(path: str, msg: str) -> ConfigSemanticError:
     return ConfigSemanticError(f"{path}: {msg}")
+
+
+@contextmanager
+def _semantic_at(path: str):
+    """Re-raise a UsageError of the block as a semantic error at path."""
+    try:
+        yield
+    except UsageError as exc:
+        raise _semantic(path, str(exc)) from exc
 
 
 def _check_keys(obj, path: str, required: tuple[str, ...],
@@ -166,10 +172,8 @@ def _weights(obj, path: str, n: int) -> tuple[float, ...]:
     """The optional `weights` field of obj: one per system, uniform if absent."""
     path = f"{path}.weights"
     w = _real_list(obj.get("weights", [1.0 / n] * n), path)
-    try:
+    with _semantic_at(path):
         return check_weights(w, n)
-    except UsageError as exc:
-        raise _semantic(path, str(exc)) from exc
 
 
 # --- geometry pieces ---------------------------------------------------------
@@ -183,10 +187,8 @@ def _parse_ambient(obj, path: str) -> AmbientBox:
         raise _schema(path, "lo and hi must have equal length")
     if len(lo) not in (1, 2):
         raise _semantic(path, "ambient dimension must be 1 or 2")
-    try:
+    with _semantic_at(path):
         return AmbientBox(lo, hi)
-    except UsageError as exc:
-        raise _semantic(path, str(exc)) from exc
 
 
 def _parse_map(obj, path: str, dim: int) -> ContractionMap:
@@ -195,7 +197,7 @@ def _parse_map(obj, path: str, dim: int) -> ContractionMap:
     kind = _str_field(obj.get("kind"), f"{path}.kind") if "kind" in obj else None
     if kind is None:
         raise _schema(path, "missing required field 'kind'")
-    try:
+    with _semantic_at(path):
         if kind == "similarity":
             _check_keys(obj, path, ("kind", "ratio", "translation"),
                         ("rotation_deg", "reflect"))
@@ -222,8 +224,6 @@ def _parse_map(obj, path: str, dim: int) -> ContractionMap:
         if kind == "closed_form":
             _check_keys(obj, path, ("kind", "name"))
             return ClosedFormMap(_str_field(obj["name"], f"{path}.name"))
-    except UsageError as exc:
-        raise _semantic(path, str(exc)) from exc
     raise _semantic(f"{path}.kind", f"unknown map kind {kind!r}")
 
 
@@ -254,23 +254,19 @@ def _parse_system(obj, path: str, index: int, dim: int,
             cells.append((int(pair[0]), int(pair[1])))
         if dim != 2:
             raise _semantic(cpath, "carpet systems need a 2-D ambient")
-        try:
+        with _semantic_at(cpath):
             carpet = CarpetSpec(_int_field(spec["m"], f"{cpath}.m"),
                                 _int_field(spec["n"], f"{cpath}.n"),
                                 tuple(cells))
             return carpet_system(carpet, label), carpet
-        except UsageError as exc:
-            raise _semantic(cpath, str(exc)) from exc
     _check_keys(obj, path, ("maps",), ("label",))
     maps_raw = obj["maps"]
     if not isinstance(maps_raw, list) or not maps_raw:
         raise _schema(f"{path}.maps", "must be a non-empty array")
     maps = tuple(_parse_map(m, f"{path}.maps[{i}]", dim)
                  for i, m in enumerate(maps_raw))
-    try:
+    with _semantic_at(path):
         return DeterministicIfs(maps, label), None
-    except UsageError as exc:
-        raise _semantic(path, str(exc)) from exc
 
 
 def _parse_omega(obj, path: str, n_systems: int) -> OmegaSeq:
@@ -299,7 +295,7 @@ def _parse_gauge(obj, path: str) -> Gauge:
     if not isinstance(obj, dict):
         raise _schema(path, "must be an object")
     gtype = obj.get("type")
-    try:
+    with _semantic_at(path):
         if gtype == "power":
             _check_keys(obj, path, ("type", "s"))
             return PowerGauge(_real(obj["s"], f"{path}.s"))
@@ -314,8 +310,6 @@ def _parse_gauge(obj, path: str) -> Gauge:
             pairs = [_real_list(k, f"{path}.knots[{i}]", 2)
                      for i, k in enumerate(knots)]
             return TableGauge(pairs)
-    except UsageError as exc:
-        raise _semantic(path, str(exc)) from exc
     raise _schema(f"{path}.type",
                   "must be one of 'power', 'power_log', 'table'")
 
@@ -330,8 +324,7 @@ def _parse_points(val, path: str, dim: int) -> tuple[tuple[float, ...], ...]:
 # --- task parsing ------------------------------------------------------------
 
 
-def _parse_task(obj, path: str, n_systems: int, dim: int,
-                all_carpets: bool) -> TaskSpec:
+def _parse_task(obj, path: str, rifs: Rifs, carpets: tuple) -> TaskSpec:
     # tasks imports this module for its field helpers, so the registry is
     # imported at call time
     from .tasks import TASKS
@@ -348,7 +341,7 @@ def _parse_task(obj, path: str, n_systems: int, dim: int,
     if task.summary is not None:
         names["summary"] = task.summary
     fields = {k: v for k, v in obj.items() if k != "type" and k not in names}
-    params = task.parse(fields, path, n_systems, dim, all_carpets)
+    params = task.parse(fields, path, rifs, carpets)
     for key, default in names.items():
         params[key] = _output_name(obj.get(key, default), f"{path}.{key}")
     return TaskSpec(ttype, params)
@@ -361,8 +354,7 @@ def parse_config(doc, source: str = "<config>") -> ExperimentConfig:
     """Validate an already-decoded JSON document."""
     _check_keys(doc, source, ("version", "ambient", "systems", "omega",
                               "task"), ("description", "seed"))
-    version = _int_field(doc["version"], f"{source}.version")
-    if version != 1:
+    if _int_field(doc["version"], f"{source}.version") != 1:
         raise _schema(f"{source}.version", "only version 1 is supported")
     description = doc.get("description", "")
     if not isinstance(description, str):
@@ -373,23 +365,14 @@ def parse_config(doc, source: str = "<config>") -> ExperimentConfig:
     systems_raw = doc["systems"]
     if not isinstance(systems_raw, list) or not systems_raw:
         raise _schema(f"{source}.systems", "must be a non-empty array")
-    systems = []
-    carpets = []
-    for i, entry in enumerate(systems_raw):
-        sys_, carpet = _parse_system(entry, f"{source}.systems[{i}]", i,
-                                     ambient.dim)
-        systems.append(sys_)
-        carpets.append(carpet)
-
+    systems, carpets = zip(*(
+        _parse_system(entry, f"{source}.systems[{i}]", i, ambient.dim)
+        for i, entry in enumerate(systems_raw)))
     omega = _parse_omega(doc["omega"], f"{source}.omega", len(systems))
-    task = _parse_task(doc["task"], f"{source}.task", len(systems),
-                       ambient.dim, all(c is not None for c in carpets))
-    try:
-        rifs = Rifs(tuple(systems), ambient)
-    except UsageError as exc:
-        raise _semantic(f"{source}.systems", str(exc)) from exc
-    return ExperimentConfig(version, description, ambient, tuple(systems),
-                            tuple(carpets), omega, seed, task, rifs)
+    with _semantic_at(f"{source}.systems"):
+        rifs = Rifs(systems, ambient)
+    task = _parse_task(doc["task"], f"{source}.task", rifs, carpets)
+    return ExperimentConfig(description, carpets, omega, seed, task, rifs)
 
 
 def load_config(path) -> ExperimentConfig:

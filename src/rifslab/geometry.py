@@ -52,15 +52,9 @@ class AmbientBox(Record):
         """Box as an (dim, 2) array of [lo, hi] per axis."""
         return np.stack([np.asarray(self.lo), np.asarray(self.hi)], axis=1)
 
-    def contains(self, pts: np.ndarray) -> bool:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        lo = np.asarray(self.lo) - CONTAIN_TOL
-        hi = np.asarray(self.hi) + CONTAIN_TOL
-        return bool(np.all(pts >= lo) and np.all(pts <= hi))
-
     def holds(self, ranges) -> bool:
         """Whether both ends of every per-axis (lo, hi) range lie in the
-        box, up to CONTAIN_TOL: `contains` of the two corners, in floats."""
+        box, up to CONTAIN_TOL, in floats."""
         return all(l - CONTAIN_TOL <= v <= h + CONTAIN_TOL
                    for rng, l, h in zip(ranges, self.lo, self.hi) for v in rng)
 

@@ -226,6 +226,15 @@ def packing_lower_bound(points, g: Gauge, delta: float) -> PackingReport:
     return PackingReport(count, delta, count * float(g(delta)))
 
 
+def _check_exponents(exponents, n: int) -> None:
+    """Refuse mass exponents that are not one per system, each finite and
+    >= 0."""
+    if len(exponents) != n:
+        raise UsageError("one exponent per system is required")
+    if not all(0.0 <= s < math.inf for s in exponents):
+        raise UsageError("exponents must be finite and >= 0")
+
+
 @record
 class CylinderMeasure(Record):
     """Unit mass split across the cylinder tree.
@@ -246,10 +255,7 @@ class CylinderMeasure(Record):
                 similarity_dimension([m.lip_hi for m in sys_.maps]).value
                 for sys_ in self.rifs.systems)
             object.__setattr__(self, "exponents", roots)
-        if len(self.exponents) != len(self.rifs.systems):
-            raise UsageError("one exponent per system is required")
-        if not all(0.0 <= s < math.inf for s in self.exponents):
-            raise UsageError("exponents must be finite and >= 0")
+        _check_exponents(self.exponents, len(self.rifs.systems))
 
     def factors(self, level_system: int) -> np.ndarray:
         sys_ = self.rifs.systems[level_system - 1]
@@ -486,7 +492,7 @@ def check_msc_grid(carpets: Sequence[CarpetSpec], omega: OmegaSeq,
     that level's carpet repeats a cell: each level is checked on its own,
     and the levels past one prefix and cycle repeat the ones before.
     """
-    if depth < 0:
+    if check_int("depth", depth) < 0:
         raise UsageError("depth must be non-negative")
     levels = min(depth, len(omega.prefix) + len(omega.cycle))
     for level in range(1, levels + 1):

@@ -271,18 +271,6 @@ class _ExactSum:
             return math.inf if self._units > 0 else -math.inf
 
 
-def _cover_chunks(rifs: Rifs, omega: OmegaSeq, depth: int,
-                  budget: int = DEFAULT_BUDGET):
-    """cylinder_cover's boxes, streamed by _chunks."""
-    return _chunks(*_boxes(rifs, omega, depth, budget)[0])
-
-
-def _image_chunks(rifs: Rifs, omega: OmegaSeq, depth: int, seeds,
-                  budget: int = DEFAULT_BUDGET):
-    """cylinder_images's points, streamed by _chunks in whole word blocks."""
-    return _chunks(*_points(rifs, omega, depth, seeds, budget))
-
-
 _MAX_DEPTH = 10_000        # deepest level any walk goes down to
 _LEAST = math.ulp(0.0)     # least positive float: no bound rounds below it
 

@@ -18,17 +18,17 @@ from typing import Callable
 
 from ._lazy import np
 from ._record import Record, record
-from .boxcount import estimate_box_dims
+from .boxcount import _check_ladder, estimate_box_dims
 from .config import (ExperimentConfig, _check_keys, _int_field, _parse_gauge,
                      _parse_omega, _parse_points, _positive, _real,
-                     _real_list, _schema, _semantic, _weights)
+                     _real_list, _schema, _semantic, _semantic_at, _weights)
 from .dimension import (carpet_dimension_curve, minimize_carpet_dimension,
                         random_carpet_dimension,
                         randomized_similarity_dimension)
 from .errors import ResourceError, UsageError
-from .measure import CylinderMeasure, mdp_bounds
-from .model import (DEFAULT_BUDGET, BernoulliSampler, _ExactSum,
-                    _image_chunks, resolution_depth, sample_omega)
+from .measure import CylinderMeasure, _check_exponents, _scale, mdp_bounds
+from .model import (DEFAULT_BUDGET, BernoulliSampler, _chunks, _ExactSum,
+                    _points, resolution_depth, sample_omega)
 from .render import RenderSpec, _paint_ppm
 from .sequences import omega_distance, splice
 
@@ -62,39 +62,48 @@ def _charge(size: int, what: str, budget: int) -> None:
         raise ResourceError(f"{what} exceeds budget {budget}", count=size)
 
 
-def _parse_dim(obj, path, n_systems, dim, all_carpets) -> dict:
+def _dim_by_carpets(rifs, carpets) -> bool:
+    """True when every system is a carpet (the dim task's carpet
+    formula), False when every map is a similarity (its similarity
+    formula); any other mix has no formula and raises UsageError."""
+    if None not in carpets:
+        return True
+    if any(m.kind != "similarity" for s in rifs.systems for m in s.maps):
+        raise UsageError("dim task needs all-similarity or all-carpet systems")
+    return False
+
+
+def _parse_dim(obj, path, rifs, carpets) -> dict:
     _check_keys(obj, path, (), ("weights",))
-    return {"weights": _weights(obj, path, n_systems)}
+    with _semantic_at(path):
+        _dim_by_carpets(rifs, carpets)
+    return {"weights": _weights(obj, path, len(rifs.systems))}
 
 
 def _task_dim(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
     weights = params["weights"]
-    if all(c is not None for c in cfg.carpets):
+    if _dim_by_carpets(cfg.rifs, cfg.carpets):
         value = random_carpet_dimension(list(cfg.carpets), weights)
         equation, residual = "carpet_product_formula", 0.0
     else:
-        for sys_ in cfg.systems:
-            if any(m.kind != "similarity" for m in sys_.maps):
-                raise UsageError(
-                    "dim task needs all-similarity or all-carpet systems")
         rep = randomized_similarity_dimension(
-            [[m.lip_hi for m in s.maps] for s in cfg.systems], weights)
+            [[m.lip_hi for m in s.maps] for s in cfg.rifs.systems], weights)
         value, equation, residual = rep.value, rep.equation, rep.residual
     rows = [("dimension", value), ("equation", equation),
             ("residual", residual)]
     return [(params["output"], _csv(("name", "value"), rows))]
 
 
-def _need_carpet_pair(path, ttype, n_systems, all_carpets) -> None:
-    if n_systems != 2:
+def _need_carpet_pair(path, ttype, rifs, carpets) -> None:
+    if len(rifs.systems) != 2:
         raise _semantic(path, f"{ttype} task needs exactly 2 systems")
-    if not all_carpets:
+    if None in carpets:
         raise _semantic(path, f"{ttype} task needs carpet systems")
 
 
-def _parse_curve(obj, path, n_systems, dim, all_carpets) -> dict:
-    _need_carpet_pair(path, "curve", n_systems, all_carpets)
+def _parse_curve(obj, path, rifs, carpets) -> dict:
+    _need_carpet_pair(path, "curve", rifs, carpets)
     _check_keys(obj, path, (), ("grid",))
     return {"grid": _int_field(obj.get("grid", 101), f"{path}.grid",
                                minimum=2)}
@@ -111,8 +120,8 @@ def _task_curve(cfg: ExperimentConfig, budget: int):
     return [(params["output"], _csv(("p", "dimension"), rows))]
 
 
-def _parse_minimize(obj, path, n_systems, dim, all_carpets) -> dict:
-    _need_carpet_pair(path, "minimize", n_systems, all_carpets)
+def _parse_minimize(obj, path, rifs, carpets) -> dict:
+    _need_carpet_pair(path, "minimize", rifs, carpets)
     _check_keys(obj, path, (), ("tol",))
     return {"tol": _positive(obj.get("tol", 1e-10), f"{path}.tol")}
 
@@ -125,7 +134,7 @@ def _task_minimize(cfg: ExperimentConfig, budget: int):
     return [(params["output"], _csv(("name", "value"), rows))]
 
 
-def _parse_boxdim(obj, path, n_systems, dim, all_carpets) -> dict:
+def _parse_boxdim(obj, path, rifs, carpets) -> dict:
     _check_keys(obj, path, ("ladder",))
     ladder = obj["ladder"]
     lpath = f"{path}.ladder"
@@ -146,7 +155,10 @@ def _parse_boxdim(obj, path, n_systems, dim, all_carpets) -> dict:
         if e > 1100 / math.log2(base) or base ** -e == 0.0:
             raise _semantic(f"{lpath}.exponents[{i}]",
                             "base ** -exponent rounds to 0")
-    return {"deltas": tuple(base ** -e for e in evals)}
+    deltas = tuple(base ** -e for e in evals)
+    with _semantic_at(f"{lpath}.exponents"):
+        _check_ladder(deltas)       # rungs may round to one float
+    return {"deltas": deltas}
 
 
 def _task_boxdim(cfg: ExperimentConfig, budget: int):
@@ -166,17 +178,22 @@ def _task_boxdim(cfg: ExperimentConfig, budget: int):
             (params["summary"], _csv(("name", "value"), summary))]
 
 
-def _parse_measure_bounds(obj, path, n_systems, dim, all_carpets) -> dict:
+def _parse_measure_bounds(obj, path, rifs, carpets) -> dict:
     _check_keys(obj, path, ("s", "radii", "points"), ("exponents",))
-    params = {"s": _positive(obj["s"], f"{path}.s")}
+    s = _positive(obj["s"], f"{path}.s")
     radii = _real_list(obj["radii"], f"{path}.radii")
     if not radii or any(r <= 0.0 for r in radii):
         raise _semantic(f"{path}.radii", "must be positive and non-empty")
-    params["radii"] = radii
-    params["points"] = _parse_points(obj["points"], f"{path}.points", dim)
+    for i, r in enumerate(radii):
+        with _semantic_at(f"{path}.radii[{i}]"):
+            _scale(r, s)
+    params = {"s": s, "radii": radii, "points": _parse_points(
+        obj["points"], f"{path}.points", rifs.ambient.dim)}
     if "exponents" in obj:
-        params["exponents"] = _real_list(obj["exponents"],
-                                         f"{path}.exponents", n_systems)
+        n, epath = len(rifs.systems), f"{path}.exponents"
+        params["exponents"] = _real_list(obj["exponents"], epath, n)
+        with _semantic_at(epath):
+            _check_exponents(params["exponents"], n)
     return params
 
 
@@ -186,7 +203,7 @@ def _task_measure_bounds(cfg: ExperimentConfig, budget: int):
     cm = CylinderMeasure(cfg.rifs, cfg.omega, exponents)
     rep = mdp_bounds(cm, params["s"], params["radii"], params["points"],
                      budget)
-    coords = ("x",) if cfg.ambient.dim == 1 else ("x", "y")
+    coords = ("x",) if cfg.rifs.ambient.dim == 1 else ("x", "y")
     rows = [point + (r, outer, inner)
             for point, r, outer, inner in rep.rows]
     summary = [("s", rep.s), ("depth", rep.depth),
@@ -198,7 +215,7 @@ def _task_measure_bounds(cfg: ExperimentConfig, budget: int):
             (params["summary"], _csv(("name", "value"), summary))]
 
 
-def _parse_render(obj, path, n_systems, dim, all_carpets) -> dict:
+def _parse_render(obj, path, rifs, carpets) -> dict:
     _check_keys(obj, path, ("width", "height"),
                 ("target_error", "depth", "foreground", "background"))
     params = {"width": _int_field(obj["width"], f"{path}.width", minimum=1),
@@ -232,15 +249,15 @@ def _task_render(cfg: ExperimentConfig, budget: int):
     _charge(width * height, f"canvas of {width}x{height} pixels", budget)
     depth = params.get("depth") or resolution_depth(
         cfg.rifs, cfg.omega, params["target_error"], budget)
-    center = np.asarray(cfg.ambient.center)[None, :]
+    center = np.asarray(cfg.rifs.ambient.center)[None, :]
     colours = {k: params[k] for k in ("foreground", "background")
                if k in params}
     spec = RenderSpec(width, height, **colours)
-    chunks = _image_chunks(cfg.rifs, cfg.omega, depth, center, budget)
-    return [(params["output"], _paint_ppm(chunks, spec, cfg.ambient))]
+    chunks = _chunks(*_points(cfg.rifs, cfg.omega, depth, center, budget))
+    return [(params["output"], _paint_ppm(chunks, spec, cfg.rifs.ambient))]
 
 
-def _parse_splice_demo(obj, path, n_systems, dim, all_carpets) -> dict:
+def _parse_splice_demo(obj, path, rifs, carpets) -> dict:
     _check_keys(obj, path, ("epsilon", "tail", "seed_set", "gauge"),
                 ("max_depth",))
     eps = _real(obj["epsilon"], f"{path}.epsilon")
@@ -248,8 +265,9 @@ def _parse_splice_demo(obj, path, n_systems, dim, all_carpets) -> dict:
         raise _semantic(f"{path}.epsilon", "must lie in (0, 1]")
     return {
         "epsilon": eps,
-        "tail": _parse_omega(obj["tail"], f"{path}.tail", n_systems),
-        "seed_set": _parse_points(obj["seed_set"], f"{path}.seed_set", dim),
+        "tail": _parse_omega(obj["tail"], f"{path}.tail", len(rifs.systems)),
+        "seed_set": _parse_points(obj["seed_set"], f"{path}.seed_set",
+                                  rifs.ambient.dim),
         "gauge": _parse_gauge(obj["gauge"], f"{path}.gauge"),
         "max_depth": _int_field(obj.get("max_depth", 10),
                                 f"{path}.max_depth", minimum=1),
@@ -277,7 +295,7 @@ def _task_splice_demo(cfg: ExperimentConfig, budget: int):
         mass = _ExactSum()
         count = 0
         diam_max = 0.0
-        for pts in _image_chunks(cfg.rifs, spliced, depth, seeds, budget):
+        for pts in _chunks(*_points(cfg.rifs, spliced, depth, seeds, budget)):
             blocks = pts.reshape(-1, n_seeds, pts.shape[1])
             count += len(blocks)
             d2 = np.zeros(len(blocks))
@@ -295,11 +313,11 @@ def _task_splice_demo(cfg: ExperimentConfig, budget: int):
     return [(params["output"], _csv(header, rows))]
 
 
-def _parse_sample(obj, path, n_systems, dim, all_carpets) -> dict:
+def _parse_sample(obj, path, rifs, carpets) -> dict:
     _check_keys(obj, path, ("horizon",), ("weights",))
     return {
         "horizon": _int_field(obj["horizon"], f"{path}.horizon", minimum=1),
-        "weights": _weights(obj, path, n_systems),
+        "weights": _weights(obj, path, len(rifs.systems)),
     }
 
 
@@ -320,7 +338,7 @@ class Task(Record):
     """One task type; config parses its type, output and summary fields."""
 
     output: str                 # default output file name
-    # (fields, path, n_systems, dim, all_carpets) -> params
+    # (fields, path, rifs, carpets) -> params
     parse: Callable[..., dict]
     # (cfg, budget) -> [(file name, bytes), ...]
     handler: Callable[[ExperimentConfig, int], list[tuple[str, bytes]]]

@@ -119,7 +119,7 @@ def test_criterion_06_cylinder_certificates_on_every_config():
             phi = np.repeat(parent.boxes[:, :, 1], branch, axis=0)
             assert np.all(child.boxes[:, :, 0] >= plo - 1e-12), name
             assert np.all(child.boxes[:, :, 1] <= phi + 1e-12), name
-        center = np.asarray(cfg.ambient.center)[None, :]
+        center = np.asarray(cfg.rifs.ambient.center)[None, :]
         for k in range(1, 4):
             a = cylinder_images(cfg.rifs, cfg.omega, k, center)
             b = cylinder_images(cfg.rifs, cfg.omega, k + 3, center)

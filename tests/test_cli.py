@@ -182,6 +182,49 @@ def test_validate_catches_a_ladder_rung_that_rounds_to_zero(run_cli,
         ".ladder.exponents[1]: base ** -exponent rounds to 0")
 
 
+def interval_doc(maps, task):
+    """A config on [0, 1] of one system of similarity maps."""
+    return {"version": 1, "ambient": {"lo": [0], "hi": [1]},
+            "systems": [{"maps": [{"kind": "similarity", "ratio": r,
+                                   "translation": [t]} for r, t in maps]}],
+            "omega": {"cycle": [1]}, "task": task}
+
+
+_CANTOR = (("1/3", 0), ("1/3", "2/3"))
+
+
+@pytest.mark.parametrize("doc, refusal", [
+    ({"version": 1, "ambient": {"lo": [0, 0], "hi": [1, 1]},
+      "systems": [{"maps": [{"kind": "affine2",
+                             "matrix": [[0.5, 0], [0, 0.25]],
+                             "translation": [0, 0]}]}],
+      "omega": {"cycle": [1]}, "task": {"type": "dim"}},
+     ".task: dim task needs all-similarity or all-carpet systems"),
+    (interval_doc(_CANTOR, {"type": "measure-bounds", "s": 0.5,
+                            "radii": ["1/9"], "points": [[0]],
+                            "exponents": [-1]}),
+     ".task.exponents: exponents must be finite and >= 0"),
+    (interval_doc(_CANTOR, {"type": "measure-bounds", "s": 2000,
+                            "radii": [1e-200], "points": [[0]]}),
+     ".task.radii[0]: radius 1e-200 to the power s = 2000.0 is not a "
+     "positive finite float"),
+    (interval_doc(_CANTOR, {"type": "boxdim", "ladder": {
+        "base": 1.001, "exponents": [744600, 744700]}}),
+     ".task.ladder.exponents: deltas must be strictly decreasing"),
+], ids=["dim-of-affine", "negative-exponent", "radius-power-underflow",
+        "rungs-round-alike"])
+def test_validate_refuses_what_run_refuses(doc, refusal, tmp_path, capsys):
+    # each passed validate, and run then refused it with exit 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rifslab: invalid config: ")
+    assert err.rstrip().endswith(refusal)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_budget_env(run_cli, tmp_path):
     res = run_cli("run", corpus_path("cantor"), "--out", str(tmp_path),
                   env_extra={"RIFSLAB_BUDGET": "abc"})

@@ -496,6 +496,9 @@ def test_msc_grid_input_checks():
         check_msc_grid([c], OmegaSeq((), (1,)), -1)
     with pytest.raises(UsageError):
         check_msc_grid([c], OmegaSeq((), (2,)), 3)
+    with pytest.raises(UsageError, match="must be an integer, not 2.5"):
+        check_msc_grid([CarpetSpec(3, 3, ((0, 0), (2, 2)))],
+                       OmegaSeq((), (1,)), 2.5)
 
 
 def _enumerated_msc_grid(carpets, omega, depth):

@@ -15,8 +15,8 @@ from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                               unit_box)
 from rifslab import hausdorff, model
 from rifslab.hausdorff import _SweepSet, _TILT, _directed_sq_sweep
-from rifslab.model import (DeterministicIfs, _ExactSum, _cover_chunks,
-                           _image_chunks)
+from rifslab.model import (DEFAULT_BUDGET, DeterministicIfs, _ExactSum,
+                           _boxes, _chunks, _points)
 
 from composition import compose
 
@@ -157,11 +157,16 @@ def test_cylinder_budget_enforced():
     assert exc.value.count == 3 ** 5
 
 
+def cover_chunks(rifs, om, depth, budget=DEFAULT_BUDGET):
+    """cylinder_cover's boxes, streamed by the walk."""
+    return _chunks(*_boxes(rifs, om, depth, budget)[0])
+
+
 def _streamed_count(rifs, om, k, budget):
     # two-leaf chunks: the walk never builds a family of the full count
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_CHUNK_LEAVES", 2)
-        return sum(len(boxes) for boxes in _cover_chunks(rifs, om, k, budget))
+        return sum(len(boxes) for boxes in cover_chunks(rifs, om, k, budget))
 
 
 # each builder returns the number of cylinders it built
@@ -196,7 +201,7 @@ def test_cover_chunks_concatenate_to_the_cover(data):
     target = data.draw(st.sampled_from((1, 2, 3, 7, model._CHUNK_LEAVES)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_CHUNK_LEAVES", target)
-        chunks = [boxes.copy() for boxes in _cover_chunks(rifs, om, depth)]
+        chunks = [boxes.copy() for boxes in cover_chunks(rifs, om, depth)]
     assert max(len(boxes) for boxes in chunks) <= target
     assert np.array_equal(np.concatenate(chunks),
                           cylinder_cover(rifs, om, depth).boxes)
@@ -294,7 +299,8 @@ def test_image_chunks_concatenate_to_the_images(data):
     target = data.draw(st.sampled_from((1, 2, 3, 7, model._CHUNK_LEAVES)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_CHUNK_LEAVES", target)
-        chunks = [pts.copy() for pts in _image_chunks(rifs, om, depth, seeds)]
+        walk = _points(rifs, om, depth, seeds, DEFAULT_BUDGET)
+        chunks = [pts.copy() for pts in _chunks(*walk)]
     assert max(len(pts) // len(seeds) for pts in chunks) <= target
     assert np.array_equal(np.concatenate(chunks),
                           cylinder_images(rifs, om, depth, seeds))
@@ -308,7 +314,7 @@ def test_cover_walk_holds_the_family_and_two_buffers(traced_peak):
     rifs, chunk = _carpet_mix(), 13_824 * 2 * 2 * 8
 
     def walk():
-        for boxes in _cover_chunks(rifs, _mix, 8):
+        for boxes in cover_chunks(rifs, _mix, 8):
             assert len(boxes) == 13_824
 
     _, peak = traced_peak(walk)
@@ -323,15 +329,15 @@ def test_many_seeds_stream_in_chunks_of_rows(run_isolated):
 import numpy as np
 from rifslab import CarpetSpec, OmegaSeq, Rifs, carpet_system
 from rifslab.geometry import unit_box
-from rifslab.model import _image_chunks
+from rifslab.model import DEFAULT_BUDGET, _chunks, _points
 cells = tuple((c, r) for r in range(3) for c in range(3) if (c, r) != (1, 1))
 rifs = Rifs((carpet_system(CarpetSpec(3, 3, cells), "sierpinski"),
              carpet_system(CarpetSpec(2, 3, ((0, 0), (1, 1), (0, 2))),
                            "grid")), unit_box(2))
 t = np.linspace(0.0, 1.0, 2048)
 rows = most = 0
-for pts in _image_chunks(rifs, OmegaSeq((), (1, 2)), 6,
-                         np.column_stack((t, 1.0 - t))):
+for pts in _chunks(*_points(rifs, OmegaSeq((), (1, 2)), 6,
+                           np.column_stack((t, 1.0 - t)), DEFAULT_BUDGET)):
     rows, most = rows + len(pts), max(most, len(pts))
 print(rows, most)
 """
@@ -384,7 +390,7 @@ def test_flipped_axes_walk_equals_contiguous_maps(data):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_CHUNK_LEAVES", math.prod(sizes[j:]))
             chunks = [boxes.copy()
-                      for boxes in _cover_chunks(rifs, om, depth)]
+                      for boxes in cover_chunks(rifs, om, depth)]
         assert len(chunks) == math.prod(sizes[:j])
         got = np.concatenate(chunks)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -513,7 +519,9 @@ def test_attractor_points_certificate():
     assert approx.depth == 5
     assert approx.error_bound <= 0.01
     assert approx.points.shape == (2 ** 5, 1)
-    assert rifs.ambient.contains(approx.points)
+    # every point in the box: each axis's least and greatest coordinate
+    assert rifs.ambient.holds(zip(approx.points.min(axis=0),
+                                  approx.points.max(axis=0)))
 
 
 def test_hausdorff_known_values():

@@ -13,7 +13,7 @@ import pytest
 import rifslab
 from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure,
                      OmegaSeq, RenderSpec, TaskSpec, UsageError,
-                     continuity_probe, count_boxes, cylinder_cover,
+                     check_msc_grid, continuity_probe, count_boxes, cylinder_cover,
                      cylinder_images, geometry, level_masses, load_corpus,
                      sample_omega, splice, tasks)
 from rifslab._record import Record, record
@@ -300,12 +300,14 @@ def test_no_run_calls_blas_or_lapack():
     lambda cfg: splice(cfg.omega, True, cfg.omega),
     lambda cfg: continuity_probe(cfg.rifs, cfg.omega, True, [cfg.omega],
                                  True),
-    lambda cfg: count_boxes(np.array([[0.25]]), 0.5, cfg.ambient, True),
+    lambda cfg: count_boxes(np.array([[0.25]]), 0.5, cfg.rifs.ambient, True),
     lambda cfg: level_masses(CylinderMeasure(cfg.rifs, cfg.omega), True),
     lambda cfg: sample_omega(BernoulliSampler((0.5, 0.5), 1), True),
+    lambda cfg: check_msc_grid([CarpetSpec(3, 3, ((0, 0), (2, 2)))],
+                               OmegaSeq((), (1,)), True),
 ], ids=["carpet-size", "carpet-cell", "cover-depth", "walk-budget",
         "images-depth", "splice-depth", "probe-depths", "count-budget",
-        "masses-depth", "sample-horizon"])
+        "masses-depth", "sample-horizon", "msc-depth"])
 def test_bool_is_refused_where_an_integer_is_meant(call, cantor_cfg):
     with pytest.raises(UsageError, match="must be an integer, not True"):
         call(cantor_cfg)

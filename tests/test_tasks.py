@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from rifslab import (PowerGauge, PowerLogGauge, ResourceError, TableGauge,
-                     cylinder_images, load_corpus, render_ppm,
-                     resolution_depth, splice, tasks)
+                     TaskSpec, UsageError, cylinder_images, load_corpus,
+                     render_ppm, resolution_depth, splice, tasks)
 from rifslab import model
 from rifslab.render import RenderSpec
 
@@ -79,10 +79,10 @@ def test_streamed_render_equals_whole_array(name, target, monkeypatch):
     params = cfg.task.params
     depth = params.get("depth") or resolution_depth(
         cfg.rifs, cfg.omega, params["target_error"])
-    center = np.asarray(cfg.ambient.center)[None, :]
+    center = np.asarray(cfg.rifs.ambient.center)[None, :]
     spec = RenderSpec(params["width"], params["height"])
     whole = render_ppm(cylinder_images(cfg.rifs, cfg.omega, depth, center),
-                       spec, cfg.ambient)
+                       spec, cfg.rifs.ambient)
     monkeypatch.setattr(model, "_CHUNK_LEAVES", target)
     (_, data), = tasks.TASKS["render"].handler(cfg, model.DEFAULT_BUDGET)
     assert data == whole
@@ -110,10 +110,10 @@ def test_render_task_colours_default_to_render_spec(colours, monkeypatch):
     cfg = with_params(load_corpus("cantor-render"), **colours)
     params = cfg.task.params
     depth = resolution_depth(cfg.rifs, cfg.omega, params["target_error"])
-    center = np.asarray(cfg.ambient.center)[None, :]
+    center = np.asarray(cfg.rifs.ambient.center)[None, :]
     spec = RenderSpec(params["width"], params["height"], **colours)
     want = render_ppm(cylinder_images(cfg.rifs, cfg.omega, depth, center),
-                      spec, cfg.ambient)
+                      spec, cfg.rifs.ambient)
     (_, data), = tasks.TASKS["render"].handler(cfg, model.DEFAULT_BUDGET)
     assert data == want
 
@@ -162,3 +162,15 @@ print(hashlib.sha256(data).hexdigest())
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == [
         "a0f25c9f3d2aab565a42338c44edbc0e2603a79d17dec3faa7140311ef9c9d39"]
+
+
+def test_run_refuses_a_hand_built_dim_of_other_maps(tmp_path):
+    # the config parser refuses a dim task on closed-form maps; one built
+    # in code reaches the handler, which keeps the same rule
+    cfg = load_corpus("pictorial-a")
+    n = len(cfg.rifs.systems)
+    cfg = replace(cfg, task=TaskSpec("dim", {"weights": (1.0 / n,) * n,
+                                             "output": "dim.csv"}))
+    with pytest.raises(UsageError, match="all-similarity or all-carpet"):
+        tasks.run(cfg, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
