@@ -56,13 +56,6 @@ class ExperimentConfig(Record):
     task: TaskSpec
     rifs: Rifs
 
-    @property
-    def outputs(self) -> tuple[str, ...]:
-        names = [self.task.params["output"]]
-        if "summary" in self.task.params:
-            names.append(self.task.params["summary"])
-        return tuple(names)
-
 
 # --- low-level field helpers -------------------------------------------------
 
@@ -156,7 +149,7 @@ def _real_list(val, path: str, length: int | None = None) -> tuple[float, ...]:
 
 def _output_name(val, path: str) -> str:
     name = _str_field(val, path)
-    if not name or name.startswith("/") or ".." in name or "\x00" in name:
+    if {"", ".", ".."} & set(name.split("/")) or "\x00" in name:
         raise _semantic(path, "must be a relative file name")
     return name
 
@@ -185,8 +178,6 @@ def _parse_ambient(obj, path: str) -> AmbientBox:
     hi = _real_list(obj["hi"], f"{path}.hi")
     if len(lo) != len(hi):
         raise _schema(path, "lo and hi must have equal length")
-    if len(lo) not in (1, 2):
-        raise _semantic(path, "ambient dimension must be 1 or 2")
     with _semantic_at(path):
         return AmbientBox(lo, hi)
 
@@ -344,6 +335,12 @@ def _parse_task(obj, path: str, rifs: Rifs, carpets: tuple) -> TaskSpec:
     params = task.parse(fields, path, rifs, carpets)
     for key, default in names.items():
         params[key] = _output_name(obj.get(key, default), f"{path}.{key}")
+    # run writes the names in turn, so none may be another or a folder of it
+    if "summary" in names:
+        o, s = params["output"] + "/", params["summary"] + "/"
+        if o.startswith(s) or s.startswith(o):
+            raise _semantic(f"{path}.summary",
+                            "must differ from output, neither inside the other")
     return TaskSpec(ttype, params)
 
 

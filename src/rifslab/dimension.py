@@ -134,7 +134,10 @@ class CarpetSpec(Record):
             raise UsageError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         if not self.chosen:
             raise UsageError("carpet needs at least one chosen cell")
-        for col, row in self.chosen:
+        for cell in self.chosen:
+            if not (isinstance(cell, tuple) and len(cell) == 2):
+                raise UsageError("carpet cells must be (column, row) tuples")
+            col, row = cell
             if not (0 <= check_int("cell column", col) < self.m
                     and 0 <= check_int("cell row", row) < self.n):
                 raise UsageError(f"cell ({col}, {row}) outside {self.m}x{self.n} grid")

@@ -18,7 +18,6 @@ from ._lazy import np
 from ._record import Record, record
 from .errors import UsageError
 
-CONTAIN_TOL = 1e-9
 _SQRT_BITS = 128       # bits of a bracketed square root, before rounding
 
 
@@ -31,7 +30,7 @@ class AmbientBox(Record):
 
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi) or len(self.lo) not in (1, 2):
-            raise UsageError("ambient box must be 1- or 2-dimensional")
+            raise UsageError("ambient dimension must be 1 or 2")
         for a, (l, h) in enumerate(zip(self.lo, self.hi)):
             if not l < h:
                 raise UsageError(f"ambient box axis {a}: lo {l} must be < hi {h}")
@@ -54,8 +53,8 @@ class AmbientBox(Record):
 
     def holds(self, ranges) -> bool:
         """Whether both ends of every per-axis (lo, hi) range lie in the
-        box, up to CONTAIN_TOL, in floats."""
-        return all(l - CONTAIN_TOL <= v <= h + CONTAIN_TOL
+        box, compared exactly as floats."""
+        return all(l <= v <= h
                    for rng, l, h in zip(ranges, self.lo, self.hi) for v in rng)
 
 
@@ -153,10 +152,14 @@ class _AffineMap(ContractionMap):
 
 
 def _finite(what: str, values) -> tuple[float, ...]:
-    """The values as floats, refused unless every one is finite."""
-    vals = tuple(float(v) for v in values)
+    """The values as floats, refused unless all are finite real numbers."""
+    try:
+        vals = tuple(float(v) if isinstance(v, numbers.Real) else math.nan
+                     for v in values)
+    except (TypeError, OverflowError):  # not a sequence; an int past floats
+        vals = (math.nan,)
     if not all(map(math.isfinite, vals)):
-        raise UsageError(f"{what} must be finite, not {vals}")
+        raise UsageError(f"{what} must be finite real numbers, not {values!r}")
     return vals
 
 
@@ -209,7 +212,7 @@ class Similarity(_AffineMap):
 
     def __init__(self, ratio: float, translation: tuple[float, ...],
                  rotation_deg: float = 0.0, reflect: bool = False):
-        self.ratio = float(ratio)
+        (self.ratio,) = _finite("ratio", (ratio,))
         self.translation = _finite("translation", translation)
         (self.rotation_deg,) = _finite("rotation", (rotation_deg,))
         self.reflect = bool(reflect)
@@ -220,15 +223,16 @@ class Similarity(_AffineMap):
             raise UsageError("rotation is undefined in one dimension")
         self.lip_lo = self.lip_hi = self.ratio
         self._check_lips()
+        k = self.ratio
+        r = -k if reflect else k    # the reflection of x negates column 0
         if self.dim == 1:
-            self._set_affine([[-self.ratio if reflect else self.ratio]])
+            self._set_affine([[r]])
         else:
-            th = math.radians(self.rotation_deg)
+            th = math.radians(self.rotation_deg % 360.0)
             c, s = math.cos(th), math.sin(th)
-            # the reflection of the x axis, applied first, negates column 0
-            c0 = (-c, -s) if reflect else (c, s)
-            rot = ((c0[0], -s), (c0[1], c))
-            self._set_affine([[self.ratio * v for v in row] for row in rot])
+            if not self.rotation_deg % 90.0:    # exact, so a quarter turn's
+                c, s = round(c), round(s)       # float box is its image
+            self._set_affine(((r * c, -k * s), (r * s, k * c)))
 
     def describe(self) -> str:
         return f"similarity(ratio={self.ratio:g})"
@@ -248,8 +252,7 @@ class Affine2(_AffineMap):
             rows = [tuple(row) for row in matrix]
         except TypeError:       # not a sequence of sequences
             rows = []
-        if len(rows) != 2 or any(len(row) != 2 for row in rows) or not all(
-                isinstance(v, numbers.Real) for row in rows for v in row):
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise UsageError("affine2 needs a 2x2 matrix")
         entries = _finite("affine2 matrix", rows[0] + rows[1])
         self._rows = (entries[:2], entries[2:])
@@ -389,8 +392,7 @@ class ClosedFormMap(ContractionMap):
             raise UsageError(f"unknown closed-form map {name!r}") from None
         self.name = name
         self.dim = len(entry.axes)
-        self.lip_lo = entry.lip_lo
-        self.lip_hi = entry.lip_hi
+        self.lip_lo, self.lip_hi = entry.lip_lo, entry.lip_hi
         self._axes = entry.axes
         self._check_lips()
 

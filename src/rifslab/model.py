@@ -62,7 +62,7 @@ class Rifs(Record):
                     f"system {sys_.label!r} dimension {sys_.dim} does not match "
                     f"ambient dimension {self.ambient.dim}")
             for m in sys_.maps:
-                # image_box is the exact image range for every map kind
+                # checked with no tolerance on the floats the walk computes
                 if not self.ambient.holds(m.image_box(self.ambient)):
                     raise UsageError(f"map {m.describe()} of system "
                                      f"{sys_.label!r} leaves the ambient box")
@@ -104,9 +104,9 @@ def _family(like: np.ndarray, rows: int) -> np.ndarray:
 class CylinderCover(Record):
     """Depth-k cover of the attractor by composed images of the ambient box.
 
-    Boxes are exact per-axis ranges propagated through the factor maps, so a
-    child box always sits inside its parent.  Rows are in lexicographic word
-    order, first symbol most significant.
+    Boxes are the factor maps' float image boxes, composed; rounding is
+    monotone, so for affine maps each lies in its parent and the ambient
+    box.  Rows are in lexicographic word order, first symbol most significant.
     """
 
     rifs: Rifs

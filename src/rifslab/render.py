@@ -18,6 +18,7 @@ _WHITE = (255, 255, 255)
 
 
 def _check_rgb(name: str, rgb) -> tuple[int, int, int]:
+    rgb = rgb if hasattr(rgb, "__iter__") else ()    # a scalar is no triple
     vals = tuple(check_int(f"{name} channel", v) for v in rgb)
     if len(vals) != 3 or any(not (0 <= v <= 255) for v in vals):
         raise UsageError(f"{name} must be three channel values in 0..255")
@@ -39,10 +40,8 @@ class RenderSpec(Record):
         if min(check_int("width", self.width),
                check_int("height", self.height)) < 1:
             raise UsageError("render resolution must be at least 1x1")
-        object.__setattr__(self, "foreground",
-                           _check_rgb("foreground", self.foreground))
-        object.__setattr__(self, "background",
-                           _check_rgb("background", self.background))
+        for name in ("foreground", "background"):
+            object.__setattr__(self, name, _check_rgb(name, getattr(self, name)))
 
 
 def render_ppm(points, spec: RenderSpec, ambient: AmbientBox) -> bytes:

@@ -29,7 +29,7 @@ from .errors import ResourceError, UsageError
 from .measure import CylinderMeasure, _check_exponents, _scale, mdp_bounds
 from .model import (DEFAULT_BUDGET, BernoulliSampler, _chunks, _ExactSum,
                     _points, resolution_depth, sample_omega)
-from .render import RenderSpec, _paint_ppm
+from .render import RenderSpec, _check_rgb, _paint_ppm
 from .sequences import omega_distance, splice
 
 
@@ -236,10 +236,8 @@ def _parse_render(obj, path, rifs, carpets) -> dict:
                         for v in rgb)):
                 raise _schema(f"{path}.{field}",
                               "must be three integer channels")
-            if any(not (0 <= v <= 255) for v in rgb):
-                raise _semantic(f"{path}.{field}",
-                                "channels must lie in 0..255")
-            params[field] = tuple(rgb)
+            with _semantic_at(f"{path}.{field}"):
+                params[field] = _check_rgb(field, rgb)
     return params
 
 

@@ -117,8 +117,12 @@ def test_criterion_06_cylinder_certificates_on_every_config():
             branch = child.count // parent.count
             plo = np.repeat(parent.boxes[:, :, 0], branch, axis=0)
             phi = np.repeat(parent.boxes[:, :, 1], branch, axis=0)
-            assert np.all(child.boxes[:, :, 0] >= plo - 1e-12), name
-            assert np.all(child.boxes[:, :, 1] <= phi + 1e-12), name
+            assert np.all(child.boxes[:, :, 0] >= plo), name
+            assert np.all(child.boxes[:, :, 1] <= phi), name
+        ambient = cfg.rifs.ambient
+        for cover in covers:
+            assert np.all(cover.boxes[:, :, 0] >= ambient.lo), name
+            assert np.all(cover.boxes[:, :, 1] <= ambient.hi), name
         center = np.asarray(cfg.rifs.ambient.center)[None, :]
         for k in range(1, 4):
             a = cylinder_images(cfg.rifs, cfg.omega, k, center)

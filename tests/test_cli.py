@@ -211,10 +211,17 @@ _CANTOR = (("1/3", 0), ("1/3", "2/3"))
     (interval_doc(_CANTOR, {"type": "boxdim", "ladder": {
         "base": 1.001, "exponents": [744600, 744700]}}),
      ".task.ladder.exponents: deltas must be strictly decreasing"),
+    (interval_doc(_CANTOR, {"type": "boxdim", "ladder": {
+        "base": 3, "exponents": [2, 3]}, "output": "same.csv",
+        "summary": "same.csv"}),
+     ".task.summary: must differ from output, neither inside the other"),
+    (interval_doc(_CANTOR, {"type": "dim", "output": "a/"}),
+     ".task.output: must be a relative file name"),
 ], ids=["dim-of-affine", "negative-exponent", "radius-power-underflow",
-        "rungs-round-alike"])
+        "rungs-round-alike", "summary-is-output", "output-is-a-folder"])
 def test_validate_refuses_what_run_refuses(doc, refusal, tmp_path, capsys):
-    # each passed validate, and run then refused it with exit 1
+    # each once passed validate, while run refused it with exit 1,
+    # overwrote its table with the summary, or exited 3 after the walk
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", str(path)]) == 1

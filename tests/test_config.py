@@ -8,6 +8,7 @@ import pytest
 from rifslab import (ConfigParseError, ConfigSchemaError, ConfigSemanticError,
                      cli, corpus_names, load_config, load_corpus,
                      parse_config)
+from rifslab.corpus import corpus_path
 
 BASE = {
     "version": 1,
@@ -36,7 +37,6 @@ def test_minimal_document_parses():
     assert len(cfg.rifs.systems) == 1
     assert cfg.task.params["output"] == "dim.csv"
     assert cfg.task.params["weights"] == (1.0,)
-    assert cfg.outputs == ("dim.csv",)
 
 
 def test_all_corpus_entries_parse():
@@ -186,11 +186,39 @@ def test_weights_validation():
 
 
 def test_output_name_restrictions():
-    for bad in ("/abs.csv", "a/../b.csv", ""):
+    # "a/", "x.csv/" and "." name a folder, which run cannot write a file to
+    for bad in ("/abs.csv", "a/../b.csv", "", "a/", "x.csv/", ".", "..",
+                "./x.csv", "a//b.csv"):
         d = doc()
         d["task"]["output"] = bad
         with pytest.raises(ConfigSemanticError, match="relative file name"):
             parse_config(d)
+    for good in ("v1..2.csv", "..x", "sub/dim.csv"):
+        d = doc()
+        d["task"]["output"] = good
+        assert parse_config(d).task.params["output"] == good
+
+
+def boxdim_doc(**names):
+    with open(corpus_path("cantor-boxdim")) as fh:
+        d = json.load(fh)
+    d["task"].update(names)
+    return d
+
+
+def test_summary_must_not_collide_with_output():
+    # run would overwrite the table with the summary, or find a file
+    # where it needs a folder
+    for names in ({"output": "same.csv", "summary": "same.csv"},
+                  {"output": "boxdim_summary.csv"},
+                  {"output": "a", "summary": "a/b.csv"},
+                  {"output": "a/b.csv", "summary": "a"}):
+        with pytest.raises(ConfigSemanticError,
+                           match=r"task\.summary: must differ from output"):
+            parse_config(boxdim_doc(**names))
+    for names in ({"output": "a/b.csv", "summary": "a/c.csv"},
+                  {"output": "ab", "summary": "a"}):
+        parse_config(boxdim_doc(**names))
 
 
 def test_curve_task_prerequisites():

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from rifslab import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                      UsageError, unit_box)
-from rifslab.geometry import CLOSED_FORMS, CONTAIN_TOL, _singular_bounds
+from rifslab.geometry import CLOSED_FORMS, _singular_bounds
 
 from composition import compose
 
@@ -238,10 +238,10 @@ def affine_box_cases(draw):
 
 
 def box_contains(box, pts):
-    """Whether every point lies in the box, up to CONTAIN_TOL."""
+    """Whether every point lies in the box, compared exactly."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return bool(np.all(pts >= np.asarray(box.lo) - CONTAIN_TOL)
-                and np.all(pts <= np.asarray(box.hi) + CONTAIN_TOL))
+    return bool(np.all(pts >= np.asarray(box.lo))
+                and np.all(pts <= np.asarray(box.hi)))
 
 
 @given(affine_box_cases())

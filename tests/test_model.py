@@ -52,16 +52,44 @@ def test_rifs_rejects_maps_leaving_the_box():
 
 
 def test_rifs_accepts_boundary_touching_maps():
-    # images may touch the boundary; the tolerance must not reject them
+    # images may touch the boundary.  In exact arithmetic 0.1 * 1 + 0.9 ends
+    # 2.8e-17 past 1, but the floats the walk computes end at 1.0, and
+    # those are what is checked
     cantor_rifs()
+    for ratio in (0.1, 0.2):
+        top = Similarity(ratio, (1.0 - ratio,))
+        assert top.image_box(unit_box(1))[0][1] == 1.0
+        Rifs((DeterministicIfs((top,), "top"),), unit_box(1))
 
 
-def test_rifs_accepts_an_overshoot_inside_the_tolerance():
-    # containment is checked up to CONTAIN_TOL, not exactly: this map's
+def test_rifs_refuses_an_overshoot_of_any_size():
+    # containment is checked on the floats, with no tolerance: this map's
     # image ends 5e-10 past the box
     edge = Similarity(0.5, (0.5 + 5e-10,))
     assert edge.image_box(unit_box(1))[0][1] > 1.0
-    Rifs((DeterministicIfs((edge,), "edge"),), unit_box(1))
+    with pytest.raises(UsageError, match="leaves the ambient box"):
+        Rifs((DeterministicIfs((edge,), "edge"),), unit_box(1))
+
+
+def test_rifs_accepts_every_square_carpet_grid_up_to_64():
+    for m in range(2, 65):
+        cells = tuple(itertools.product(range(m), repeat=2))
+        carpet = carpet_system(CarpetSpec(m, m, cells), f"{m}x{m}")
+        Rifs((carpet,), unit_box(2))
+
+
+@pytest.mark.parametrize("reflect", (False, True))
+@pytest.mark.parametrize("deg", (0.0, 90.0, 180.0, 270.0, -90.0, 450.0))
+def test_rifs_accepts_quarter_turns_into_each_quadrant(deg, reflect):
+    # quarter turns are exact, so each image's float box is its quadrant;
+    # math.cos(pi / 2) is 6.1e-17, which would push some ends past 0
+    linear = Similarity(0.5, (0.0, 0.0), deg, reflect).image_box(unit_box(2))
+    for corner in itertools.product((0.0, 0.5), repeat=2):
+        shift = tuple(c - lo for c, (lo, _) in zip(corner, linear))
+        quadrant = Similarity(0.5, shift, deg, reflect)
+        assert quadrant.image_box(unit_box(2)) == tuple(
+            (c, c + 0.5) for c in corner)
+        Rifs((DeterministicIfs((quadrant,), "quadrant"),), unit_box(2))
 
 
 def test_carpet_system_grid_cells():

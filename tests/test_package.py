@@ -311,3 +311,19 @@ def test_no_run_calls_blas_or_lapack():
 def test_bool_is_refused_where_an_integer_is_meant(call, cantor_cfg):
     with pytest.raises(UsageError, match="must be an integer, not True"):
         call(cantor_cfg)
+
+
+# malformed arguments are a caller error, whatever Python would raise
+@pytest.mark.parametrize("make", [
+    lambda: RenderSpec(4, 4, foreground=5),
+    lambda: geometry.Similarity(0.5, 5),
+    lambda: geometry.Similarity(0.5, ("a",)),
+    lambda: geometry.Similarity("a", (0.5,)),
+    lambda: geometry.Affine2([[0.5, 0.0], [0.0, 0.5]], (10 ** 400, 0.0)),
+    lambda: CarpetSpec(2, 2, ((0, 0, 0),)),
+    lambda: CarpetSpec(2, 2, (5,)),
+], ids=["rgb-scalar", "shift-scalar", "shift-string", "ratio-string",
+        "shift-past-floats", "cell-triple", "cell-scalar"])
+def test_constructors_refuse_malformed_arguments_with_usage_error(make):
+    with pytest.raises(UsageError):
+        make()
