@@ -16,9 +16,8 @@ import gc
 import os
 import sys
 
-from . import tasks
+from . import corpus, tasks
 from .config import load_config
-from .corpus import corpus_entries
 from .errors import ConfigError, ResourceError, RifsError, UsageError
 from .model import DEFAULT_BUDGET
 
@@ -86,7 +85,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    for name, filename, description in corpus_entries():
+    for name, filename, description in corpus.corpus_entries():
         print(f"{name:<18} {filename:<22} {description}")
     return 0
 

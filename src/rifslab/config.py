@@ -10,11 +10,13 @@ Every diagnostic names the offending field path.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ._record import Record, record
 from .dimension import CarpetSpec, check_weights
@@ -22,9 +24,11 @@ from .errors import (ConfigParseError, ConfigSchemaError, ConfigSemanticError,
                      UsageError)
 from .geometry import (Affine2, AmbientBox, ClosedFormMap, ContractionMap,
                        Similarity)
-from .measure import Gauge, PowerGauge, PowerLogGauge, TableGauge
 from .model import DeterministicIfs, Rifs, carpet_system
 from .sequences import OmegaSeq
+
+if TYPE_CHECKING:
+    from .measure import Gauge
 
 _LOG_RATIO = re.compile(r"^log\((\d+)\)/log\((\d+)\)$")
 
@@ -149,8 +153,16 @@ def _real_list(val, path: str, length: int | None = None) -> tuple[float, ...]:
 
 def _output_name(val, path: str) -> str:
     name = _str_field(val, path)
-    if {"", ".", ".."} & set(name.split("/")) or "\x00" in name:
+    parts = name.split("/")
+    if {"", ".", ".."} & set(parts) or "\x00" in name:
         raise _semantic(path, "must be a relative file name")
+    try:
+        longest = max(len(part.encode("utf-8")) for part in parts)
+    except UnicodeEncodeError:      # a lone surrogate, from a JSON \u escape
+        raise _semantic(path, "must be valid Unicode") from None
+    if longest > 255:               # most file systems' NAME_MAX
+        raise _semantic(path, "each part must be at most 255 bytes "
+                              "in UTF-8")
     return name
 
 
@@ -283,6 +295,8 @@ def _parse_omega(obj, path: str, n_systems: int) -> OmegaSeq:
 
 
 def _parse_gauge(obj, path: str) -> Gauge:
+    from .measure import PowerGauge, PowerLogGauge, TableGauge
+
     if not isinstance(obj, dict):
         raise _schema(path, "must be an object")
     gtype = obj.get("type")
@@ -315,9 +329,20 @@ def _parse_points(val, path: str, dim: int) -> tuple[tuple[float, ...], ...]:
 # --- task parsing ------------------------------------------------------------
 
 
-def _parse_task(obj, path: str, rifs: Rifs, carpets: tuple) -> TaskSpec:
+def _load_task_module(obj) -> None:
+    """Run the code of `tasks` and of the module the task type named in
+    obj runs, if it names one; a malformed or unknown type loads no more,
+    and is reported by _parse_task, in its turn."""
     # tasks imports this module for its field helpers, so the registry is
     # imported at call time
+    from .tasks import TASKS
+
+    ttype = obj.get("type") if isinstance(obj, dict) else None
+    if isinstance(ttype, str) and ttype in TASKS:
+        importlib.import_module(f".{TASKS[ttype].module}", __package__)
+
+
+def _parse_task(obj, path: str, rifs: Rifs, carpets: tuple) -> TaskSpec:
     from .tasks import TASKS
 
     if not isinstance(obj, dict):
@@ -366,6 +391,9 @@ def parse_config(doc, source: str = "<config>") -> ExperimentConfig:
         _parse_system(entry, f"{source}.systems[{i}]", i, ambient.dim)
         for i, entry in enumerate(systems_raw)))
     omega = _parse_omega(doc["omega"], f"{source}.omega", len(systems))
+    # Rifs imports numpy for a closed-form map's containment check, and a
+    # module compiled after numpy leaves about 1 MB more on the heap
+    _load_task_module(doc["task"])
     with _semantic_at(f"{source}.systems"):
         rifs = Rifs(systems, ambient)
     task = _parse_task(doc["task"], f"{source}.task", rifs, carpets)

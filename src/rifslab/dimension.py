@@ -10,6 +10,7 @@ bracket [0, 64] with 200 iterations; no derivative methods.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -45,7 +46,14 @@ class DimensionReport(Record):
 
 
 def check_weights(weights: Sequence[float], n: int | None = None) -> tuple[float, ...]:
-    w = tuple(float(x) for x in weights)
+    try:
+        w = tuple(float(x) if isinstance(x, numbers.Real) else None
+                  for x in weights)
+    except (TypeError, OverflowError):  # not a sequence; an int past floats
+        w = (None,)
+    if None in w:
+        raise UsageError(f"weights must be real numbers in the float range, "
+                         f"not {weights!r}")
     if n is not None and len(w) != n:
         raise UsageError(f"one weight per system: expected {n}, got {len(w)}")
     if any(not x >= 0.0 for x in w):       # NaN fails the compare too

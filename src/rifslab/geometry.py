@@ -29,6 +29,8 @@ class AmbientBox(Record):
     hi: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _finite("ambient box lo", self.lo)
+        _finite("ambient box hi", self.hi)
         if len(self.lo) != len(self.hi) or len(self.lo) not in (1, 2):
             raise UsageError("ambient dimension must be 1 or 2")
         for a, (l, h) in enumerate(zip(self.lo, self.hi)):

@@ -16,9 +16,9 @@ import sys
 import tempfile
 from typing import Callable
 
+from . import boxcount, measure, render
 from ._lazy import np
 from ._record import Record, record
-from .boxcount import _check_ladder, estimate_box_dims
 from .config import (ExperimentConfig, _check_keys, _int_field, _parse_gauge,
                      _parse_omega, _parse_points, _positive, _real,
                      _real_list, _schema, _semantic, _semantic_at, _weights)
@@ -26,10 +26,8 @@ from .dimension import (carpet_dimension_curve, minimize_carpet_dimension,
                         random_carpet_dimension,
                         randomized_similarity_dimension)
 from .errors import ResourceError, UsageError
-from .measure import CylinderMeasure, _check_exponents, _scale, mdp_bounds
 from .model import (DEFAULT_BUDGET, BernoulliSampler, _chunks, _ExactSum,
                     _points, resolution_depth, sample_omega)
-from .render import RenderSpec, _check_rgb, _paint_ppm
 from .sequences import omega_distance, splice
 
 
@@ -157,14 +155,14 @@ def _parse_boxdim(obj, path, rifs, carpets) -> dict:
                             "base ** -exponent rounds to 0")
     deltas = tuple(base ** -e for e in evals)
     with _semantic_at(f"{lpath}.exponents"):
-        _check_ladder(deltas)       # rungs may round to one float
+        boxcount._check_ladder(deltas)  # rungs may round to one float
     return {"deltas": deltas}
 
 
 def _task_boxdim(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
-    table, est = estimate_box_dims(cfg.rifs, cfg.omega, params["deltas"],
-                                   budget)
+    table, est = boxcount.estimate_box_dims(cfg.rifs, cfg.omega,
+                                            params["deltas"], budget)
     rows = [(delta, count, depth, exp)
             for (delta, count), depth, exp in zip(table.rows, est.depths,
                                                   est.exponents)]
@@ -186,23 +184,23 @@ def _parse_measure_bounds(obj, path, rifs, carpets) -> dict:
         raise _semantic(f"{path}.radii", "must be positive and non-empty")
     for i, r in enumerate(radii):
         with _semantic_at(f"{path}.radii[{i}]"):
-            _scale(r, s)
+            measure._scale(r, s)
     params = {"s": s, "radii": radii, "points": _parse_points(
         obj["points"], f"{path}.points", rifs.ambient.dim)}
     if "exponents" in obj:
         n, epath = len(rifs.systems), f"{path}.exponents"
         params["exponents"] = _real_list(obj["exponents"], epath, n)
         with _semantic_at(epath):
-            _check_exponents(params["exponents"], n)
+            measure._check_exponents(params["exponents"], n)
     return params
 
 
 def _task_measure_bounds(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
     exponents = tuple(params.get("exponents", ()))
-    cm = CylinderMeasure(cfg.rifs, cfg.omega, exponents)
-    rep = mdp_bounds(cm, params["s"], params["radii"], params["points"],
-                     budget)
+    cm = measure.CylinderMeasure(cfg.rifs, cfg.omega, exponents)
+    rep = measure.mdp_bounds(cm, params["s"], params["radii"],
+                             params["points"], budget)
     coords = ("x",) if cfg.rifs.ambient.dim == 1 else ("x", "y")
     rows = [point + (r, outer, inner)
             for point, r, outer, inner in rep.rows]
@@ -237,7 +235,7 @@ def _parse_render(obj, path, rifs, carpets) -> dict:
                 raise _schema(f"{path}.{field}",
                               "must be three integer channels")
             with _semantic_at(f"{path}.{field}"):
-                params[field] = _check_rgb(field, rgb)
+                params[field] = render._check_rgb(field, rgb)
     return params
 
 
@@ -250,9 +248,10 @@ def _task_render(cfg: ExperimentConfig, budget: int):
     center = np.asarray(cfg.rifs.ambient.center)[None, :]
     colours = {k: params[k] for k in ("foreground", "background")
                if k in params}
-    spec = RenderSpec(width, height, **colours)
+    spec = render.RenderSpec(width, height, **colours)
     chunks = _chunks(*_points(cfg.rifs, cfg.omega, depth, center, budget))
-    return [(params["output"], _paint_ppm(chunks, spec, cfg.rifs.ambient))]
+    return [(params["output"],
+             render._paint_ppm(chunks, spec, cfg.rifs.ambient))]
 
 
 def _parse_splice_demo(obj, path, rifs, carpets) -> dict:
@@ -336,6 +335,7 @@ class Task(Record):
     """One task type; config parses its type, output and summary fields."""
 
     output: str                 # default output file name
+    module: str                 # the rifslab module whose code it runs
     # (fields, path, rifs, carpets) -> params
     parse: Callable[..., dict]
     # (cfg, budget) -> [(file name, bytes), ...]
@@ -344,16 +344,19 @@ class Task(Record):
 
 
 TASKS = {
-    "dim": Task("dim.csv", _parse_dim, _task_dim),
-    "curve": Task("curve.csv", _parse_curve, _task_curve),
-    "minimize": Task("minimize.csv", _parse_minimize, _task_minimize),
-    "boxdim": Task("boxdim.csv", _parse_boxdim, _task_boxdim,
+    "dim": Task("dim.csv", "dimension", _parse_dim, _task_dim),
+    "curve": Task("curve.csv", "dimension", _parse_curve, _task_curve),
+    "minimize": Task("minimize.csv", "dimension", _parse_minimize,
+                     _task_minimize),
+    "boxdim": Task("boxdim.csv", "boxcount", _parse_boxdim, _task_boxdim,
                    "boxdim_summary.csv"),
-    "measure-bounds": Task("bounds.csv", _parse_measure_bounds,
+    "measure-bounds": Task("bounds.csv", "measure", _parse_measure_bounds,
                            _task_measure_bounds, "bounds_summary.csv"),
-    "render": Task("render.ppm", _parse_render, _task_render),
-    "splice-demo": Task("splice.csv", _parse_splice_demo, _task_splice_demo),
-    "sample": Task("sample.csv", _parse_sample, _task_sample),
+    "render": Task("render.ppm", "render", _parse_render, _task_render),
+    # its gauge is a measure class
+    "splice-demo": Task("splice.csv", "measure", _parse_splice_demo,
+                        _task_splice_demo),
+    "sample": Task("sample.csv", "model", _parse_sample, _task_sample),
 }
 
 

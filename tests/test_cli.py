@@ -217,11 +217,17 @@ _CANTOR = (("1/3", 0), ("1/3", "2/3"))
      ".task.summary: must differ from output, neither inside the other"),
     (interval_doc(_CANTOR, {"type": "dim", "output": "a/"}),
      ".task.output: must be a relative file name"),
+    (interval_doc(_CANTOR, {"type": "dim", "output": "a" * 300 + ".csv"}),
+     ".task.output: each part must be at most 255 bytes in UTF-8"),
+    (interval_doc(_CANTOR, {"type": "dim", "output": "\ud800.csv"}),
+     ".task.output: must be valid Unicode"),
 ], ids=["dim-of-affine", "negative-exponent", "radius-power-underflow",
-        "rungs-round-alike", "summary-is-output", "output-is-a-folder"])
+        "rungs-round-alike", "summary-is-output", "output-is-a-folder",
+        "output-name-too-long", "output-lone-surrogate"])
 def test_validate_refuses_what_run_refuses(doc, refusal, tmp_path, capsys):
     # each once passed validate, while run refused it with exit 1,
-    # overwrote its table with the summary, or exited 3 after the walk
+    # overwrote its table with the summary, exited 3 after the walk, or
+    # raised UnicodeEncodeError writing the file
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", str(path)]) == 1

@@ -193,7 +193,15 @@ def test_output_name_restrictions():
         d["task"]["output"] = bad
         with pytest.raises(ConfigSemanticError, match="relative file name"):
             parse_config(d)
-    for good in ("v1..2.csv", "..x", "sub/dim.csv"):
+    # a file name takes at most 255 bytes, counted in UTF-8
+    for bad in ("a" * 252 + ".csv", "sub/" + "\u00e9" * 128, "\udcff"):
+        d = doc()
+        d["task"]["output"] = bad
+        with pytest.raises(ConfigSemanticError,
+                           match="at most 255 bytes|valid Unicode"):
+            parse_config(d)
+    for good in ("v1..2.csv", "..x", "sub/dim.csv", "a" * 251 + ".csv",
+                 "\u00e9" * 127 + "/" + "b" * 255):
         d = doc()
         d["task"]["output"] = good
         assert parse_config(d).task.params["output"] == good

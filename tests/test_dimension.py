@@ -72,6 +72,10 @@ def test_check_weights_messages():
     with pytest.raises(UsageError, match="expected 3"):
         check_weights([1.0], n=3)
     assert check_weights([0.25, 0.75]) == (0.25, 0.75)
+    # once a ValueError, a TypeError and an OverflowError
+    for bad in (["a"], 0.5, [10 ** 400]):
+        with pytest.raises(UsageError, match="must be real numbers"):
+            check_weights(bad)
     # a NaN weight is refused, not dropped as an inactive system
     with pytest.raises(UsageError, match="non-negative"):
         check_weights([math.nan, 1.0])

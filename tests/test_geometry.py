@@ -38,6 +38,11 @@ def test_box_rejects_bad_bounds():
         AmbientBox((0.0,), (0.0,))
     with pytest.raises(UsageError):
         AmbientBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    # once a box of diameter inf, a TypeError and a NaN centre
+    for lo, hi in (((0.0,), (math.inf,)), ((0,), ("a",)),
+                   ((math.nan, 0.0), (1.0, 1.0)), ((0,), (10 ** 400,))):
+        with pytest.raises(UsageError, match="must be finite real numbers"):
+            AmbientBox(lo, hi)
 
 
 def test_similarity_1d_evaluation():

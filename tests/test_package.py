@@ -12,7 +12,7 @@ import pytest
 
 import rifslab
 from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure,
-                     OmegaSeq, RenderSpec, TaskSpec, UsageError,
+                     OmegaSeq, RenderSpec, RifsError, TaskSpec, UsageError,
                      check_msc_grid, continuity_probe, count_boxes, cylinder_cover,
                      cylinder_images, geometry, level_masses, load_corpus,
                      sample_omega, splice, tasks)
@@ -35,6 +35,22 @@ def test_public_names_resolve():
                  "compose", "MapComposition"):
         assert gone not in names
         assert not hasattr(rifslab, gone)
+
+
+def test_public_names_are_the_lazy_table_and_the_errors():
+    errors = {name for name, value in vars(rifslab.errors).items()
+              if isinstance(value, type) and issubclass(value, RifsError)}
+    assert len(errors) == 9
+    table = [name for names in rifslab._EXPORTS.values() for name in names]
+    assert sorted(rifslab.__all__) == sorted(table + [*errors])
+    star = {}
+    exec("from rifslab import *", star)
+    listed = dir(rifslab)
+    for name in rifslab.__all__:
+        home = rifslab._HOME.get(name, "errors")
+        assert getattr(rifslab, name) is getattr(getattr(rifslab, home), name)
+        assert name in listed
+        assert star[name] is getattr(rifslab, name)
 
 
 def module_map_names() -> list[str]:

@@ -1,6 +1,8 @@
-"""What a fresh process loads: `import rifslab`, building a config and the
-closed-formula tasks leave numpy unimported, and the benchmark tracer's
-targets resolve right after `import rifslab`."""
+"""What a fresh process loads: `import rifslab` runs `errors` alone, a
+config runs only the modules its task needs and every one of them before
+numpy, building a config and the closed-formula tasks leave numpy
+unimported, and the benchmark tracer's targets resolve right after
+`import rifslab`."""
 
 import hashlib
 import json
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rifslab import corpus_path
+from rifslab import corpus_names, corpus_path
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = ROOT / "benchmarks" / "expected.json"
@@ -33,6 +35,66 @@ _MIXED = {
              "gauge": {"type": "table",
                        "knots": [["1/8", "1/16"], ["1/2", "1/4"]]}},
 }
+
+
+# a carpet system with the dim task: its formula needs no walk
+_CARPET_DIM = {
+    "version": 1,
+    "ambient": {"lo": [0, 0], "hi": [1, 1]},
+    "systems": [{"carpet": {"m": 2, "n": 3, "cells": [[0, 0], [1, 2]]}}],
+    "omega": {"cycle": [1]},
+    "task": {"type": "dim"},
+}
+
+
+def _executed(run_isolated, body):
+    """The rifslab modules and numpy, in the order their source ran in a
+    fresh interpreter that runs `body`."""
+    code = f"""
+import json
+from importlib.machinery import SourceFileLoader
+ran = []
+exec_module = SourceFileLoader.exec_module
+def recording(self, module):
+    ran.append(module.__name__)
+    return exec_module(self, module)
+SourceFileLoader.exec_module = recording
+{body}
+print(json.dumps(ran))
+"""
+    done = run_isolated(code, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return [name for name in json.loads(done.stdout.splitlines()[-1])
+            if name == "numpy" or name.split(".")[0] == "rifslab"]
+
+
+def test_import_runs_errors_alone(run_isolated):
+    assert _executed(run_isolated, "import rifslab") \
+        == ["rifslab", "rifslab.errors"]
+
+
+def test_carpet_dim_config_skips_the_walk_modules(run_isolated, tmp_path):
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps(_CARPET_DIM), encoding="utf-8")
+    ran = _executed(run_isolated,
+                    f"import rifslab\nrifslab.load_config({str(path)!r})")
+    assert "rifslab.tasks" in ran
+    for name in ("boxcount", "measure", "render", "corpus"):
+        assert f"rifslab.{name}" not in ran
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_run_loads_every_module_before_numpy(name, run_isolated, tmp_path):
+    # a module compiled after numpy leaves about 1 MB more on the heap, so
+    # parse_config runs the task's module before Rifs can import numpy
+    argv = ["run", corpus_path(name), "--out", str(tmp_path)]
+    ran = _executed(run_isolated, f"""
+from rifslab import cli
+assert cli.main({argv!r}) == 0
+""")
+    assert "rifslab.tasks" in ran
+    if "numpy" in ran:
+        assert ran[ran.index("numpy"):] == ["numpy"], ran
 
 
 def _run_main(run_isolated, argv):
@@ -77,7 +139,8 @@ def test_formula_runs_leave_numpy_unloaded(name, run_isolated, tmp_path):
 
 def test_tracer_targets_resolve_after_import_without_numpy(run_isolated):
     # benchmarks/tracer.py looks every target up in sys.modules right after
-    # `import rifslab`, so every rifslab module still loads eagerly
+    # `import rifslab`, so the package puts its lazy submodules there; the
+    # look-up runs each one's code
     code = f"""
 import sys
 import rifslab
