@@ -10,7 +10,6 @@ Every diagnostic names the offending field path.
 
 from __future__ import annotations
 
-import importlib
 import json
 import math
 import re
@@ -31,6 +30,7 @@ if TYPE_CHECKING:
     from .measure import Gauge
 
 _LOG_RATIO = re.compile(r"^log\((\d+)\)/log\((\d+)\)$")
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)$")
 
 @record
 class TaskSpec(Record):
@@ -133,8 +133,15 @@ def _parse_real(val, path: str) -> float:
             if a < 1 or b <= 1:
                 raise _semantic(path, "log-ratio arguments out of range")
             return math.log(a) / math.log(b)
+        text = val.strip()
         try:
-            return float(Fraction(val.strip()))
+            # Fraction builds 10**exponent, slowly for a large one.  The
+            # mantissa has fewer digits than the text, so past +-(len +
+            # 400) the value rounds to 0.0 or overflows either way
+            bound = len(text) + 400
+            text = _EXPONENT.sub(
+                lambda m: f"e{max(-bound, min(bound, int(m.group(1))))}", text)
+            return float(Fraction(text))
         except (ValueError, ZeroDivisionError):
             raise _schema(
                 path, "must be a number, a fraction like \"1/3\", or "
@@ -329,19 +336,6 @@ def _parse_points(val, path: str, dim: int) -> tuple[tuple[float, ...], ...]:
 # --- task parsing ------------------------------------------------------------
 
 
-def _load_task_module(obj) -> None:
-    """Run the code of `tasks` and of the module the task type named in
-    obj runs, if it names one; a malformed or unknown type loads no more,
-    and is reported by _parse_task, in its turn."""
-    # tasks imports this module for its field helpers, so the registry is
-    # imported at call time
-    from .tasks import TASKS
-
-    ttype = obj.get("type") if isinstance(obj, dict) else None
-    if isinstance(ttype, str) and ttype in TASKS:
-        importlib.import_module(f".{TASKS[ttype].module}", __package__)
-
-
 def _parse_task(obj, path: str, rifs: Rifs, carpets: tuple) -> TaskSpec:
     from .tasks import TASKS
 
@@ -391,9 +385,6 @@ def parse_config(doc, source: str = "<config>") -> ExperimentConfig:
         _parse_system(entry, f"{source}.systems[{i}]", i, ambient.dim)
         for i, entry in enumerate(systems_raw)))
     omega = _parse_omega(doc["omega"], f"{source}.omega", len(systems))
-    # Rifs imports numpy for a closed-form map's containment check, and a
-    # module compiled after numpy leaves about 1 MB more on the heap
-    _load_task_module(doc["task"])
     with _semantic_at(f"{source}.systems"):
         rifs = Rifs(systems, ambient)
     task = _parse_task(doc["task"], f"{source}.task", rifs, carpets)

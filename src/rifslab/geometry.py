@@ -90,8 +90,8 @@ class ContractionMap:
 
     def image_box(self, box: AmbientBox):
         """Per output axis, the (lo, hi) range of the image of `box`, as
-        `image_box_array` gives it."""
-        return self.image_box_array(box.as_array()[None])[0]
+        `image_box_array` gives it, in Python floats."""
+        raise NotImplementedError
 
     def describe(self) -> str:
         return self.kind
@@ -298,6 +298,14 @@ _ARCH_LIP_LO = math.sqrt((22.0 - math.sqrt(340.0)) / 72.0)
 _ARCH_LIP_HI = math.sqrt((22.0 + math.sqrt(340.0)) / 72.0)
 
 
+def _sqrt(x):
+    """np.sqrt, through math.sqrt on one float: both round correctly, so
+    both give the same floats, and nan below 0."""
+    if isinstance(x, float):
+        return math.sqrt(x) if x >= 0.0 else math.nan
+    return np.sqrt(x)
+
+
 def _half(t):
     return t / 2.0
 
@@ -338,14 +346,14 @@ def _y(fn, turn=None):
 CLOSED_FORMS: dict[str, _Entry] = {
     # inverse branches of an expanding interval map with |slope| in [2, 5]
     "cookie_branch_2_5_left": _Entry(0.2, 0.5, (
-        (_x(lambda x: 0.5 - 0.5 * np.sqrt(1.0 - 0.8 * x)),),)),
+        (_x(lambda x: 0.5 - 0.5 * _sqrt(1.0 - 0.8 * x)),),)),
     "cookie_branch_2_5_right": _Entry(0.2, 0.5, (
-        (_x(lambda x: 0.5 + 0.5 * np.sqrt(1.0 - 0.8 * x)),),)),
+        (_x(lambda x: 0.5 + 0.5 * _sqrt(1.0 - 0.8 * x)),),)),
     # inverse branches of an expanding interval map with |slope| in [6, 9]
     "cookie_branch_6_9_left": _Entry(1.0 / 9.0, 1.0 / 6.0, (
-        (_x(lambda x: 0.5 - np.sqrt(1.0 + x) / 3.0),),)),
+        (_x(lambda x: 0.5 - _sqrt(1.0 + x) / 3.0),),)),
     "cookie_branch_6_9_right": _Entry(1.0 / 9.0, 1.0 / 6.0, (
-        (_x(lambda x: 0.5 + np.sqrt(1.0 + x) / 3.0),),)),
+        (_x(lambda x: 0.5 + _sqrt(1.0 + x) / 3.0),),)),
     # planar maps with one quadratic component; derivative range hits 0 and 1
     "quad_y_bottom_left": _Entry(_CLAMP_LO, _CLAMP_HI, (
         (_x(_half),),
@@ -382,6 +390,25 @@ def _term_range(ends: np.ndarray, fn, turn) -> np.ndarray:
     return rng
 
 
+def _min(a: float, b: float) -> float:
+    # np.minimum on two floats: nan if either is, b if they are equal
+    return a if a < b or a != a else b
+
+
+def _max(a: float, b: float) -> float:
+    return a if a > b or a != a else b
+
+
+def _float_term_range(lo: float, hi: float, fn, turn) -> tuple[float, float]:
+    """_term_range of one interval [lo, hi] in Python floats."""
+    at_lo, at_hi = fn(lo), fn(hi)
+    rng = _min(at_lo, at_hi), _max(at_lo, at_hi)
+    if turn is not None and lo <= turn <= hi:
+        at_turn = fn(turn)
+        rng = _min(rng[0], at_turn), _max(rng[1], at_turn)
+    return rng
+
+
 class ClosedFormMap(ContractionMap):
     """One of the cataloged explicit nonlinear maps."""
 
@@ -414,6 +441,17 @@ class ClosedFormMap(ContractionMap):
             image[k] = reduce(add, (_term_range(ends[a], fn, turn)
                                     for a, fn, turn in terms))
         return out
+
+    def image_box(self, box: AmbientBox):
+        # image_box_array's term ranges for one box in Python floats, added
+        # in the same order: the same floats, and nan where it holds nan
+        ends = tuple(zip(map(float, box.lo), map(float, box.hi)))
+        image = []
+        for terms in self._axes:
+            ranges = [_float_term_range(*ends[a], fn, turn)
+                      for a, fn, turn in terms]
+            image.append(tuple(reduce(add, end) for end in zip(*ranges)))
+        return tuple(image)
 
     def describe(self) -> str:
         return f"closed_form({self.name})"

@@ -67,7 +67,12 @@ class PowerLogGauge(Gauge):
                 "power-log gauge exponent must be finite and > 0")
         self.s = float(s)
         self.t0 = math.exp(-2.0 / self.s)
-        self.slope = self.t0 ** (self.s - 1.0)
+        try:    # a t0 underflowed to 0.0 divides by zero here
+            self.slope = self.t0 ** (self.s - 1.0)
+        except (ZeroDivisionError, OverflowError):
+            raise UsageError(
+                f"power-log gauge exponent {self.s:g} is too small: the "
+                "slope at its cap point e^(-2/s) overflows") from None
         self.base = self.t0 ** self.s * (2.0 / self.s)
         self.label = f"power_log[{self.s:g}]"
 

@@ -84,9 +84,9 @@ def carpet_system(carpet: CarpetSpec, label: str) -> DeterministicIfs:
     for col, row in carpet.chosen:
         shift = (col / m, row / n)
         if m == n:
-            maps.append(Similarity(1.0 / m, shift))
+            maps.append(Similarity(1 / m, shift))
         else:
-            maps.append(Affine2([[1.0 / m, 0.0], [0.0, 1.0 / n]], shift))
+            maps.append(Affine2([[1 / m, 0.0], [0.0, 1 / n]], shift))
     return DeterministicIfs(tuple(maps), label)
 
 

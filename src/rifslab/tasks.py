@@ -243,12 +243,14 @@ def _task_render(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
     width, height = params["width"], params["height"]
     _charge(width * height, f"canvas of {width}x{height} pixels", budget)
-    depth = params.get("depth") or resolution_depth(
-        cfg.rifs, cfg.omega, params["target_error"], budget)
-    center = np.asarray(cfg.rifs.ambient.center)[None, :]
+    # runs render's code before numpy's: a module compiled after numpy
+    # leaves about 1 MB more on the heap
     colours = {k: params[k] for k in ("foreground", "background")
                if k in params}
     spec = render.RenderSpec(width, height, **colours)
+    depth = params.get("depth") or resolution_depth(
+        cfg.rifs, cfg.omega, params["target_error"], budget)
+    center = np.asarray(cfg.rifs.ambient.center)[None, :]
     chunks = _chunks(*_points(cfg.rifs, cfg.omega, depth, center, budget))
     return [(params["output"],
              render._paint_ppm(chunks, spec, cfg.rifs.ambient))]
@@ -335,7 +337,6 @@ class Task(Record):
     """One task type; config parses its type, output and summary fields."""
 
     output: str                 # default output file name
-    module: str                 # the rifslab module whose code it runs
     # (fields, path, rifs, carpets) -> params
     parse: Callable[..., dict]
     # (cfg, budget) -> [(file name, bytes), ...]
@@ -344,19 +345,16 @@ class Task(Record):
 
 
 TASKS = {
-    "dim": Task("dim.csv", "dimension", _parse_dim, _task_dim),
-    "curve": Task("curve.csv", "dimension", _parse_curve, _task_curve),
-    "minimize": Task("minimize.csv", "dimension", _parse_minimize,
-                     _task_minimize),
-    "boxdim": Task("boxdim.csv", "boxcount", _parse_boxdim, _task_boxdim,
+    "dim": Task("dim.csv", _parse_dim, _task_dim),
+    "curve": Task("curve.csv", _parse_curve, _task_curve),
+    "minimize": Task("minimize.csv", _parse_minimize, _task_minimize),
+    "boxdim": Task("boxdim.csv", _parse_boxdim, _task_boxdim,
                    "boxdim_summary.csv"),
-    "measure-bounds": Task("bounds.csv", "measure", _parse_measure_bounds,
+    "measure-bounds": Task("bounds.csv", _parse_measure_bounds,
                            _task_measure_bounds, "bounds_summary.csv"),
-    "render": Task("render.ppm", "render", _parse_render, _task_render),
-    # its gauge is a measure class
-    "splice-demo": Task("splice.csv", "measure", _parse_splice_demo,
-                        _task_splice_demo),
-    "sample": Task("sample.csv", "model", _parse_sample, _task_sample),
+    "render": Task("render.ppm", _parse_render, _task_render),
+    "splice-demo": Task("splice.csv", _parse_splice_demo, _task_splice_demo),
+    "sample": Task("sample.csv", _parse_sample, _task_sample),
 }
 
 

@@ -193,6 +193,13 @@ def interval_doc(maps, task):
 _CANTOR = (("1/3", 0), ("1/3", "2/3"))
 
 
+def carpet_doc(m, n):
+    """A config of one carpet system on the unit square, task dim."""
+    return {"version": 1, "ambient": {"lo": [0, 0], "hi": [1, 1]},
+            "systems": [{"carpet": {"m": m, "n": n, "cells": [[0, 0]]}}],
+            "omega": {"cycle": [1]}, "task": {"type": "dim"}}
+
+
 @pytest.mark.parametrize("doc, refusal", [
     ({"version": 1, "ambient": {"lo": [0, 0], "hi": [1, 1]},
       "systems": [{"maps": [{"kind": "affine2",
@@ -221,13 +228,27 @@ _CANTOR = (("1/3", 0), ("1/3", "2/3"))
      ".task.output: each part must be at most 255 bytes in UTF-8"),
     (interval_doc(_CANTOR, {"type": "dim", "output": "\ud800.csv"}),
      ".task.output: must be valid Unicode"),
+    (interval_doc(_CANTOR, {"type": "splice-demo", "epsilon": 0.5,
+                            "tail": {"cycle": [1]}, "seed_set": [[0]],
+                            "gauge": {"type": "power_log", "s": 0.001}}),
+     ".task.gauge: power-log gauge exponent 0.001 is too small: the slope "
+     "at its cap point e^(-2/s) overflows"),
+    (carpet_doc(10 ** 400, 10 ** 400),
+     ".systems[0].carpet: declared Lipschitz bounds (0.0, 0.0) must "
+     "satisfy 0 < lo <= hi < 1"),
+    (carpet_doc(2, 10 ** 400),
+     ".systems[0].carpet: declared Lipschitz bounds (0.0, 0.5) must "
+     "satisfy 0 < lo <= hi < 1"),
 ], ids=["dim-of-affine", "negative-exponent", "radius-power-underflow",
         "rungs-round-alike", "summary-is-output", "output-is-a-folder",
-        "output-name-too-long", "output-lone-surrogate"])
+        "output-name-too-long", "output-lone-surrogate",
+        "power-log-s-too-small", "carpet-huge-m", "carpet-huge-n"])
 def test_validate_refuses_what_run_refuses(doc, refusal, tmp_path, capsys):
     # each once passed validate, while run refused it with exit 1,
     # overwrote its table with the summary, exited 3 after the walk, or
-    # raised UnicodeEncodeError writing the file
+    # raised UnicodeEncodeError writing the file; or it ended both with a
+    # traceback (ZeroDivisionError in the gauge, OverflowError at 1.0 / m
+    # in carpet_system)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", str(path)]) == 1
@@ -236,6 +257,23 @@ def test_validate_refuses_what_run_refuses(doc, refusal, tmp_path, capsys):
     assert err.rstrip().endswith(refusal)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("maps, refusal", [
+    ((("1e-999999999", 0),), ".maps[0]: declared Lipschitz bounds "
+                             "(0.0, 0.0) must satisfy 0 < lo <= hi < 1"),
+    ((("1e+999999999", 0),), ".maps[0].ratio: must be finite"),
+    ((("1/3", "-1e-999999999"),), None),
+], ids=["ratio-rounds-to-0", "ratio-overflows", "translation-rounds-to-0"])
+def test_huge_decimal_exponents_parse_at_once(run_cli, tmp_path, maps,
+                                              refusal):
+    # Fraction built 10**exponent, which took 10 s at an exponent of 10**7
+    # and about 27 times longer for each further digit
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(interval_doc(maps, {"type": "dim"})))
+    res = run_cli("validate", str(path), timeout=10)
+    assert res.returncode == (0 if refusal is None else 1), res.stderr
+    assert res.stderr.rstrip().endswith(refusal or "")
 
 
 def test_malformed_budget_env(run_cli, tmp_path):

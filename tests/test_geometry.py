@@ -7,7 +7,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rifslab import (Affine2, AmbientBox, ClosedFormMap, Similarity,
@@ -249,16 +249,41 @@ def box_contains(box, pts):
                 and np.all(pts <= np.asarray(box.hi)))
 
 
-@given(affine_box_cases())
+@st.composite
+def closed_form_box_cases(draw):
+    """A closed-form map and a box of its dimension, each end anywhere in
+    [-3, 3], outside the formulas' domains too, or at a turning point, a
+    domain edge or a signed zero."""
+    m = ClosedFormMap(draw(st.sampled_from(sorted(CLOSED_FORMS))))
+    ends = st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0, 1.25)) \
+        | st.floats(-3.0, 3.0)
+    axes = [sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+            for _ in range(m.dim)]
+    return m, AmbientBox(*zip(*axes))
+
+
+@given(affine_box_cases() | closed_form_box_cases())
+# signed zeros added up, np.minimum(-0.0, 0.0) giving 0.0, a nan at
+# either end
+@example((ClosedFormMap("arch_left"), AmbientBox((-0.0, -0.0), (0.25, 0.25))))
+@example((ClosedFormMap("arch_left"), AmbientBox((-0.0, -0.0), (1.0, 1.0))))
+@example((ClosedFormMap("cookie_branch_2_5_left"), AmbientBox((1.0,), (2.0,))))
+@example((ClosedFormMap("cookie_branch_6_9_left"),
+          AmbientBox((-2.0,), (0.0,))))
 @settings(deadline=None)
-def test_affine_image_box_in_floats_is_the_array_kernels(case):
+def test_image_box_in_floats_is_the_array_kernels(case):
     # Rifs checks containment through image_box, in Python floats: the
-    # same floats as image_box_array, bit for bit, and the same decision
-    # as the array check of the two corners
+    # same floats as image_box_array, bit for bit, wherever it holds no
+    # nan, a nan wherever it holds one (a closed form outside its
+    # domain), and so the same decision as the array check of the two
+    # corners
     m, box = case
-    want = m.image_box_array(box.as_array()[None])[0]
-    got = m.image_box(box)
-    assert np.array(got).tobytes() == want.tobytes()
+    with np.errstate(invalid="ignore"):         # sqrt below 0 is nan
+        want = m.image_box_array(box.as_array()[None])[0]
+    got = np.array(m.image_box(box))
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
     assert box.holds(got) == box_contains(box, want.T)
 
 

@@ -48,7 +48,9 @@ def test_power_log_gauge_monotone_and_vanishing():
     assert np.all(np.diff(vals) > 0.0)
     # below the cap the raw formula applies
     assert g(1e-6) == pytest.approx(1e-6 ** 0.7 * math.log(1e6))
-    for s in (0.0, math.nan, math.inf):
+    # below about 0.0027 the slope t0 ** (s - 1) overflows, or t0 = e^(-2/s)
+    # underflows to 0 and it divides by zero
+    for s in (0.0, math.nan, math.inf, 0.0028, 0.001):
         with pytest.raises(UsageError):
             PowerLogGauge(s)
 

@@ -85,8 +85,9 @@ def test_carpet_dim_config_skips_the_walk_modules(run_isolated, tmp_path):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_run_loads_every_module_before_numpy(name, run_isolated, tmp_path):
-    # a module compiled after numpy leaves about 1 MB more on the heap, so
-    # parse_config runs the task's module before Rifs can import numpy
+    # a module compiled after numpy leaves about 1 MB more on the heap;
+    # building a config reads no numpy, and each task handler reads its
+    # modules before its first array
     argv = ["run", corpus_path(name), "--out", str(tmp_path)]
     ran = _executed(run_isolated, f"""
 from rifslab import cli
@@ -112,9 +113,13 @@ print(code, "numpy" in sys.modules)
     return int(code), loaded == "True"
 
 
-@pytest.mark.parametrize("path", [corpus_path("carpet-packing"), "mixed"],
-                         ids=["carpet", "mixed"])
+@pytest.mark.parametrize("path", [
+    corpus_path("carpet-packing"), "mixed", corpus_path("cookie-boxdim"),
+    corpus_path("pictorial-a"), corpus_path("pictorial-b")],
+    ids=["carpet", "mixed", "cookie-boxdim", "pictorial-a", "pictorial-b"])
 def test_validate_leaves_numpy_unloaded(path, run_isolated, tmp_path):
+    # the last three hold closed-form maps, whose containment is checked
+    # in Python floats
     if path == "mixed":
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(_MIXED), encoding="utf-8")
