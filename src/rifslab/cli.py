@@ -11,13 +11,12 @@ the `rifslab` script and `python -m rifslab`, go through `entry`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import os
 import sys
 
 from . import corpus, tasks
-from .config import load_config
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, ResourceError, RifsError, UsageError
 from .model import DEFAULT_BUDGET
 
@@ -72,7 +71,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         if args.seed < 0:
             raise UsageError("--seed must be >= 0")
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = ExperimentConfig(cfg.description, cfg.carpets, cfg.omega,
+                               args.seed, cfg.task, cfg.rifs)
     tasks.run(cfg, args.out, budget)
     return 0
 

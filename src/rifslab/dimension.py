@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record, record
@@ -120,8 +119,9 @@ def similarity_dimension(ratios: Sequence[float]) -> DimensionReport:
     """Solve sum(r_i^s) = 1 as the one-system case of
     `randomized_similarity_dimension`: log S has the sign of S - 1 for every
     float S > 0, so the bisection takes the same steps as on the sum."""
-    return replace(randomized_similarity_dimension([ratios], (1.0,)),
-                   equation="hutchinson")
+    root = randomized_similarity_dimension([ratios], (1.0,))
+    return DimensionReport(root.value, "hutchinson", root.residual,
+                           root.bracket)
 
 
 @record

@@ -23,14 +23,17 @@ _SQRT_BITS = 128       # bits of a bracketed square root, before rounding
 
 @record
 class AmbientBox(Record):
-    """Axis-aligned box in R^1 or R^2 with the Euclidean metric."""
+    """Axis-aligned box in R^1 or R^2 with the Euclidean metric.
+
+    Its ends are stored as tuples of floats, whatever real numbers they
+    were given as."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _finite("ambient box lo", self.lo)
-        _finite("ambient box hi", self.hi)
+        object.__setattr__(self, "lo", _finite("ambient box lo", self.lo))
+        object.__setattr__(self, "hi", _finite("ambient box hi", self.hi))
         if len(self.lo) != len(self.hi) or len(self.lo) not in (1, 2):
             raise UsageError("ambient dimension must be 1 or 2")
         for a, (l, h) in enumerate(zip(self.lo, self.hi)):

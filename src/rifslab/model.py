@@ -29,12 +29,14 @@ DEFAULT_BUDGET = 10 ** 7
 
 @record
 class DeterministicIfs(Record):
-    """One IFS: a non-empty ordered family of maps over a shared box."""
+    """One IFS: a non-empty ordered family of maps over a shared box,
+    stored as a tuple."""
 
     maps: tuple[ContractionMap, ...]
     label: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "maps", tuple(self.maps))
         if not self.maps:
             raise UsageError(f"system {self.label!r} has no maps")
         dims = {m.dim for m in self.maps}
@@ -48,12 +50,14 @@ class DeterministicIfs(Record):
 
 @record
 class Rifs(Record):
-    """An ordered list of IFSs acting on one ambient box."""
+    """An ordered list of IFSs acting on one ambient box, stored as a
+    tuple."""
 
     systems: tuple[DeterministicIfs, ...]
     ambient: AmbientBox
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "systems", tuple(self.systems))
         if not self.systems:
             raise UsageError("a RIFS needs at least one system")
         for sys_ in self.systems:

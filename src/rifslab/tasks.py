@@ -14,7 +14,7 @@ import numbers
 import os
 import sys
 import tempfile
-from typing import Callable
+from collections.abc import Callable
 
 from . import boxcount, measure, render
 from ._lazy import np

@@ -41,6 +41,35 @@ def test_system_needs_maps_of_one_dimension():
             (Similarity(0.5, (0.0,)), Similarity(0.5, (0.0, 0.0))), "mixed")
 
 
+def test_systems_and_maps_are_stored_as_tuples():
+    # as lists they left the records unhashable, and unequal to the same
+    # records built from tuples
+    maps = [Similarity(0.5, (0.0,)), Similarity(0.5, (0.5,))]
+    listed = DeterministicIfs(maps, "halves")
+    tupled = DeterministicIfs(tuple(maps), "halves")
+    assert listed.maps == tuple(maps)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    rifs = Rifs([listed], unit_box(1))
+    assert rifs.systems == (tupled,)
+    assert rifs == Rifs((tupled,), unit_box(1))
+    assert hash(rifs) == hash(Rifs((tupled,), unit_box(1)))
+
+
+def test_ambient_box_ends_are_stored_as_floats():
+    # int ends gave the walk int64 families, which failed at the first
+    # product with the maps' float coefficients
+    assert AmbientBox([0.0], [1.0]) == unit_box(1)
+    box = AmbientBox((0,), (1,))
+    assert [type(v) for v in box.lo + box.hi] == [float, float]
+    system = DeterministicIfs(
+        (Similarity(0.5, (0.0,)), Similarity(0.5, (0.5,))), "halves")
+    omega = OmegaSeq((), (1,))
+    got = cylinder_cover(Rifs((system,), box), omega, 2)
+    want = cylinder_cover(Rifs((system,), unit_box(1)), omega, 2)
+    assert got.boxes.dtype == np.float64
+    np.testing.assert_array_equal(got.boxes, want.boxes)
+
+
 def test_rifs_rejects_maps_leaving_the_box():
     runaway = DeterministicIfs((Similarity(0.5, (0.9,)),), "runaway")
     # only points near the top edge leave: (0.5, 1.2498) -> (0.5, 1.2499)

@@ -3,8 +3,12 @@ import dataclasses
 import functools
 import importlib
 import inspect
+import json
 import pkgutil
 import re
+import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +217,127 @@ def test_record_refuses_fields_its_methods_ignore():
         with pytest.raises(TypeError, match="not a Record of plain fields"):
             record(type("Loose", (base,), {"__annotations__": {"x": "int"},
                                            "x": field}))
+
+
+def test_record_reads_plain_fields_and_refuses_the_rest(monkeypatch):
+    # record reads the fields itself, as dataclass would: a redeclared field
+    # keeps its place and its inherited default, the subclass read before
+    # its base; a class whose fields dataclass might read otherwise is
+    # refused: ClassVar (bare, qualified or through an alias), InitVar,
+    # KW_ONLY, a non-string annotation, no docstring, a mutable default,
+    # a required field after a defaulted one
+    module = types.ModuleType("record_fields")
+    module.typing, module.ClassVar = typing, typing.ClassVar
+    module.Limit = typing.ClassVar[int]
+    module.InitVar, module.KW_ONLY = dataclasses.InitVar, dataclasses.KW_ONLY
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+
+    def body(annotations, **defaults):
+        return {"__module__": module.__name__, "__doc__": "A record.",
+                "__annotations__": annotations, **defaults}
+
+    base = body({"x": "int", "y": "tuple[int, ...]"}, y=())
+    sub = body({"z": "str", "y": "tuple[int, ...]"}, z="z")
+    Base = record(type("Base", (Record,), base))
+    Sub = record(type("Sub", (Base,), sub))
+    TwinBase = dataclasses.dataclass(frozen=True)(type("Base", (), base))
+    TwinSub = dataclasses.dataclass(frozen=True)(type("Sub", (TwinBase,), sub))
+    for cls, twin in ((Sub, TwinSub), (Base, TwinBase)):
+        assert [(f.name, f.type, f.default) for f in dataclasses.fields(cls)] \
+            == [(f.name, f.type, f.default) for f in dataclasses.fields(twin)]
+        assert inspect.signature(cls) == inspect.signature(twin)
+        assert cls.__match_args__ == twin.__match_args__
+        assert repr(cls(1)) == repr(twin(1))
+    assert [f.name for f in dataclasses.fields(Sub)] == ["x", "y", "z"]
+    for namespace in (body({"k": "ClassVar[int]"}, k=3),
+                      body({"q": "typing.ClassVar"}, q="q"),
+                      body({"n": "Limit"}, n=1), body({"v": "InitVar[int]"}),
+                      body({"_": "KW_ONLY", "x": "int"}), body({"x": int}),
+                      {**body({"x": "int"}), "__doc__": None},
+                      body({"x": "list"}, x=[]),
+                      body({"x": "int", "y": "int"}, x=0)):
+        with pytest.raises(TypeError, match="not a Record of plain fields"):
+            record(type("Loose", (Record,), namespace))
+
+
+def test_record_metadata_built_on_first_read_is_the_stdlib_twins(
+        run_isolated):
+    # a fresh process defines every record and uses them before anything
+    # imports dataclasses, so each read below is the first; the
+    # undecorated subclass is read before the record it derives from
+    code = f"""
+import json
+import sys
+import rifslab
+from rifslab._record import Record
+cfg = rifslab.load_corpus("carpet-splice")
+cover = rifslab.cylinder_cover(cfg.rifs, cfg.omega, 2)
+
+class Config(type(cfg)):
+    pass
+
+config = Config(*[getattr(cfg, n) for n in type(cfg).__match_args__])
+preloaded = "dataclasses" in sys.modules
+import dataclasses
+import inspect
+{inspect.getsource(stdlib_twin)}
+bad = []
+def check(what, got, want):
+    if got != want:
+        bad.append([what, repr(got), repr(want)])
+
+def asdict(obj):
+    # asdict deep-copies the maps, which compare by identity
+    return json.dumps(dataclasses.asdict(obj), default=lambda value: (
+        value.tolist() if hasattr(value, "tolist") else type(value).__name__))
+
+base = type(cfg)
+check("Config fields", dataclasses.fields(Config), dataclasses.fields(base))
+check("Config signature", inspect.signature(Config), inspect.signature(base))
+check("Config match_args", Config.__match_args__, base.__match_args__)
+check("Config is_dataclass", dataclasses.is_dataclass(Config), True)
+check("Config asdict", asdict(config), asdict(cfg))
+moved = dataclasses.replace(config, seed=cfg.seed + 1)
+check("Config replace", (type(moved), moved.seed), (Config, cfg.seed + 1))
+check("Record is_dataclass", dataclasses.is_dataclass(Record), False)
+check("Record signature", str(inspect.signature(Record)), "(*args, **kwargs)")
+
+samples = {{}}
+def collect(obj):
+    if isinstance(obj, tuple):
+        for item in obj:
+            collect(item)
+    elif dataclasses.is_dataclass(obj):
+        samples.setdefault(type(obj), obj)
+        for f in dataclasses.fields(obj):
+            collect(getattr(obj, f.name))
+collect((cfg, cover))
+for cls, obj in samples.items():
+    twin = stdlib_twin(cls)
+    name = cls.__qualname__
+    check(name + " fields", [(f.name, f.type, f.default)
+                             for f in dataclasses.fields(cls)],
+          [(f.name, f.type, f.default) for f in dataclasses.fields(twin)])
+    check(name + " annotations", [f.name for f in dataclasses.fields(cls)],
+          list(cls.__annotations__))
+    check(name + " signature", inspect.signature(cls), inspect.signature(twin))
+    check(name + " match_args", cls.__match_args__, twin.__match_args__)
+    values = [getattr(obj, f.name) for f in dataclasses.fields(cls)]
+    twin_obj = twin(*values)
+    check(name + " asdict", asdict(obj), asdict(twin_obj))
+    last = dataclasses.fields(cls)[-1].name
+    check(name + " replace",
+          repr(dataclasses.replace(obj, **{{last: values[-1]}})),
+          repr(dataclasses.replace(twin_obj, **{{last: values[-1]}})))
+print(json.dumps([preloaded, sorted(c.__qualname__ for c in samples), bad]))
+"""
+    done = run_isolated(code, timeout=120)
+    assert done.returncode == 0, done.stderr
+    preloaded, sampled, bad = json.loads(done.stdout.splitlines()[-1])
+    assert not preloaded
+    assert {"AmbientBox", "CylinderCover", "DeterministicIfs",
+            "ExperimentConfig", "OmegaSeq", "Rifs", "TaskSpec"} <= set(sampled)
+    assert bad == []
 
 
 def test_importing_the_cli_execs_no_source(run_isolated):

@@ -1,8 +1,9 @@
 """What a fresh process loads: `import rifslab` runs `errors` alone, a
 config runs only the modules its task needs and every one of them before
 numpy, building a config and the closed-formula tasks leave numpy
-unimported, and the benchmark tracer's targets resolve right after
-`import rifslab`."""
+unimported, `import rifslab.cli` and `rifslab validate` of every corpus
+config leave `dataclasses` and `inspect` unimported, and the benchmark
+tracer's targets resolve right after `import rifslab`."""
 
 import hashlib
 import json
@@ -124,6 +125,28 @@ def test_validate_leaves_numpy_unloaded(path, run_isolated, tmp_path):
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(_MIXED), encoding="utf-8")
     assert _run_main(run_isolated, ["validate", str(path)]) == (0, False)
+
+
+def test_validate_leaves_dataclasses_and_inspect_unloaded(run_isolated):
+    # records build their dataclass metadata on its first read, and
+    # `import dataclasses` loads inspect, ast, dis and tokenize
+    code = f"""
+import json
+import sys
+from rifslab import cli
+def loaded():
+    return [n for n in ("dataclasses", "inspect") if n in sys.modules]
+steps = [["import rifslab.cli", loaded()]]
+for path in {[corpus_path(name) for name in corpus_names()]!r}:
+    assert cli.main(["validate", path]) == 0, path
+    steps.append([path, loaded()])
+print(json.dumps(steps))
+"""
+    done = run_isolated(code, timeout=60)
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout.splitlines()[-1])
+    assert len(steps) == len(corpus_names()) + 1
+    assert [step for step in steps if step[1]] == []
 
 
 @pytest.mark.parametrize("name", ["cantor", "carpet-curve",
