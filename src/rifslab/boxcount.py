@@ -254,8 +254,8 @@ def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox,
 
 @record
 class BoxCountTable(Record):
-    """Rows of (delta, count) with strictly decreasing deltas and counts that
-    never drop as the grid refines."""
+    """Rows of (delta, count) with strictly decreasing deltas and positive
+    counts."""
 
     rows: tuple[tuple[float, int], ...]
 
@@ -263,13 +263,10 @@ class BoxCountTable(Record):
         if not self.rows:
             raise UsageError("a box-count table needs at least one row")
         deltas = [d for d, _ in self.rows]
-        counts = [c for _, c in self.rows]
         if any(b >= a for a, b in zip(deltas, deltas[1:])):
             raise UsageError("deltas must be strictly decreasing")
-        if any(c < 1 for c in counts):
+        if any(c < 1 for _, c in self.rows):
             raise UsageError("counts must be positive")
-        if any(b < a for a, b in zip(counts, counts[1:])):
-            raise UsageError("counts may not drop as delta shrinks")
 
     @property
     def counts(self) -> tuple[int, ...]:

@@ -71,8 +71,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         if args.seed < 0:
             raise UsageError("--seed must be >= 0")
-        cfg = ExperimentConfig(cfg.description, cfg.carpets, cfg.omega,
-                               args.seed, cfg.task, cfg.rifs)
+        cfg = ExperimentConfig(cfg.description, cfg.omega, args.seed,
+                               cfg.task, cfg.rifs)
     tasks.run(cfg, args.out, budget)
     return 0
 

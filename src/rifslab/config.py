@@ -1,11 +1,12 @@
 """Strict JSON experiment configs.
 
 One UTF-8 JSON document per experiment, "version": 1, unknown fields
-rejected.  Real-valued fields accept plain numbers, fraction strings like
-"1/3", and log-ratio strings like "log(2)/log(3)" so irrational constants
-round-trip exactly.  Three failure kinds stay distinct: parse (broken JSON),
-schema (wrong shape or type), semantic (well-shaped but invalid values).
-Every diagnostic names the offending field path.
+and repeated keys rejected.  Real-valued fields accept plain numbers,
+fraction strings like "1/3", and log-ratio strings like "log(2)/log(3)"
+so irrational constants round-trip exactly.  Three failure kinds stay
+distinct: parse (broken JSON), schema (wrong shape or type), semantic
+(well-shaped but invalid values).  Every diagnostic names the offending
+field path.
 """
 
 from __future__ import annotations
@@ -44,17 +45,15 @@ class TaskSpec(Record):
 class ExperimentConfig(Record):
     """A parsed and validated experiment config.
 
-    `description` is the config's free text, `carpets` per system its grid
-    carpet, or None for a system of explicit maps, `omega` the index
-    sequence (its index i is `rifs.systems[i - 1]`), `seed` the random
-    seed (>= 0), `task` the task and its parsed fields, and `rifs` the
-    systems in config order on the ambient box, each map checked to keep
-    the box.  Nothing here is computed, so nothing is certified beyond the
-    parsing and those checks.
+    `description` is the config's free text, `omega` the index sequence
+    (its index i is `rifs.systems[i - 1]`), `seed` the random seed (>= 0),
+    `task` the task and its parsed fields, and `rifs` the systems in config
+    order on the ambient box, each map checked to keep the box and each
+    grid carpet kept on its system.  Nothing here is computed, so nothing
+    is certified beyond the parsing and those checks.
     """
 
     description: str
-    carpets: tuple[CarpetSpec | None, ...]
     omega: OmegaSeq
     seed: int
     task: TaskSpec
@@ -237,8 +236,7 @@ def _parse_map(obj, path: str, dim: int) -> ContractionMap:
     raise _semantic(f"{path}.kind", f"unknown map kind {kind!r}")
 
 
-def _parse_system(obj, path: str, index: int, dim: int,
-                  ) -> tuple[DeterministicIfs, CarpetSpec | None]:
+def _parse_system(obj, path: str, index: int, dim: int) -> DeterministicIfs:
     if not isinstance(obj, dict):
         raise _schema(path, "must be an object")
     label = obj.get("label", f"system_{index + 1}")
@@ -268,7 +266,7 @@ def _parse_system(obj, path: str, index: int, dim: int,
             carpet = CarpetSpec(_int_field(spec["m"], f"{cpath}.m"),
                                 _int_field(spec["n"], f"{cpath}.n"),
                                 tuple(cells))
-            return carpet_system(carpet, label), carpet
+            return carpet_system(carpet, label)
     _check_keys(obj, path, ("maps",), ("label",))
     maps_raw = obj["maps"]
     if not isinstance(maps_raw, list) or not maps_raw:
@@ -276,7 +274,7 @@ def _parse_system(obj, path: str, index: int, dim: int,
     maps = tuple(_parse_map(m, f"{path}.maps[{i}]", dim)
                  for i, m in enumerate(maps_raw))
     with _semantic_at(path):
-        return DeterministicIfs(maps, label), None
+        return DeterministicIfs(maps, label)
 
 
 def _parse_omega(obj, path: str, n_systems: int) -> OmegaSeq:
@@ -336,7 +334,7 @@ def _parse_points(val, path: str, dim: int) -> tuple[tuple[float, ...], ...]:
 # --- task parsing ------------------------------------------------------------
 
 
-def _parse_task(obj, path: str, rifs: Rifs, carpets: tuple) -> TaskSpec:
+def _parse_task(obj, path: str, rifs: Rifs) -> TaskSpec:
     from .tasks import TASKS
 
     if not isinstance(obj, dict):
@@ -351,7 +349,7 @@ def _parse_task(obj, path: str, rifs: Rifs, carpets: tuple) -> TaskSpec:
     if task.summary is not None:
         names["summary"] = task.summary
     fields = {k: v for k, v in obj.items() if k != "type" and k not in names}
-    params = task.parse(fields, path, rifs, carpets)
+    params = task.parse(fields, path, rifs)
     for key, default in names.items():
         params[key] = _output_name(obj.get(key, default), f"{path}.{key}")
     # run writes the names in turn, so none may be another or a folder of it
@@ -381,14 +379,26 @@ def parse_config(doc, source: str = "<config>") -> ExperimentConfig:
     systems_raw = doc["systems"]
     if not isinstance(systems_raw, list) or not systems_raw:
         raise _schema(f"{source}.systems", "must be a non-empty array")
-    systems, carpets = zip(*(
-        _parse_system(entry, f"{source}.systems[{i}]", i, ambient.dim)
-        for i, entry in enumerate(systems_raw)))
+    systems = [_parse_system(entry, f"{source}.systems[{i}]", i, ambient.dim)
+               for i, entry in enumerate(systems_raw)]
     omega = _parse_omega(doc["omega"], f"{source}.omega", len(systems))
     with _semantic_at(f"{source}.systems"):
         rifs = Rifs(systems, ambient)
-    task = _parse_task(doc["task"], f"{source}.task", rifs, carpets)
-    return ExperimentConfig(description, carpets, omega, seed, task, rifs)
+    task = _parse_task(doc["task"], f"{source}.task", rifs)
+    return ExperimentConfig(description, omega, seed, task, rifs)
+
+
+def _object(pairs, path) -> dict:
+    """A JSON object as a dict, refused if a key repeats: a plain dict
+    would keep only its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigParseError(f"{path}: duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def load_config(path) -> ExperimentConfig:
@@ -403,7 +413,8 @@ def load_config(path) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ConfigParseError(f"{path}: config is not UTF-8: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=lambda pairs: _object(
+            pairs, path))
     except json.JSONDecodeError as exc:
         raise ConfigParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "

@@ -448,7 +448,7 @@ class ClosedFormMap(ContractionMap):
     def image_box(self, box: AmbientBox):
         # image_box_array's term ranges for one box in Python floats, added
         # in the same order: the same floats, and nan where it holds nan
-        ends = tuple(zip(map(float, box.lo), map(float, box.hi)))
+        ends = tuple(zip(box.lo, box.hi))
         image = []
         for terms in self._axes:
             ranges = [_float_term_range(*ends[a], fn, turn)

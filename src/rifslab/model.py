@@ -30,15 +30,19 @@ DEFAULT_BUDGET = 10 ** 7
 @record
 class DeterministicIfs(Record):
     """One IFS: a non-empty ordered family of maps over a shared box,
-    stored as a tuple."""
+    stored as a tuple, and the grid carpet they come from, if any."""
 
     maps: tuple[ContractionMap, ...]
     label: str
+    carpet: CarpetSpec | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "maps", tuple(self.maps))
         if not self.maps:
             raise UsageError(f"system {self.label!r} has no maps")
+        if not isinstance(self.carpet, (CarpetSpec, type(None))):
+            raise UsageError(f"system {self.label!r} carpet must be a "
+                             f"CarpetSpec or None")
         dims = {m.dim for m in self.maps}
         if len(dims) != 1:
             raise UsageError(f"system {self.label!r} mixes dimensions")
@@ -71,6 +75,10 @@ class Rifs(Record):
                     raise UsageError(f"map {m.describe()} of system "
                                      f"{sys_.label!r} leaves the ambient box")
 
+    @property
+    def carpets(self) -> tuple[CarpetSpec | None, ...]:
+        return tuple(s.carpet for s in self.systems)
+
     def system_for_level(self, omega: OmegaSeq, level: int) -> DeterministicIfs:
         idx = omega.entry(level)
         if not (1 <= idx <= len(self.systems)):
@@ -91,7 +99,7 @@ def carpet_system(carpet: CarpetSpec, label: str) -> DeterministicIfs:
             maps.append(Similarity(1 / m, shift))
         else:
             maps.append(Affine2([[1 / m, 0.0], [0.0, 1 / n]], shift))
-    return DeterministicIfs(tuple(maps), label)
+    return DeterministicIfs(tuple(maps), label, carpet)
 
 
 def _family(like: np.ndarray, rows: int) -> np.ndarray:
@@ -488,7 +496,9 @@ def sample_omega(sampler: BernoulliSampler, horizon: int) -> OmegaSeq:
     u = _pcg64_random(int(sampler.seed), horizon)
     edges = np.cumsum(np.asarray(sampler.weights))
     symbols = np.searchsorted(edges, u, side="right") + 1
-    symbols = np.minimum(symbols, len(sampler.weights))  # guard u ~ 1 edge
+    # u near 1 may pass the last edge: draw the last system of positive weight
+    last = max(i for i, w in enumerate(sampler.weights, 1) if w > 0)
+    symbols = np.minimum(symbols, last)
     prefix = tuple(int(s) for s in symbols)
     return OmegaSeq(prefix, (prefix[-1],))
 

@@ -13,7 +13,6 @@ import math
 import numbers
 import os
 import sys
-import tempfile
 from collections.abc import Callable
 
 from . import boxcount, measure, render
@@ -60,29 +59,29 @@ def _charge(size: int, what: str, budget: int) -> None:
         raise ResourceError(f"{what} exceeds budget {budget}", count=size)
 
 
-def _dim_by_carpets(rifs, carpets) -> bool:
+def _dim_by_carpets(rifs) -> bool:
     """True when every system is a carpet (the dim task's carpet
     formula), False when every map is a similarity (its similarity
     formula); any other mix has no formula and raises UsageError."""
-    if None not in carpets:
+    if None not in rifs.carpets:
         return True
     if any(m.kind != "similarity" for s in rifs.systems for m in s.maps):
         raise UsageError("dim task needs all-similarity or all-carpet systems")
     return False
 
 
-def _parse_dim(obj, path, rifs, carpets) -> dict:
+def _parse_dim(obj, path, rifs) -> dict:
     _check_keys(obj, path, (), ("weights",))
     with _semantic_at(path):
-        _dim_by_carpets(rifs, carpets)
+        _dim_by_carpets(rifs)
     return {"weights": _weights(obj, path, len(rifs.systems))}
 
 
 def _task_dim(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
     weights = params["weights"]
-    if _dim_by_carpets(cfg.rifs, cfg.carpets):
-        value = random_carpet_dimension(list(cfg.carpets), weights)
+    if _dim_by_carpets(cfg.rifs):
+        value = random_carpet_dimension(cfg.rifs.carpets, weights)
         equation, residual = "carpet_product_formula", 0.0
     else:
         rep = randomized_similarity_dimension(
@@ -93,15 +92,15 @@ def _task_dim(cfg: ExperimentConfig, budget: int):
     return [(params["output"], _csv(("name", "value"), rows))]
 
 
-def _need_carpet_pair(path, ttype, rifs, carpets) -> None:
+def _need_carpet_pair(path, ttype, rifs) -> None:
     if len(rifs.systems) != 2:
         raise _semantic(path, f"{ttype} task needs exactly 2 systems")
-    if None in carpets:
+    if None in rifs.carpets:
         raise _semantic(path, f"{ttype} task needs carpet systems")
 
 
-def _parse_curve(obj, path, rifs, carpets) -> dict:
-    _need_carpet_pair(path, "curve", rifs, carpets)
+def _parse_curve(obj, path, rifs) -> dict:
+    _need_carpet_pair(path, "curve", rifs)
     _check_keys(obj, path, (), ("grid",))
     return {"grid": _int_field(obj.get("grid", 101), f"{path}.grid",
                                minimum=2)}
@@ -112,27 +111,26 @@ def _task_curve(cfg: ExperimentConfig, budget: int):
     grid = params["grid"]
     _charge(grid, f"curve grid of {grid} points", budget)
     ps = [i / (grid - 1) for i in range(grid)]
-    curve = carpet_dimension_curve(list(cfg.carpets),
+    curve = carpet_dimension_curve(cfg.rifs.carpets,
                                    [(p, 1.0 - p) for p in ps])
     rows = [(w[0], value) for w, value in curve]
     return [(params["output"], _csv(("p", "dimension"), rows))]
 
 
-def _parse_minimize(obj, path, rifs, carpets) -> dict:
-    _need_carpet_pair(path, "minimize", rifs, carpets)
+def _parse_minimize(obj, path, rifs) -> dict:
+    _need_carpet_pair(path, "minimize", rifs)
     _check_keys(obj, path, (), ("tol",))
     return {"tol": _positive(obj.get("tol", 1e-10), f"{path}.tol")}
 
 
 def _task_minimize(cfg: ExperimentConfig, budget: int):
     params = cfg.task.params
-    p_star, value = minimize_carpet_dimension(list(cfg.carpets),
-                                              params["tol"])
+    p_star, value = minimize_carpet_dimension(cfg.rifs.carpets, params["tol"])
     rows = [("p_star", p_star), ("dimension", value), ("tol", params["tol"])]
     return [(params["output"], _csv(("name", "value"), rows))]
 
 
-def _parse_boxdim(obj, path, rifs, carpets) -> dict:
+def _parse_boxdim(obj, path, rifs) -> dict:
     _check_keys(obj, path, ("ladder",))
     ladder = obj["ladder"]
     lpath = f"{path}.ladder"
@@ -176,7 +174,7 @@ def _task_boxdim(cfg: ExperimentConfig, budget: int):
             (params["summary"], _csv(("name", "value"), summary))]
 
 
-def _parse_measure_bounds(obj, path, rifs, carpets) -> dict:
+def _parse_measure_bounds(obj, path, rifs) -> dict:
     _check_keys(obj, path, ("s", "radii", "points"), ("exponents",))
     s = _positive(obj["s"], f"{path}.s")
     radii = _real_list(obj["radii"], f"{path}.radii")
@@ -213,7 +211,7 @@ def _task_measure_bounds(cfg: ExperimentConfig, budget: int):
             (params["summary"], _csv(("name", "value"), summary))]
 
 
-def _parse_render(obj, path, rifs, carpets) -> dict:
+def _parse_render(obj, path, rifs) -> dict:
     _check_keys(obj, path, ("width", "height"),
                 ("target_error", "depth", "foreground", "background"))
     params = {"width": _int_field(obj["width"], f"{path}.width", minimum=1),
@@ -256,7 +254,7 @@ def _task_render(cfg: ExperimentConfig, budget: int):
              render._paint_ppm(chunks, spec, cfg.rifs.ambient))]
 
 
-def _parse_splice_demo(obj, path, rifs, carpets) -> dict:
+def _parse_splice_demo(obj, path, rifs) -> dict:
     _check_keys(obj, path, ("epsilon", "tail", "seed_set", "gauge"),
                 ("max_depth",))
     eps = _real(obj["epsilon"], f"{path}.epsilon")
@@ -312,7 +310,7 @@ def _task_splice_demo(cfg: ExperimentConfig, budget: int):
     return [(params["output"], _csv(header, rows))]
 
 
-def _parse_sample(obj, path, rifs, carpets) -> dict:
+def _parse_sample(obj, path, rifs) -> dict:
     _check_keys(obj, path, ("horizon",), ("weights",))
     return {
         "horizon": _int_field(obj["horizon"], f"{path}.horizon", minimum=1),
@@ -337,7 +335,7 @@ class Task(Record):
     """One task type; config parses its type, output and summary fields."""
 
     output: str                 # default output file name
-    # (fields, path, rifs, carpets) -> params
+    # (fields, path, rifs) -> params
     parse: Callable[..., dict]
     # (cfg, budget) -> [(file name, bytes), ...]
     handler: Callable[[ExperimentConfig, int], list[tuple[str, bytes]]]
@@ -359,8 +357,10 @@ TASKS = {
 
 
 def _write_atomic(path: str, data: bytes | bytearray) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rifslab-", suffix=".tmp")
+    # created as open() creates a file, so the umask sets its mode
+    tmp = os.path.join(os.path.dirname(path),
+                       f".rifslab-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

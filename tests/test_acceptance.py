@@ -81,7 +81,7 @@ def test_criterion_03_weighted_carpet_formula_on_shared_grids():
 
 def test_criterion_04_carpet_pair_and_dimension_minimizer():
     cfg = load_corpus("carpet-minimize")
-    carpets = [c for c in cfg.carpets if c is not None]
+    carpets = [c for c in cfg.rifs.carpets if c is not None]
     assert len(carpets) == 2
     for c in carpets:
         assert abs(bedford_mcmullen_dimension(c) - (1.0 + LOG2_3)) <= 1e-9

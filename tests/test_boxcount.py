@@ -342,10 +342,21 @@ def test_table_validation():
         BoxCountTable(())
     with pytest.raises(UsageError, match="strictly decreasing"):
         BoxCountTable(((0.25, 2), (0.5, 4)))
-    with pytest.raises(UsageError, match="may not drop"):
-        BoxCountTable(((0.5, 4), (0.25, 2)))
     with pytest.raises(UsageError, match="positive"):
         BoxCountTable(((0.5, 0),))
+
+
+def test_estimate_keeps_counts_that_drop(cantor_cfg):
+    # grids of base 1.1 are not nested, so a finer one may need fewer
+    # cells: the table keeps each rung's true count
+    rifs, omega = cantor_cfg.rifs, cantor_cfg.omega
+    deltas = [1.1 ** -e for e in range(1, 21)]
+    table, est = estimate_box_dims(rifs, omega, deltas)
+    assert [d for d, _ in table.rows] == deltas
+    for (delta, count), depth in zip(table.rows, est.depths):
+        cover = cylinder_cover(rifs, omega, depth)
+        assert count == count_boxes(cover.boxes, delta, rifs.ambient)
+    assert any(b < a for a, b in zip(table.counts, table.counts[1:]))
 
 
 def test_estimate_rejects_bad_ladders(cantor_cfg):

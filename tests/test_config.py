@@ -2,12 +2,13 @@ import copy
 import json
 import math
 import re
+from dataclasses import fields
 
 import pytest
 
 from rifslab import (ConfigParseError, ConfigSchemaError, ConfigSemanticError,
-                     cli, corpus_names, load_config, load_corpus,
-                     parse_config)
+                     ExperimentConfig, cli, corpus_names, load_config,
+                     load_corpus, parse_config)
 from rifslab.corpus import corpus_path
 
 BASE = {
@@ -37,6 +38,14 @@ def test_minimal_document_parses():
     assert len(cfg.rifs.systems) == 1
     assert cfg.task.params["output"] == "dim.csv"
     assert cfg.task.params["weights"] == (1.0,)
+
+
+def test_carpets_are_read_off_the_systems():
+    assert [f.name for f in fields(ExperimentConfig)] == [
+        "description", "omega", "seed", "task", "rifs"]
+    cfg = load_corpus("carpet-curve")
+    assert all(s.carpet is not None for s in cfg.rifs.systems)
+    assert parse_config(doc()).rifs.carpets == (None,)
 
 
 def test_all_corpus_entries_parse():
@@ -356,6 +365,26 @@ def test_load_config_file_errors(tmp_path):
     binary.write_bytes(b"\xff\xfe{}")
     with pytest.raises(ConfigParseError, match="not UTF-8"):
         load_config(binary)
+
+
+def test_load_config_refuses_duplicate_keys(tmp_path):
+    # json.loads alone keeps the last value of a repeated key
+    with open(corpus_path("cantor"), encoding="utf-8") as fh:
+        text = fh.read()
+    cases = {"seed": text.replace('"seed": 0', '"seed": 0, "seed": 1, '
+                                               '"seed": 2'),
+             "task": text.replace('"task":', '"task": {"type": "sample"}, '
+                                             '"task":'),
+             "systems": text.replace('"omega":', '"systems": [], "omega":'),
+             "type": text.replace('"type": "dim"', '"type": "dim", '
+                                                   '"type": "dim"')}
+    for key, dup in cases.items():
+        assert dup != text
+        path = tmp_path / f"dup_{key}.json"
+        path.write_text(dup)
+        with pytest.raises(ConfigParseError,
+                           match=f"duplicate key {key!r}"):
+            load_config(path)
 
 
 def test_load_config_round_trip(tmp_path):

@@ -209,7 +209,7 @@ def test_minimize_stops_when_tol_is_below_float_spacing(run_isolated):
     # the bracket stops shrinking at one ulp, far above this tol
     code = """
 from rifslab import load_corpus, minimize_carpet_dimension
-carpets = [c for c in load_corpus("carpet-minimize").carpets if c is not None]
+carpets = [c for c in load_corpus("carpet-minimize").rifs.carpets if c is not None]
 print(repr(minimize_carpet_dimension(carpets, tol=1e-300)[0]))
 """
     res = run_isolated(code, timeout=60)

@@ -134,6 +134,17 @@ def test_carpet_system_grid_cells():
     assert square.maps[0].kind == "similarity"
 
 
+def test_each_system_keeps_its_carpet():
+    carpet = CarpetSpec(2, 3, ((0, 0), (1, 2)))
+    grid = carpet_system(carpet, "grid")
+    assert grid.carpet == carpet
+    plain = DeterministicIfs(grid.maps, "plain")
+    assert plain.carpet is None and plain != grid
+    assert Rifs((grid, plain), unit_box(2)).carpets == (carpet, None)
+    with pytest.raises(UsageError, match="carpet must be a CarpetSpec"):
+        DeterministicIfs(grid.maps, "bad", (2, 3, ((0, 0), (1, 2))))
+
+
 def _words(rifs, om, depth):
     """Every depth-k word, lexicographic with the first symbol most
     significant: the order the covers promise."""
@@ -915,6 +926,18 @@ def test_sampler_weight_frequencies():
     seq = sample_omega(s, 20_000)
     share = seq.prefix.count(2) / len(seq.prefix)
     assert abs(share - 0.75) < 0.02
+
+
+def test_sampler_never_draws_a_zero_weight_system(monkeypatch):
+    # these weights sum to 1 - 2**-53 in floats, and the stream's largest
+    # value is 1 - 2**-53, so the inverse CDF passes every edge
+    weights = (0.7, 0.1, 0.1, 0.1, 0.0)
+    top = 1.0 - 2.0 ** -53
+    assert np.cumsum(weights)[-1] == top
+    monkeypatch.setattr(model, "_pcg64_random",
+                        lambda seed, n: np.full(n, top))
+    seq = sample_omega(BernoulliSampler(weights, seed=0), 3)
+    assert seq.prefix == (4, 4, 4)
 
 
 def test_sampler_rejects_bad_weights():

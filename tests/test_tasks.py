@@ -3,6 +3,8 @@ whole-array formulas they replace, bit for bit, in bounded memory."""
 
 import itertools
 import math
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -173,4 +175,28 @@ def test_run_refuses_a_hand_built_dim_of_other_maps(tmp_path):
                                              "output": "dim.csv"}))
     with pytest.raises(UsageError, match="all-similarity or all-carpet"):
         tasks.run(cfg, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_run_outputs_take_the_umask(tmp_path, umask):
+    cfg = load_corpus("cantor")
+    old = os.umask(umask)
+    try:
+        for _ in range(2):      # a new output, then one written over
+            tasks.run(cfg, str(tmp_path))
+            mode = stat.S_IMODE((tmp_path / "dim.csv").stat().st_mode)
+            assert mode == 0o666 & ~umask
+    finally:
+        os.umask(old)
+    assert [p.name for p in tmp_path.iterdir()] == ["dim.csv"]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="refused"):
+        tasks.run(load_corpus("cantor"), str(tmp_path))
     assert list(tmp_path.iterdir()) == []
