@@ -21,13 +21,24 @@ pass over a (2, n) block.  A box spanning at most two cells on every axis
 is marked at its clipped corners, one corner at a time: a corner's ids,
 one per box, are one add of its axes' first or last cells, so one n-long
 id array is alive, with no per-cell expansion (and, into the map, no
-sort).  That covers the boxes `estimate_box_dims` counts: it resolves
-each rung to cylinders of side at most delta/4, and even rotated maps'
-boxes, which outgrow their cylinders, have measured below delta.
-Wider boxes are expanded at most `_CELL_CHUNK` cells at a time, and the
-cells so expanded are charged to a budget of 2^dim cells per cylinder of
-the cylinder budget, so a huge box fails at once with `ResourceError`
-instead of running for hours.
+sort).  Wider boxes are expanded at most `_CELL_CHUNK` cells at a time,
+and the cells so expanded are charged to a budget of 2^dim cells per
+cylinder of the cylinder budget, so a huge box fails at once with
+`ResourceError` instead of running for hours.
+
+`estimate_box_dims` resolves each rung to cylinders whose error bound is
+at most delta/4, and counts them by one of two routes.  When every map of
+the walk is axis-aligned (every carpet, and every 1-D system), a
+cylinder's interval on an axis depends only on its maps' 1-D parts there,
+so each axis's distinct intervals, far fewer than the cylinders, get one
+table of cells per rung, and the chunks' cells are read off the tables
+with no box built (`_mark_from_tables`).  Such a cylinder is at most
+delta/4 on a side, so it spans at most two cells per axis; that is
+checked once on the tables.  Every other walk (rotations, shears, closed
+forms), and one whose axes share few intervals or whose grid is too
+sparse or too fine for the map, streams its cylinder boxes through
+`_Cells.add`; even rotated maps' boxes, which outgrow their cylinders,
+have measured below delta there.
 """
 
 from __future__ import annotations
@@ -41,8 +52,9 @@ from . import model
 from ._lazy import np
 from ._record import Record, record
 from .errors import ResourceError, UsageError, check_int
-from .geometry import AmbientBox
-from .model import DEFAULT_BUDGET, Rifs, _boxes, _chunks, resolution_depth
+from .geometry import AmbientBox, Similarity, _AffineMap
+from .model import (DEFAULT_BUDGET, Rifs, _boxes, _chunks, _whole,
+                    resolution_depth)
 from .sequences import OmegaSeq
 
 SNAP_TOL = 1e-9
@@ -300,8 +312,9 @@ def _lsq_slope(xs, ys) -> float:
 
 
 def _check_ladder(deltas) -> tuple[float, ...]:
-    """The ladder's deltas as floats: non-empty, in (0, 1) and strictly
-    decreasing, or UsageError."""
+    """The ladder's deltas as floats: non-empty, in (0, 1), strictly
+    decreasing, and each with a quarter (its cover's target error) above
+    0, or UsageError."""
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise UsageError("empty delta ladder")
@@ -309,30 +322,138 @@ def _check_ladder(deltas) -> tuple[float, ...]:
         raise UsageError("ladder deltas must lie in (0, 1)")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise UsageError("deltas must be strictly decreasing")
+    if not deltas[-1] / 4.0 > 0.0:
+        raise UsageError("ladder deltas must be > 0 once quartered")
     return deltas
+
+
+def _axis_parts(maps):
+    """Per axis, each map's index among the distinct 1-D parts
+    (coefficient, translation) of `maps`, numbered in first-seen order,
+    and those parts as 1-D similarities, which map an interval with the
+    two roundings of the box walk's column; None unless every map is
+    axis-aligned, an affine map whose axis k reads axis k alone."""
+    if not all(isinstance(m, _AffineMap)
+               and all(len(terms) == 1 and terms[0][0] == k
+                       for k, terms in enumerate(m._terms)) for m in maps):
+        return None
+    axes = []
+    for k in range(maps[0].dim):
+        seen = {}
+        index = [seen.setdefault((m._terms[k][0][1], m.translation[k]),
+                                 len(seen)) for m in maps]
+        axes.append((np.array(index), [Similarity(abs(c), (t,),
+                                                  reflect=c < 0)
+                                       for c, t in seen]))
+    return axes
+
+
+def _mixed(index, sizes) -> np.ndarray:
+    """In word order, the mixed-radix numbers of the words over levels
+    whose maps' digits are `index` and whose radices are `sizes`."""
+    return reduce(lambda num, level: (num[:, None] * level[1]
+                                      + level[0]).ravel(),
+                  zip(index, sizes), np.zeros(1, dtype=np.int64))
+
+
+def _mark_from_tables(walk, sinks, parts: dict) -> bool:
+    """Mark the cylinders of `walk` (from `_boxes`) into the occupancy
+    maps of `sinks` from per-axis cell tables, building no box, and return
+    True; or mark nothing and return False, when a sink is not on a map
+    of at most `_MAP_CELLS` / 2^dim cells, a map is not axis-aligned, an
+    axis has over half as many distinct intervals as cylinders (its table
+    would share little and be held whole), or a table interval spans more
+    than two cells.  `parts` caches `_axis_parts` by system.
+
+    On each axis the distinct intervals are the 1-D walk of the levels'
+    distinct parts, so a cylinder's interval is the one that its maps'
+    part indices number in mixed radix.  A rung's table holds each
+    interval's first cell times the axis stride, plus the grid size times
+    2^axis if it spans two cells, so a cylinder's code, the sum over the
+    axes, is its first corner's id and the axes on which it has an upper
+    corner.  Words are split as `_chunks` splits them: a chunk's codes on
+    an axis are its prefix's slice of the table, taken at the suffixes'
+    numbers.  The codes go into a map 2^dim times the grid's, and each
+    corner is then marked by one shifted OR of the code planes that have
+    it."""
+    levels, leaf, image = walk
+    dim = leaf.shape[1]
+    if any(cells.map is None or cells.map.size << dim > _MAP_CELLS
+           for cells in sinks):
+        return False
+    for maps in levels:
+        if id(maps) not in parts:
+            parts[id(maps)] = _axis_parts(maps)
+        if parts[id(maps)] is None:
+            return False
+    rows = span = math.prod(map(len, levels))
+    j = 0
+    while span > model._CHUNK_LEAVES and j < len(levels):
+        span //= len(levels[j])
+        j += 1
+    offsets, bases, tables = [], [], [[] for _ in sinks]
+    for ax in range(dim):
+        index, items = zip(*(parts[id(maps)][ax] for maps in levels))
+        sizes = [len(its) for its in items]
+        if 2 * math.prod(sizes) > rows:
+            return False
+        offsets.append(_mixed(index[:j], sizes[:j]) * math.prod(sizes[j:]))
+        bases.append(_mixed(index[j:], sizes[j:]))
+        family = _whole(items, leaf[:, ax:ax + 1], image)
+        for cells, table in zip(sinks, tables):
+            first, last = _axis_cells(cells.shape[ax], cells.ambient.lo[ax],
+                                      family[:, 0, 0], family[:, 0, 1],
+                                      cells.delta)
+            if np.any(last - first > 1):
+                return False
+            table.append(first * cells.strides[ax]
+                         + (last - first) * (cells.map.size << ax))
+    codes = [np.zeros(cells.map.size << dim, dtype=bool) for cells in sinks]
+    for offs in zip(*offsets):
+        for code, table in zip(codes, tables):
+            code[reduce(np.add, (row[off:].take(base) for row, off, base
+                                 in zip(table, offs, bases)))] = True
+    for cells, code in zip(sinks, codes):
+        size = cells.map.size
+        planes = code.reshape(-1, size)
+        flags = np.arange(len(planes))
+        for corner in range(len(planes)):
+            shift = sum(stride for ax, stride in enumerate(cells.strides)
+                        if corner >> ax & 1)
+            has = planes[flags & corner == corner].any(axis=0)
+            cells.map[shift:] |= has[:size - shift]
+    return True
 
 
 def estimate_box_dims(rifs: Rifs, omega: OmegaSeq, deltas,
                       budget: int = DEFAULT_BUDGET,
                       ) -> tuple[BoxCountTable, BoxDimEstimate]:
-    """Count cylinder boxes on each grid of the ladder, then read off the
-    dimension two ways: per-rung exponents and a log-log slope."""
+    """Count the cylinders on each grid of the ladder, then read off the
+    dimension two ways: per-rung exponents and a log-log slope.
+
+    Each rung is resolved to cylinders whose error bound is at most a
+    quarter cell, so that an axis-aligned one spans at most two cells per
+    axis.  An axis-aligned walk is counted from per-axis cell tables
+    (`_mark_from_tables`); any other, or one the tables cannot take,
+    streams its boxes through `_Cells.add`, one chunk at a time (see the
+    module docstring)."""
     deltas = _check_ladder(deltas)
 
     # resolve each rung to cylinders no larger than a quarter cell; depths
     # never decrease down the ladder, so each depth's rungs are adjacent and
     # share one streamed cover, and only their cell sets are held
     depths = [resolution_depth(rifs, omega, d / 4.0, budget) for d in deltas]
-    rows = []
+    rows, parts = [], {}
     for depth, rungs in itertools.groupby(zip(deltas, depths),
                                           key=lambda rung: rung[1]):
         walk, _ = _boxes(rifs, omega, depth, budget)
         count = math.prod(map(len, walk[0]))
         sinks = [_Cells(delta, rifs.ambient, budget, count)
                  for delta, _ in rungs]
-        for boxes in _chunks(*walk):
-            for cells in sinks:
-                cells.add(boxes)
+        if not _mark_from_tables(walk, sinks, parts):
+            for boxes in _chunks(*walk):
+                for cells in sinks:
+                    cells.add(boxes)
         rows += [(cells.delta, cells.count()) for cells in sinks]
 
     table = BoxCountTable(tuple(rows))

@@ -46,6 +46,13 @@ class DeterministicIfs(Record):
         dims = {m.dim for m in self.maps}
         if len(dims) != 1:
             raise UsageError(f"system {self.label!r} mixes dimensions")
+        c = self.carpet   # its maps are carpet_system's, float for float
+        if c is not None and not (len(self.maps) == len(c.chosen) and all(
+                getattr(f, "_terms", ()) == (((0, 1 / c.m),), ((1, 1 / c.n),))
+                and f.translation == (col / c.m, row / c.n)
+                for f, (col, row) in zip(self.maps, c.chosen))):
+            raise UsageError(f"system {self.label!r} maps do not match its "
+                             f"carpet")
 
     @property
     def dim(self) -> int:
@@ -155,12 +162,16 @@ def _boxes(rifs: Rifs, omega: OmegaSeq, depth: int, budget: int):
 
 
 def _points(rifs: Rifs, omega: OmegaSeq, depth: int, seeds, budget: int):
-    """(levels, leaf, image) of the depth-k images of the seeds."""
+    """(levels, leaf, image) of the depth-k images of the seeds, whose
+    rows, cylinders times seeds, are charged to the budget."""
     if check_int("depth", depth) < 0:
         raise UsageError("depth must be >= 0")
-    return (_levels(rifs, omega, depth, budget)[0],
-            np.atleast_2d(np.asarray(seeds, dtype=float)),
-            lambda m, pts, out=None: m.apply_array(pts, out))
+    levels = _levels(rifs, omega, depth, budget)[0]
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    if (rows := math.prod(map(len, levels)) * len(seeds)) > budget:
+        raise ResourceError(f"{rows} image rows exceed budget {budget}",
+                            count=rows)
+    return levels, seeds, lambda m, pts, out=None: m.apply_array(pts, out)
 
 
 def cylinder_cover(rifs: Rifs, omega: OmegaSeq, depth: int,

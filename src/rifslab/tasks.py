@@ -178,8 +178,10 @@ def _parse_measure_bounds(obj, path, rifs) -> dict:
     _check_keys(obj, path, ("s", "radii", "points"), ("exponents",))
     s = _positive(obj["s"], f"{path}.s")
     radii = _real_list(obj["radii"], f"{path}.radii")
-    if not radii or any(r <= 0.0 for r in radii):
-        raise _semantic(f"{path}.radii", "must be positive and non-empty")
+    # a radius's quarter is its cover's target error
+    if not radii or any(not r / 4.0 > 0.0 for r in radii):
+        raise _semantic(f"{path}.radii",
+                        "must be non-empty and > 0 once quartered")
     for i, r in enumerate(radii):
         with _semantic_at(f"{path}.radii[{i}]"):
             measure._scale(r, s)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rifslab import (BoxCountTable, OmegaSeq, ResourceError, UsageError,
-                     boxcount, count_boxes, cylinder_cover, estimate_box_dims,
-                     load_corpus, model)
+from rifslab import (BoxCountTable, CarpetSpec, OmegaSeq, ResourceError,
+                     UsageError, boxcount, count_boxes, cylinder_cover,
+                     estimate_box_dims, geometry, load_corpus, model)
 from rifslab.boxcount import SNAP_TOL, _axis_cells
-from rifslab.geometry import AmbientBox, unit_box
+from rifslab.geometry import Affine2, AmbientBox, Similarity, unit_box
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -476,3 +476,188 @@ def test_single_rung_slope_falls_back_to_exponent(cantor_cfg):
     _, est = estimate_box_dims(cantor_cfg.rifs, om, [1 / 9])
     assert est.slope == est.exponents[-1]
     assert est.window == (0, 1)
+
+
+def _aligned_system(draw, pools, label):
+    """1-4 maps, each reading its parts from the per-axis pools: 1-D
+    similarities, or reflecting and rotating similarities and diagonal
+    affine maps of either sign."""
+    maps = []
+    for _ in range(draw(st.integers(1, 4))):
+        (cx, tx), *rest = [draw(st.sampled_from(pool)) for pool in pools]
+        if not rest:
+            maps.append(Similarity(abs(cx), (tx,), reflect=cx < 0))
+            continue
+        ((cy, ty),) = rest
+        if abs(cx) == abs(cy) and draw(st.booleans()):
+            # a half turn negates both axes; the reflection negates x
+            maps.append(Similarity(abs(cx), (tx, ty),
+                                   rotation_deg=180.0 if cy < 0 else 0.0,
+                                   reflect=(cx < 0) != (cy < 0)))
+        else:
+            maps.append(Affine2([[cx, 0.0], [0.0, cy]], (tx, ty)))
+    return model.DeterministicIfs(tuple(maps), label)
+
+
+@st.composite
+def aligned_ladders(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    lo = tuple(draw(st.sampled_from((0.0, -1.5, 2.25, 1 / 3)))
+               for _ in range(dim))
+    side = draw(st.sampled_from((1.0, 0.75, 2.0)))
+    ambient = AmbientBox(lo, tuple(l + side for l in lo))
+
+    def part(ax):
+        # a 1-D part mapping the ambient interval into itself, well inside
+        r = draw(st.sampled_from((1 / 3, 0.4, 0.25)))
+        c = -r if draw(st.booleans()) else r
+        start = lo[ax] + draw(st.floats(0.01, 0.99 - r)) * side
+        return c, start - c * (lo[ax] if c > 0 else lo[ax] + side)
+
+    # small pools, so maps and their parts repeat
+    pools = [[part(ax) for _ in range(draw(st.integers(1, 2)))]
+             for ax in range(dim)]
+    n = draw(st.integers(1, 3))
+    rifs = model.Rifs(tuple(_aligned_system(draw, pools, f"s{i}")
+                            for i in range(n)), ambient)
+    om = OmegaSeq(tuple(draw(st.lists(st.integers(1, n), max_size=2))),
+                  tuple(draw(st.lists(st.integers(1, n), min_size=1,
+                                      max_size=3))))
+    base = draw(st.sampled_from((2.0, 3.0, 2.5)))
+    exps = sorted(draw(st.sets(st.integers(1, 3), min_size=1)))
+    deltas = [d for d in (min(side, 1.0) * base ** -e for e in exps)
+              if d < 1.0]
+    chunk = draw(st.sampled_from((1, 3, 7, model._CHUNK_LEAVES)))
+    map_cells = draw(st.sampled_from((0, boxcount._MAP_CELLS)))
+    return rifs, om, deltas, chunk, map_cells
+
+
+@given(aligned_ladders())
+@settings(max_examples=200, deadline=None)
+def test_axis_aligned_ladders_count_every_cylinder_box(case):
+    # from the per-axis tables or, where they do not apply, the box walk
+    rifs, om, deltas, chunk, map_cells = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_CHUNK_LEAVES", chunk)
+        mp.setattr(boxcount, "_MAP_CELLS", map_cells)
+        table, est = estimate_box_dims(rifs, om, deltas)
+    assert table.counts == tuple(
+        count_boxes(cylinder_cover(rifs, om, depth).boxes, delta,
+                    rifs.ambient)
+        for delta, depth in zip(deltas, est.depths))
+
+
+def _carpet_mix():
+    sierpinski = tuple((c, r) for r in range(3) for c in range(3)
+                       if (c, r) != (1, 1))
+    return model.Rifs((
+        model.carpet_system(CarpetSpec(3, 3, sierpinski), "sierpinski"),
+        model.carpet_system(CarpetSpec(2, 3, ((0, 0), (1, 1), (0, 2))),
+                            "grid")), unit_box(2)), OmegaSeq((), (1, 2))
+
+
+def _repeated_parts():
+    # a 1-D system whose first two maps are one map: 2^k of 3^k intervals
+    left = Similarity(1 / 3, (0.0,))
+    return model.Rifs((model.DeterministicIfs(
+        (left, left, Similarity(1 / 3, (2 / 3,), reflect=True)), "twice"),),
+        unit_box(1)), OmegaSeq((), (1,))
+
+
+@pytest.mark.parametrize("build, deltas", [
+    (_carpet_mix, [2.0 ** -e for e in range(1, 8)]),
+    (_repeated_parts, [2.0 ** -e for e in range(1, 9)]),
+], ids=["carpet-mix", "repeated-1d"])
+def test_axis_aligned_ladders_map_no_box(build, deltas, monkeypatch):
+    # a silent fall back to the box walk shows here: no 2-D box family is
+    # mapped, and no box is marked
+    rifs, om = build()
+    with pytest.MonkeyPatch.context() as mp:     # the tables turned off
+        mp.setattr(boxcount, "_mark_from_tables", lambda *args: False)
+        want = estimate_box_dims(rifs, om, deltas)
+    dims = []
+    image = geometry._AffineMap.image_box_array
+
+    def spy(m, boxes, out=None):
+        dims.append(boxes.shape[1])
+        return image(m, boxes, out)
+
+    def no_boxes(cells, boxes):
+        raise AssertionError("a box family reached _Cells.add")
+
+    monkeypatch.setattr(geometry._AffineMap, "image_box_array", spy)
+    monkeypatch.setattr(boxcount._Cells, "add", no_boxes)
+    assert estimate_box_dims(rifs, om, deltas) == want
+    assert set(dims) == {1}
+
+
+@pytest.mark.parametrize("name", ["rotated", "cookie-boxdim"])
+def test_other_ladders_stay_on_the_box_walk(name, monkeypatch):
+    # rotations and closed forms have no per-axis tables
+    if name == "rotated":
+        rifs = model.Rifs((model.DeterministicIfs(
+            (Similarity(0.5, (0.5, 0.0), rotation_deg=90.0),
+             Similarity(0.4, (0.3, 0.3), rotation_deg=30.0),
+             Similarity(0.5, (0.0, 0.0))), "turns"),), unit_box(2))
+        om, deltas = OmegaSeq((), (1,)), [2.0 ** -e for e in range(1, 5)]
+    else:
+        cfg = load_corpus(name)
+        rifs, om, deltas = cfg.rifs, cfg.omega, cfg.task.params["deltas"]
+    added = []
+    add = boxcount._Cells.add
+    monkeypatch.setattr(boxcount._Cells, "add",
+                        lambda cells, boxes: added.append(add(cells, boxes)))
+    table, est = estimate_box_dims(rifs, om, deltas)
+    assert added
+    assert table.counts == tuple(
+        count_boxes(cylinder_cover(rifs, om, depth).boxes, delta,
+                    rifs.ambient)
+        for delta, depth in zip(deltas, est.depths))
+
+
+def test_tables_spanning_over_two_cells_go_to_the_box_walk(monkeypatch):
+    # at 2^50 the floats are 1/4 apart, so a depth-6 interval of width
+    # 1/64 rounds out to 1/4, four cells of 1/16: the tables refuse the
+    # rung, and the box walk expands those boxes
+    half = 2.0 ** 49
+    left = Similarity(0.5, (half,))
+    rifs = model.Rifs((model.DeterministicIfs(
+        (left, left, Similarity(0.5, (half + 0.5,))), "far"),),
+        AmbientBox((2.0 ** 50,), (2.0 ** 50 + 1,)))
+    om = OmegaSeq((), (1,))
+    taken = []
+    tables = boxcount._mark_from_tables
+    monkeypatch.setattr(boxcount, "_mark_from_tables",
+                        lambda *args: taken.append(tables(*args)) or taken[-1])
+    for delta, on_tables in ((1 / 8, True), (1 / 16, False)):
+        table, est = estimate_box_dims(rifs, om, [delta])
+        assert taken[-1] == on_tables
+        boxes = cylinder_cover(rifs, om, est.depths[0]).boxes
+        assert table.counts == (count_boxes(boxes, delta, rifs.ambient),)
+    assert np.ptp(boxes[:, 0], axis=1).max() == 0.25
+
+
+@pytest.mark.parametrize("map_cells", [boxcount._MAP_CELLS, 0],
+                         ids=["map", "runs"])
+def test_table_marking_holds_under_ten_chunk_arrays(map_cells, monkeypatch,
+                                                    traced_peak):
+    # the depth-5 Sierpinski carpet is one chunk of 2^15 cylinders: two
+    # taken n-long code arrays and their sum, and the suffix numbers, stay
+    # under the bound of the box path's marking; a rung on the runs is
+    # left, unmarked, to the box walk
+    n, delta = model._CHUNK_LEAVES, 1.0 / 128
+    rifs = model.Rifs(_carpet_mix()[0].systems[:1], unit_box(2))
+    om = OmegaSeq((), (1,))
+    walk, _ = model._boxes(rifs, om, 5, n)
+    monkeypatch.setattr(boxcount, "_MAP_CELLS", map_cells)
+    cells = boxcount._Cells(delta, unit_box(2), n, n)
+    marked, peak = traced_peak(
+        lambda: boxcount._mark_from_tables(walk, [cells], {}))
+    assert marked == (map_cells > 0) == (cells.map is not None)
+    if marked:
+        want = count_boxes(cylinder_cover(rifs, om, 5).boxes, delta,
+                           rifs.ambient)
+        assert cells.count() == want
+    else:
+        assert cells.runs == []
+    assert peak < (7 if map_cells else 10) * n * 8

@@ -239,12 +239,21 @@ def carpet_doc(m, n):
     (carpet_doc(2, 10 ** 400),
      ".systems[0].carpet: declared Lipschitz bounds (0.0, 0.5) must "
      "satisfy 0 < lo <= hi < 1"),
+    (interval_doc(_CANTOR, {"type": "boxdim", "ladder": {
+        "base": 2, "exponents": [1, 1073]}}),
+     ".task.ladder.exponents: ladder deltas must be > 0 once quartered"),
+    (interval_doc(_CANTOR, {"type": "measure-bounds", "s": 0.01,
+                            "radii": [5e-324], "points": [[0]]}),
+     ".task.radii: must be non-empty and > 0 once quartered"),
 ], ids=["dim-of-affine", "negative-exponent", "radius-power-underflow",
         "rungs-round-alike", "summary-is-output", "output-is-a-folder",
         "output-name-too-long", "output-lone-surrogate",
-        "power-log-s-too-small", "carpet-huge-m", "carpet-huge-n"])
+        "power-log-s-too-small", "carpet-huge-m", "carpet-huge-n",
+        "rung-quarter-rounds-to-0", "radius-quarter-rounds-to-0"])
 def test_validate_refuses_what_run_refuses(doc, refusal, tmp_path, capsys):
-    # each once passed validate, while run refused it with exit 1,
+    # each once passed validate, while run refused it with exit 1 (a
+    # rung's or a radius's quarter, its cover's target error, rounding to 0
+    # among them),
     # overwrote its table with the summary, exited 3 after the walk, or
     # raised UnicodeEncodeError writing the file; or it ended both with a
     # traceback (ZeroDivisionError in the gauge, OverflowError at 1.0 / m

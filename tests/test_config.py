@@ -269,10 +269,17 @@ def test_boxdim_ladder_checks():
 
 def test_boxdim_ladder_rungs_must_be_positive_floats():
     # 2^-1074 is the least positive float; a rung below it rounds to 0, and
-    # 10^400 is beyond the float range before the power is taken
+    # 10^400 is beyond the float range before the power is taken.  A rung's
+    # quarter is its cover's target error, so 2^-1072 is the least rung
     d = doc(task={"type": "boxdim",
-                  "ladder": {"base": 2, "exponents": [1, 1074]}})
-    assert parse_config(d).task.params["deltas"] == (0.5, 2.0 ** -1074)
+                  "ladder": {"base": 2, "exponents": [1, 1072]}})
+    assert parse_config(d).task.params["deltas"] == (0.5, 2.0 ** -1072)
+    for small in (1073, 1074):
+        d["task"]["ladder"] = {"base": 2, "exponents": [1, small]}
+        with pytest.raises(ConfigSemanticError, match=re.escape(
+                "task.ladder.exponents: ladder deltas must be > 0 once "
+                "quartered")):
+            parse_config(d)
     for big in (1075, 2000, 10 ** 400):
         d["task"]["ladder"] = {"base": 2, "exponents": [1, big, big + 1]}
         with pytest.raises(ConfigSemanticError, match=re.escape(

@@ -145,6 +145,30 @@ def test_each_system_keeps_its_carpet():
         DeterministicIfs(grid.maps, "bad", (2, 3, ((0, 0), (1, 2))))
 
 
+def test_a_carpet_must_match_its_maps():
+    # the dim, curve and minimize tasks read the carpet, not the maps: the
+    # middle-thirds maps under a full 3x3 carpet reported dimension 2
+    full = CarpetSpec(3, 3, tuple((c, r) for r in range(3) for c in range(3)))
+    with pytest.raises(UsageError, match="'x' maps do not match its carpet"):
+        DeterministicIfs(cantor_rifs().systems[0].maps, "x", full)
+    carpet = CarpetSpec(2, 3, ((0, 0), (1, 2)))
+    maps = carpet_system(carpet, "grid").maps
+    moved = Affine2([[0.5, 0.0], [0.0, 1 / 3]], (0.5, 1 / 3))
+    rotated = Similarity(1 / 3, (1 / 3, 0.0), rotation_deg=90.0)
+    for bad in (maps[:1], maps + maps[:1], (maps[1], maps[0]),
+                (maps[0], moved), (maps[0], ClosedFormMap("arch_left"))):
+        with pytest.raises(UsageError, match="do not match its carpet"):
+            DeterministicIfs(bad, "bad", carpet)
+    square = CarpetSpec(3, 3, ((1, 1), (0, 0)))
+    with pytest.raises(UsageError, match="do not match its carpet"):
+        DeterministicIfs((carpet_system(square, "sq").maps[0], rotated),
+                         "bad", square)
+    # the floats carpet_system computes, whichever affine kind holds them
+    same = (Affine2([[1 / 3, 0.0], [0.0, 1 / 3]], (1 / 3, 1 / 3)),
+            Similarity(1 / 3, (0.0, 0.0)))
+    assert DeterministicIfs(same, "sq", square).carpet == square
+
+
 def _words(rifs, om, depth):
     """Every depth-k word, lexicographic with the first symbol most
     significant: the order the covers promise."""
@@ -254,6 +278,21 @@ def test_every_cylinder_family_checks_the_budget(build):
         build(rifs, om, 4, count - 1)
     assert exc.value.count == count
     assert build(rifs, om, 4, count) == count
+
+
+def test_seed_rows_are_charged_to_the_budget(monkeypatch):
+    # 100 seeds at depth 2 of cantor are 400 rows: a budget of 10 cylinders
+    # returned all 400
+    rifs, om, seeds = cantor_rifs(), OmegaSeq((), (1,)), np.zeros((100, 1))
+    with pytest.raises(ResourceError, match="400 image rows exceed budget "
+                                            "399") as exc:
+        cylinder_images(rifs, om, 2, seeds, budget=399)
+    assert exc.value.count == 400
+    assert cylinder_images(rifs, om, 2, seeds, budget=400).shape == (400, 1)
+    # refused before any walk
+    monkeypatch.setattr(model, "_chunks", None)
+    with pytest.raises(ResourceError):
+        cylinder_images(rifs, om, 2, seeds, budget=10)
 
 
 @given(data=st.data())
@@ -391,13 +430,14 @@ def test_cover_walk_holds_the_family_and_two_buffers(traced_peak):
 
 def test_many_seeds_stream_in_chunks_of_rows(run_isolated):
     # 2048 seeds at depth 6 of the carpet mix: 13,824 cylinders, 28.3M
-    # rows.  Chunks cut at 2^15 cylinders made them one 432 MiB family;
-    # cut at 2^15 rows, a chunk holds three words' seed blocks
+    # rows, charged to a budget of 2^25.  Chunks cut at 2^15 cylinders made
+    # them one 432 MiB family; cut at 2^15 rows, a chunk holds three words'
+    # seed blocks
     code = """
 import numpy as np
 from rifslab import CarpetSpec, OmegaSeq, Rifs, carpet_system
 from rifslab.geometry import unit_box
-from rifslab.model import DEFAULT_BUDGET, _chunks, _points
+from rifslab.model import _chunks, _points
 cells = tuple((c, r) for r in range(3) for c in range(3) if (c, r) != (1, 1))
 rifs = Rifs((carpet_system(CarpetSpec(3, 3, cells), "sierpinski"),
              carpet_system(CarpetSpec(2, 3, ((0, 0), (1, 1), (0, 2))),
@@ -405,7 +445,7 @@ rifs = Rifs((carpet_system(CarpetSpec(3, 3, cells), "sierpinski"),
 t = np.linspace(0.0, 1.0, 2048)
 rows = most = 0
 for pts in _chunks(*_points(rifs, OmegaSeq((), (1, 2)), 6,
-                           np.column_stack((t, 1.0 - t)), DEFAULT_BUDGET)):
+                           np.column_stack((t, 1.0 - t)), 2 ** 25)):
     rows, most = rows + len(pts), max(most, len(pts))
 print(rows, most)
 """
