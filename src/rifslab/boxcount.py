@@ -9,36 +9,33 @@ delta.  Conventions, chosen so counts of grid-aligned covers are exact:
   (clamped at 0);
 * coordinates within 1e-9 cells of a boundary are snapped onto it first.
 
-Each grid is counted into sorted distinct runs of cell indices, 8 bytes
-per distinct cell, or into an occupancy map of one byte per cell
-(Liebovitch & Toth 1989).  The map is taken for a grid of at most
-`_MAP_CELLS` = 2^24 cells (16 MB) once the runs could grow as large: a box
-marks at most 2^dim cells unless it is expanded, so a grid of at most
-8 * 2^dim cells per box counted starts on the map, and a sparser one
-switches to it when expanded cells bring the runs' bound up to the grid.
-Each axis's first and last cells come from both ends of every box in one
-pass over a (2, n) block.  A box spanning at most two cells on every axis
-is marked at its clipped corners, one corner at a time: a corner's ids,
-one per box, are one add of its axes' first or last cells, so one n-long
-id array is alive, with no per-cell expansion (and, into the map, no
-sort).  Wider boxes are expanded at most `_CELL_CHUNK` cells at a time,
-and the cells so expanded are charged to a budget of 2^dim cells per
+Each box is recorded as one cell code: its first cell's id, plus
+`size << axis` for each axis on which it spans two cells (`size` is the
+grid's cell count).  A box at most two cells wide on every axis meets
+exactly its corner cells, its first or last cell on each axis, which its
+code names.  Each axis's first and last cells come from both ends of every
+box in one pass over a (2, n) block, and the codes are built in place on
+those blocks.  Wider boxes are expanded at most `_CELL_CHUNK` cells at a
+time, each cell its own code, and charged to a budget of 2^dim cells per
 cylinder of the cylinder budget, so a huge box fails at once with
-`ResourceError` instead of running for hours.
+`ResourceError` instead of running for hours.  The codes go into sorted
+distinct runs, 8 bytes per distinct code, or into a code map of one byte
+per code (Liebovitch & Toth 1989), once its `size << dim` bytes are at
+most `_MAP_CELLS` = 2^24 (16 MB) and 8 bytes per box counted and cell
+expanded.  The corners are read off the codes once, when counted.
 
 `estimate_box_dims` resolves each rung to cylinders whose error bound is
 at most delta/4, and counts them by one of two routes.  When every map of
 the walk is axis-aligned (every carpet, and every 1-D system), a
 cylinder's interval on an axis depends only on its maps' 1-D parts there,
 so each axis's distinct intervals, far fewer than the cylinders, get one
-table of cells per rung, and the chunks' cells are read off the tables
-with no box built (`_mark_from_tables`).  Such a cylinder is at most
-delta/4 on a side, so it spans at most two cells per axis; that is
+table of code terms per rung, and the chunks' codes are read off the
+tables with no box built (`_mark_from_tables`).  Such a cylinder is at
+most delta/4 on a side, so it spans at most two cells per axis; that is
 checked once on the tables.  Every other walk (rotations, shears, closed
-forms), and one whose axes share few intervals or whose grid is too
-sparse or too fine for the map, streams its cylinder boxes through
-`_Cells.add`; even rotated maps' boxes, which outgrow their cylinders,
-have measured below delta there.
+forms), and one whose axes share few intervals, streams its cylinder
+boxes through `_Cells.add`; even rotated maps' boxes, which outgrow their
+cylinders, have measured below delta there.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import reduce
+from operator import iadd
 
 from . import model
 from ._lazy import np
@@ -59,13 +57,8 @@ from .sequences import OmegaSeq
 
 SNAP_TOL = 1e-9
 _CELL_CHUNK = 1 << 17      # cells expanded per step
-_MAP_CELLS = 1 << 24       # largest grid counted into an occupancy map
+_MAP_CELLS = 1 << 24       # bytes of the largest code map
 _MAX_CELLS = 2 ** 63 - 1   # cells an int64 index can number
-
-
-def _snap(q: np.ndarray) -> np.ndarray:
-    r = np.round(q)
-    return np.where(np.abs(q - r) <= SNAP_TOL, r, q)
 
 
 def _axis_cells(n_cells: int, lo: float, a: np.ndarray, b: np.ndarray,
@@ -99,10 +92,13 @@ def _grid_shape(ambient: AmbientBox, delta: float) -> tuple[int, ...]:
     for lo, hi in zip(ambient.lo, ambient.hi):
         q = (hi - lo) / delta
         if q < math.inf:
-            q = max(1, math.ceil(_snap(np.asarray(q))))
+            # round() rounds half to even, as np.round does
+            q = max(1, math.ceil(r if abs(q - (r := round(q))) <= SNAP_TOL
+                                 else q))
         shape.append(q)
     cells = math.prod(shape)
-    if cells > _MAX_CELLS:
+    # a cell code takes dim more bits than the cell index
+    if cells > _MAX_CELLS >> ambient.dim:
         raise UsageError(
             f"a grid of {cells} cells overflows the int64 cell index")
     return tuple(shape)
@@ -138,72 +134,71 @@ def _distinct(ids: np.ndarray) -> np.ndarray:
 
 
 class _Cells:
-    """The distinct cells of one grid that `boxes` boxes meet, fed chunk by
-    chunk into sorted distinct runs or the occupancy map.  Once the later
-    runs outnumber the first, all are folded into the first, so memory
-    follows the distinct cells and each fold at least doubles what the next
-    one sorts."""
+    """The distinct cells of one grid that `boxes` boxes meet, each box
+    recorded as one cell code (see above), fed chunk by chunk into sorted
+    distinct runs or the code map.  Once the later runs outnumber the
+    first, all are folded into the first, so memory follows the distinct
+    codes and each fold at least doubles what the next one sorts."""
 
     def __init__(self, delta: float, ambient: AmbientBox, budget: int,
                  boxes: int):
         self.delta, self.ambient = delta, ambient
         self.shape = _grid_shape(ambient, delta)
+        self.size = math.prod(self.shape)
         # the last axis runs fastest
         self.strides = tuple(math.prod(self.shape[ax + 1:])
                              for ax in range(len(self.shape)))
         self.map = None
         self.runs: list[np.ndarray] = []
-        self.budget = budget
+        self.budget, self.boxes = budget, boxes
         self.expanded = 0
-        self.marks = 0
-        self._reserve(2 ** ambient.dim * boxes)
 
-    def _reserve(self, marks: int) -> None:
-        """Count `marks` more cells the runs may hold, and move to the map
-        once they could take 8 bytes for each of its one-byte cells."""
-        self.marks += marks
-        cells = math.prod(self.shape)
-        if self.map is None and cells <= min(_MAP_CELLS, 8 * self.marks):
-            self.map = np.zeros(cells, dtype=bool)
+    def _mark(self, codes: np.ndarray) -> None:
+        # the code map is taken, on the first mark that finds it so, once
+        # the runs could need 8 bytes for each of its one-byte codes: one
+        # code per box, and one per cell expanded
+        if self.map is None and (self.size << self.ambient.dim <= min(
+                _MAP_CELLS, 8 * (self.boxes + self.expanded))):
+            self.map = np.zeros(self.size << self.ambient.dim, dtype=bool)
             for run in self.runs:
                 self.map[run] = True
             self.runs = []
-
-    def _mark(self, ids: np.ndarray) -> None:
         if self.map is not None:
-            self.map[ids] = True
+            self.map[codes] = True
             return
-        self.runs.append(_distinct(ids))
+        self.runs.append(_distinct(codes))
         if sum(run.size for run in self.runs[1:]) >= self.runs[0].size:
             self.runs = [_distinct(np.concatenate(self.runs))]
 
+    def _code(self, ax: int, block: np.ndarray) -> np.ndarray:
+        """Axis `ax`'s term of the codes of the boxes whose first and last
+        cells on it, at most one apart, are the (2, n) `block`: the first
+        cell times the axis stride, plus `size << ax` where they differ,
+        built in place in block[0]."""
+        first, last = block
+        last -= first
+        last *= self.size << ax
+        first *= self.strides[ax]
+        first += last
+        return first
+
     def add(self, boxes: np.ndarray) -> None:
-        """Mark the cells meeting `boxes` (n, dim, 2)."""
+        """Mark the codes of `boxes` (n, dim, 2)."""
         ends = [_axis_cells(n_cells, lo, boxes[:, ax, 0], boxes[:, ax, 1],
                             self.delta)
                 for ax, (n_cells, lo) in enumerate(zip(self.shape,
                                                        self.ambient.lo))]
-        wide = np.zeros(boxes.shape[0], dtype=bool)
-        for first, last in ends:
-            wide |= last - first > 1
+        wide = reduce(np.logical_or,
+                      (last - first > 1 for first, last in ends))
         if wide.any():
             self._expand(np.stack([first[wide] for first, _ in ends], axis=1),
                          np.stack([last[wide] - first[wide] + 1
                                    for first, last in ends], axis=1))
             ends = [block[:, ~wide] for block in ends]
-        # a box at most two cells wide on every axis meets exactly its
-        # corner cells, its first or last cell on each axis; an axis where
-        # no box spans two cells has no upper corner
-        axes = []
-        for block, stride in zip(ends, self.strides):
-            block *= stride
-            axes.append(block if np.any(block[0] != block[1]) else block[:1])
-        # one n-long id array per corner, marked before the next is built
-        # (on one axis it is that axis's row, which no later corner reads)
-        for corner in itertools.product(*axes):
-            ids = reduce(np.add, corner)
-            if ids.size:
-                self._mark(ids)
+        codes = reduce(iadd, (self._code(ax, block)
+                              for ax, block in enumerate(ends)))
+        if codes.size:
+            self._mark(codes)
 
     def _expand(self, js: np.ndarray, span: np.ndarray) -> None:
         """Mark every cell of the boxes' index ranges js..js+span-1, at most
@@ -219,20 +214,33 @@ class _Cells:
             raise ResourceError(
                 f"expanded cell count {self.expanded} exceeds 2^{dim} cells "
                 f"per cylinder of budget {self.budget}", count=self.expanded)
-        self._reserve(total)
         for start in range(0, total, _CELL_CHUNK):
             stop = min(start + _CELL_CHUNK, total)
             self._mark(_cell_ids(js, span, sizes, ends, self.strides, start,
                                  stop))
 
     def count(self) -> int:
-        """Number of distinct cells marked, at least one."""
+        """Number of distinct cells marked, at least one, read once off
+        the codes: a code's cells are its first cell moved up one cell on
+        each subset (corner) of the axes it flags."""
+        corners = range(1 << self.ambient.dim)
+        shifts = [sum(stride for ax, stride in enumerate(self.strides)
+                      if corner >> ax & 1) for corner in corners]
         if self.map is not None:
-            return int(np.count_nonzero(self.map))
-        ids = np.concatenate(self.runs)
+            planes = self.map.reshape(len(corners), self.size)
+            # in place, plane c becomes the codes flagging every axis of c
+            for ax in range(self.ambient.dim):
+                for corner in corners:
+                    if corner >> ax & 1:
+                        planes[corner ^ 1 << ax] |= planes[corner]
+            for corner, shift in zip(corners[1:], shifts[1:]):
+                planes[0, shift:] |= planes[corner, :self.size - shift]
+            return int(np.count_nonzero(planes[0]))
+        flags, first = np.divmod(np.concatenate(self.runs), self.size)
         self.runs = []
-        ids.sort()
-        return 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
+        return _distinct(np.concatenate([first[flags & corner == corner]
+                                         + shift for corner, shift
+                                         in zip(corners, shifts)])).size
 
 
 def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox,
@@ -240,11 +248,10 @@ def count_boxes(items: np.ndarray, delta: float, ambient: AmbientBox,
     """Number of grid cells meeting the items (boxes (n,dim,2) or points
     (n,dim)), under the boundary conventions above.
 
-    Items are taken `model._CHUNK_LEAVES` at a time into sorted distinct
-    runs or an occupancy map (see above).  Items spanning at most two cells
-    per axis are marked at their corners; wider ones are expanded, and once
-    more than `2**dim * budget` cells have been expanded this raises
-    `ResourceError`."""
+    Items are taken `model._CHUNK_LEAVES` at a time, each recorded as one
+    cell code if it spans at most two cells per axis (see above); wider
+    ones are expanded, and once more than `2**dim * budget` cells have
+    been expanded this raises `ResourceError`."""
     if not 0.0 < delta < math.inf:
         raise UsageError("delta must be finite and > 0")
     check_int("budget", budget)
@@ -357,30 +364,20 @@ def _mixed(index, sizes) -> np.ndarray:
 
 
 def _mark_from_tables(walk, sinks, parts: dict) -> bool:
-    """Mark the cylinders of `walk` (from `_boxes`) into the occupancy
-    maps of `sinks` from per-axis cell tables, building no box, and return
-    True; or mark nothing and return False, when a sink is not on a map
-    of at most `_MAP_CELLS` / 2^dim cells, a map is not axis-aligned, an
-    axis has over half as many distinct intervals as cylinders (its table
-    would share little and be held whole), or a table interval spans more
-    than two cells.  `parts` caches `_axis_parts` by system.
+    """Mark the cylinders of `walk` (from `_boxes`) into `sinks` from
+    per-axis tables of code terms, building no box, and return True; or
+    mark nothing and return False, when a map is not axis-aligned, an axis
+    has over half as many distinct intervals as cylinders (its table would
+    share little and be held whole), or a table interval spans more than
+    two cells.  `parts` caches `_axis_parts` by system.
 
     On each axis the distinct intervals are the 1-D walk of the levels'
     distinct parts, so a cylinder's interval is the one that its maps'
-    part indices number in mixed radix.  A rung's table holds each
-    interval's first cell times the axis stride, plus the grid size times
-    2^axis if it spans two cells, so a cylinder's code, the sum over the
-    axes, is its first corner's id and the axes on which it has an upper
-    corner.  Words are split as `_chunks` splits them: a chunk's codes on
-    an axis are its prefix's slice of the table, taken at the suffixes'
-    numbers.  The codes go into a map 2^dim times the grid's, and each
-    corner is then marked by one shifted OR of the code planes that have
-    it."""
+    part indices number in mixed radix, and its code is the sum of its
+    intervals' terms (`_Cells._code`).  Words are split as `_chunks`
+    splits them: a chunk's terms on an axis are its prefix's slice of the
+    table, taken at the suffixes' numbers."""
     levels, leaf, image = walk
-    dim = leaf.shape[1]
-    if any(cells.map is None or cells.map.size << dim > _MAP_CELLS
-           for cells in sinks):
-        return False
     for maps in levels:
         if id(maps) not in parts:
             parts[id(maps)] = _axis_parts(maps)
@@ -392,7 +389,7 @@ def _mark_from_tables(walk, sinks, parts: dict) -> bool:
         span //= len(levels[j])
         j += 1
     offsets, bases, tables = [], [], [[] for _ in sinks]
-    for ax in range(dim):
+    for ax in range(leaf.shape[1]):
         index, items = zip(*(parts[id(maps)][ax] for maps in levels))
         sizes = [len(its) for its in items]
         if 2 * math.prod(sizes) > rows:
@@ -401,27 +398,15 @@ def _mark_from_tables(walk, sinks, parts: dict) -> bool:
         bases.append(_mixed(index[j:], sizes[j:]))
         family = _whole(items, leaf[:, ax:ax + 1], image)
         for cells, table in zip(sinks, tables):
-            first, last = _axis_cells(cells.shape[ax], cells.ambient.lo[ax],
-                                      family[:, 0, 0], family[:, 0, 1],
-                                      cells.delta)
-            if np.any(last - first > 1):
+            block = _axis_cells(cells.shape[ax], cells.ambient.lo[ax],
+                                family[:, 0, 0], family[:, 0, 1], cells.delta)
+            if np.any(block[1] - block[0] > 1):
                 return False
-            table.append(first * cells.strides[ax]
-                         + (last - first) * (cells.map.size << ax))
-    codes = [np.zeros(cells.map.size << dim, dtype=bool) for cells in sinks]
+            table.append(cells._code(ax, block))
     for offs in zip(*offsets):
-        for code, table in zip(codes, tables):
-            code[reduce(np.add, (row[off:].take(base) for row, off, base
-                                 in zip(table, offs, bases)))] = True
-    for cells, code in zip(sinks, codes):
-        size = cells.map.size
-        planes = code.reshape(-1, size)
-        flags = np.arange(len(planes))
-        for corner in range(len(planes)):
-            shift = sum(stride for ax, stride in enumerate(cells.strides)
-                        if corner >> ax & 1)
-            has = planes[flags & corner == corner].any(axis=0)
-            cells.map[shift:] |= has[:size - shift]
+        for cells, table in zip(sinks, tables):
+            cells._mark(reduce(iadd, (row[off:].take(base) for row, off, base
+                                      in zip(table, offs, bases))))
     return True
 
 

@@ -296,8 +296,10 @@ class Affine2(_AffineMap):
 _CLAMP_LO = 1e-12
 _CLAMP_HI = 1.0 - 1e-12
 
-# singular-value extremes of [[1/3, 0], [b, 1/2]] over |b| <= 1/2
-_ARCH_LIP_LO = math.sqrt((22.0 - math.sqrt(340.0)) / 72.0)
+# singular-value extremes of [[1/3, 0], [b, 1/2]] over |b| <= 1/2; the low
+# one's float formula lands an ulp above it, and is stepped down once
+_ARCH_LIP_LO = math.nextafter(math.sqrt((22.0 - math.sqrt(340.0)) / 72.0),
+                              0.0)
 _ARCH_LIP_HI = math.sqrt((22.0 + math.sqrt(340.0)) / 72.0)
 
 
@@ -348,14 +350,14 @@ def _y(fn, turn=None):
 
 CLOSED_FORMS: dict[str, _Entry] = {
     # inverse branches of an expanding interval map with |slope| in [2, 5]
-    "cookie_branch_2_5_left": _Entry(0.2, 0.5, (
+    "cookie_branch_2_5_left": _Entry(_round_down(Fraction(1, 5)), 0.5, (
         (_x(lambda x: 0.5 - 0.5 * _sqrt(1.0 - 0.8 * x)),),)),
-    "cookie_branch_2_5_right": _Entry(0.2, 0.5, (
+    "cookie_branch_2_5_right": _Entry(_round_down(Fraction(1, 5)), 0.5, (
         (_x(lambda x: 0.5 + 0.5 * _sqrt(1.0 - 0.8 * x)),),)),
     # inverse branches of an expanding interval map with |slope| in [6, 9]
-    "cookie_branch_6_9_left": _Entry(1.0 / 9.0, 1.0 / 6.0, (
+    "cookie_branch_6_9_left": _Entry(1.0 / 9.0, _round_up(Fraction(1, 6)), (
         (_x(lambda x: 0.5 - _sqrt(1.0 + x) / 3.0),),)),
-    "cookie_branch_6_9_right": _Entry(1.0 / 9.0, 1.0 / 6.0, (
+    "cookie_branch_6_9_right": _Entry(1.0 / 9.0, _round_up(Fraction(1, 6)), (
         (_x(lambda x: 0.5 + _sqrt(1.0 + x) / 3.0),),)),
     # planar maps with one quadratic component; derivative range hits 0 and 1
     "quad_y_bottom_left": _Entry(_CLAMP_LO, _CLAMP_HI, (

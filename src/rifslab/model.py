@@ -168,6 +168,9 @@ def _points(rifs: Rifs, omega: OmegaSeq, depth: int, seeds, budget: int):
         raise UsageError("depth must be >= 0")
     levels = _levels(rifs, omega, depth, budget)[0]
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    if (not seeds.size or seeds.shape[1:] != (rifs.ambient.dim,)
+            or not np.isfinite(seeds).all()):
+        raise UsageError("seeds must be a non-empty finite (n, dim) array")
     if (rows := math.prod(map(len, levels)) * len(seeds)) > budget:
         raise ResourceError(f"{rows} image rows exceed budget {budget}",
                             count=rows)

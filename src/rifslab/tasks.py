@@ -154,6 +154,7 @@ def _parse_boxdim(obj, path, rifs) -> dict:
     deltas = tuple(base ** -e for e in evals)
     with _semantic_at(f"{lpath}.exponents"):
         boxcount._check_ladder(deltas)  # rungs may round to one float
+        boxcount._grid_shape(rifs.ambient, deltas[-1])  # the finest grid
     return {"deltas": deltas}
 
 

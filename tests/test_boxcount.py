@@ -82,6 +82,12 @@ def test_far_off_items_clamp_to_the_edge_cells():
                        0.25, box) == 1
 
 
+def _snap(q):
+    # the snap of coordinates onto grid lines, out of place
+    r = np.round(q)
+    return np.where(np.abs(q - r) <= SNAP_TOL, r, q)
+
+
 def _oracle_count(items, delta, ambient):
     """The per-box itertools.product loop count_boxes once ran, with the
     per-axis cell rule as it stood then."""
@@ -93,8 +99,8 @@ def _oracle_count(items, delta, ambient):
     for box in arr:
         ranges = []
         for ax, (a, b) in enumerate(box):
-            s = float(boxcount._snap(np.asarray((a - ambient.lo[ax]) / delta)))
-            e = float(boxcount._snap(np.asarray((b - ambient.lo[ax]) / delta)))
+            s = float(_snap(np.asarray((a - ambient.lo[ax]) / delta)))
+            e = float(_snap(np.asarray((b - ambient.lo[ax]) / delta)))
             js = math.floor(s)
             je = math.floor(e) - 1 if e == math.floor(e) else math.floor(e)
             if je < js:
@@ -228,14 +234,14 @@ def test_cell_budget_charges_only_expanded_boxes():
 
 
 def test_runs_move_to_the_map_once_expansion_could_fill_it(monkeypatch):
-    # 4096 cells against 8 bytes for each of 2^2 cells per box: the eleven
-    # boxes start on the runs, and the 40 x 40 box's expansion moves the
-    # cells the narrow ones marked into the map
+    # a 16 kB code map (4096 cells, 2^2 codes each) against 8 bytes per
+    # code: the eleven boxes start on the runs, and the 48 x 48 box's
+    # expansion moves the codes the narrow ones marked into the map
     box = unit_box(2)
     delta = 2.0 ** -6
     narrow = [[[0.9 + 0.005 * i, 0.91 + 0.005 * i], [0.95, 0.96]]
               for i in range(10)]
-    items = np.array(narrow + [[[0.0, 40 * delta], [0.3, 0.3 + 40 * delta]]])
+    items = np.array(narrow + [[[0.0, 48 * delta], [0.2, 0.2 + 48 * delta]]])
     on_map = []
     count = boxcount._Cells.count
 
@@ -257,11 +263,10 @@ def test_marking_a_chunk_holds_under_ten_chunk_arrays(map_cells,
                                                       monkeypatch,
                                                       traced_peak):
     # one chunk of 2^15 boxes at most two cells wide on a 128 x 128 grid:
-    # the per-axis (first, last) blocks and one corner's ids are about six
-    # n-long int64 arrays at once (every corner's ids at once were eight),
-    # and the runs' sorts and folds add about two more; the bounds leave
-    # room for small temporaries, not for an id array doubled by
-    # concatenation (12x)
+    # the per-axis (first, last) blocks, with the codes built in place on
+    # them, are about six n-long int64 arrays at once, on the map and on
+    # the runs; the bound leaves room for small temporaries, not for a
+    # code array doubled by concatenation
     n, delta = model._CHUNK_LEAVES, 1.0 / 128
     rng = np.random.default_rng(0)
     lo = rng.uniform(0.0, 1.0 - delta, (n, 2))
@@ -271,13 +276,13 @@ def test_marking_a_chunk_holds_under_ten_chunk_arrays(map_cells,
     _, peak = traced_peak(lambda: cells.add(boxes))
     assert (cells.map is not None) == (map_cells > 0)
     assert cells.count() == _oracle_count(boxes, delta, unit_box(2))
-    assert peak < (7 if map_cells else 10) * n * 8
+    assert peak < 7 * n * 8
 
 
 def _axis_cells_oracle(n_cells, lo, a, b, delta):
     # the cell ends as computed before they were computed in place
-    s = np.clip(boxcount._snap((a - lo) / delta), -1, n_cells)
-    e = np.clip(boxcount._snap((b - lo) / delta), -1, n_cells)
+    s = np.clip(_snap((a - lo) / delta), -1, n_cells)
+    e = np.clip(_snap((b - lo) / delta), -1, n_cells)
     js = np.floor(s).astype(np.int64)
     e_floor = np.floor(e).astype(np.int64)
     on_edge = e == e_floor
@@ -330,10 +335,10 @@ def test_axis_cells_equal_the_out_of_place_formulation(case):
 
 
 def test_cell_total_beyond_int64_rejected():
-    # each box spans all 2^62 cells of the grid; three overflow the total
-    boxes = np.array([[[0.0, 1.0]]] * 3)
+    # each box spans all 2^61 cells of the grid; five overflow the total
+    boxes = np.array([[[0.0, 1.0]]] * 5)
     with pytest.raises(UsageError, match="more cells than an int64"):
-        count_boxes(boxes, 2.0 ** -62, unit_box(1))
+        count_boxes(boxes, 2.0 ** -61, unit_box(1))
 
 
 def test_table_validation():
@@ -415,8 +420,9 @@ def test_triadic_ladder_counts_are_powers_of_two(cantor_cfg):
 def test_sparse_ladder_rungs_count_into_runs(cantor_cfg, monkeypatch):
     # at 3^-15 the cantor cover (2^17 boxes) meets 37,784 cells of a
     # 14.3M-cell grid: a one-byte-per-cell map cost 14 MB there, where the
-    # runs hold 8 bytes per distinct cell.  The counts are those the map
-    # gave; the 3^-7 rung (2187 cells, 512 boxes) stays on the map.
+    # runs hold 8 bytes per distinct code.  The counts are those the map
+    # gave; the 3^-6 rung (a 1458-byte code map, 256 boxes) stays on the
+    # map, and the 3^-7 rung (4374 bytes, 512 boxes) takes the runs.
     on_runs = []
     count = boxcount._Cells.count
 
@@ -425,12 +431,12 @@ def test_sparse_ladder_rungs_count_into_runs(cantor_cfg, monkeypatch):
         return count(cells)
 
     monkeypatch.setattr(boxcount._Cells, "count", spy)
-    deltas = [3.0 ** -k for k in (7, 13, 14, 15)]
+    deltas = [3.0 ** -k for k in (6, 7, 13, 14, 15)]
     table, est = estimate_box_dims(cantor_cfg.rifs, OmegaSeq((), (1,)),
                                    deltas)
-    assert on_runs == [False, True, True, True]
-    assert table.counts == (128, 8192, 16384, 37784)
-    assert est.depths == (9, 15, 16, 17)
+    assert on_runs == [False, True, True, True, True]
+    assert table.counts == (64, 128, 8192, 16384, 37784)
+    assert est.depths == (8, 9, 15, 16, 17)
 
 
 def test_dyadic_ladder_on_the_full_interval(cantor_cfg):
@@ -642,9 +648,9 @@ def test_tables_spanning_over_two_cells_go_to_the_box_walk(monkeypatch):
 def test_table_marking_holds_under_ten_chunk_arrays(map_cells, monkeypatch,
                                                     traced_peak):
     # the depth-5 Sierpinski carpet is one chunk of 2^15 cylinders: two
-    # taken n-long code arrays and their sum, and the suffix numbers, stay
-    # under the bound of the box path's marking; a rung on the runs is
-    # left, unmarked, to the box walk
+    # taken n-long code arrays, summed in place, and the suffix numbers
+    # stay under the bound of the box path's marking, on the map and on
+    # the runs
     n, delta = model._CHUNK_LEAVES, 1.0 / 128
     rifs = model.Rifs(_carpet_mix()[0].systems[:1], unit_box(2))
     om = OmegaSeq((), (1,))
@@ -653,11 +659,9 @@ def test_table_marking_holds_under_ten_chunk_arrays(map_cells, monkeypatch,
     cells = boxcount._Cells(delta, unit_box(2), n, n)
     marked, peak = traced_peak(
         lambda: boxcount._mark_from_tables(walk, [cells], {}))
-    assert marked == (map_cells > 0) == (cells.map is not None)
-    if marked:
-        want = count_boxes(cylinder_cover(rifs, om, 5).boxes, delta,
-                           rifs.ambient)
-        assert cells.count() == want
-    else:
-        assert cells.runs == []
-    assert peak < (7 if map_cells else 10) * n * 8
+    assert marked
+    assert (cells.map is not None) == (map_cells > 0)
+    want = count_boxes(cylinder_cover(rifs, om, 5).boxes, delta,
+                       rifs.ambient)
+    assert cells.count() == want
+    assert peak < 7 * n * 8

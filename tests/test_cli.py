@@ -245,15 +245,20 @@ def carpet_doc(m, n):
     (interval_doc(_CANTOR, {"type": "measure-bounds", "s": 0.01,
                             "radii": [5e-324], "points": [[0]]}),
      ".task.radii: must be non-empty and > 0 once quartered"),
+    (interval_doc((("1/2", 0),), {"type": "boxdim", "ladder": {
+        "base": 2, "exponents": [1, 64]}}),
+     ".task.ladder.exponents: a grid of 18446744073709551616 cells "
+     "overflows the int64 cell index"),
 ], ids=["dim-of-affine", "negative-exponent", "radius-power-underflow",
         "rungs-round-alike", "summary-is-output", "output-is-a-folder",
         "output-name-too-long", "output-lone-surrogate",
         "power-log-s-too-small", "carpet-huge-m", "carpet-huge-n",
-        "rung-quarter-rounds-to-0", "radius-quarter-rounds-to-0"])
+        "rung-quarter-rounds-to-0", "radius-quarter-rounds-to-0",
+        "grid-overflows-the-cell-index"])
 def test_validate_refuses_what_run_refuses(doc, refusal, tmp_path, capsys):
     # each once passed validate, while run refused it with exit 1 (a
     # rung's or a radius's quarter, its cover's target error, rounding to 0
-    # among them),
+    # among them, and a grid too fine for the cell codes),
     # overwrote its table with the summary, exited 3 after the walk, or
     # raised UnicodeEncodeError writing the file; or it ended both with a
     # traceback (ZeroDivisionError in the gauge, OverflowError at 1.0 / m

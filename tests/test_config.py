@@ -7,8 +7,8 @@ from dataclasses import fields
 import pytest
 
 from rifslab import (ConfigParseError, ConfigSchemaError, ConfigSemanticError,
-                     ExperimentConfig, cli, corpus_names, load_config,
-                     load_corpus, parse_config)
+                     ExperimentConfig, boxcount, cli, corpus_names,
+                     load_config, load_corpus, parse_config)
 from rifslab.corpus import corpus_path
 
 BASE = {
@@ -270,10 +270,19 @@ def test_boxdim_ladder_checks():
 def test_boxdim_ladder_rungs_must_be_positive_floats():
     # 2^-1074 is the least positive float; a rung below it rounds to 0, and
     # 10^400 is beyond the float range before the power is taken.  A rung's
-    # quarter is its cover's target error, so 2^-1072 is the least rung
+    # quarter is its cover's target error, so 2^-1072 is the least rung;
+    # on [0, 1] the cell codes number grids of at most 2^62 - 1 cells, so
+    # 2^-61 is the least rung that parses
     d = doc(task={"type": "boxdim",
-                  "ladder": {"base": 2, "exponents": [1, 1072]}})
-    assert parse_config(d).task.params["deltas"] == (0.5, 2.0 ** -1072)
+                  "ladder": {"base": 2, "exponents": [1, 61]}})
+    assert parse_config(d).task.params["deltas"] == (0.5, 2.0 ** -61)
+    assert boxcount._check_ladder((0.5, 2.0 ** -1072)) == (0.5, 2.0 ** -1072)
+    for fine, cells in ((62, 2 ** 62), (1072, math.inf)):
+        d["task"]["ladder"] = {"base": 2, "exponents": [1, fine]}
+        with pytest.raises(ConfigSemanticError, match=re.escape(
+                f"task.ladder.exponents: a grid of {cells} cells "
+                "overflows the int64 cell index")):
+            parse_config(d)
     for small in (1073, 1074):
         d["task"]["ladder"] = {"base": 2, "exponents": [1, small]}
         with pytest.raises(ConfigSemanticError, match=re.escape(

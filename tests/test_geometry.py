@@ -566,6 +566,28 @@ def test_declared_lipschitz_bounds_hold(name):
     assert rep.ok, (name, rep.observed_lo, rep.observed_hi)
 
 
+# the exact (min, max) of |f'|^2 over [0, 1] for each cookie pair:
+# |f'| = 1/5 / sqrt(1 - 4x/5) and 1/6 / sqrt(1 + x)
+_COOKIE_SLOPES_SQ = {"cookie_branch_2_5": (Fraction(1, 25), Fraction(1, 5)),
+                     "cookie_branch_6_9": (Fraction(1, 72), Fraction(1, 36))}
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CLOSED_FORMS)
+                                  if not n.startswith("quad_")])
+def test_declared_lipschitz_bounds_lie_on_their_safe_side(name):
+    # exactly, in rationals; the quad maps are not bi-Lipschitz at all
+    lo, hi = (Fraction(b) for b in (CLOSED_FORMS[name].lip_lo,
+                                    CLOSED_FORMS[name].lip_hi))
+    if name.startswith("arch_"):
+        # the singular values of [[1/3, 0], [1/2, 1/2]], squared, are
+        # (22 -+ sqrt(340)) / 72
+        assert 22 - 72 * lo ** 2 >= 0 and 340 <= (22 - 72 * lo ** 2) ** 2
+        assert 72 * hi ** 2 - 22 >= 0 and 340 <= (72 * hi ** 2 - 22) ** 2
+    else:
+        slo, shi = _COOKIE_SLOPES_SQ[name.rsplit("_", 1)[0]]
+        assert lo ** 2 <= slo and shi <= hi ** 2
+
+
 def test_validate_lip_bounds_similarity_is_tight():
     rep = _validate_lip_bounds(Similarity(1.0 / 3.0, (0.0,)), 500)
     assert rep.ok

@@ -10,7 +10,7 @@ from rifslab import (BernoulliSampler, CarpetSpec, CylinderMeasure, OmegaSeq,
                      ResourceError, Rifs, UsageError, attractor_points,
                      carpet_system, continuity_probe, cylinder_cover,
                      cylinder_images, hausdorff_distance, level_masses,
-                     resolution_depth, sample_omega, splice)
+                     load_corpus, resolution_depth, sample_omega, splice)
 from rifslab.geometry import (Affine2, AmbientBox, ClosedFormMap, Similarity,
                               unit_box)
 from rifslab import hausdorff, model
@@ -522,6 +522,24 @@ def test_cylinder_images_block_layout():
     pts = cylinder_images(rifs, om, 1, seeds)
     # word-major blocks, seed order inside each block
     assert pts[:, 0].tolist() == pytest.approx([0.0, THIRD, 2 * THIRD, 1.0])
+
+
+@pytest.mark.parametrize("name, seeds", [
+    ("carpet-splice", [[0.5, 0.5, 7.0]]),
+    ("cantor", [[0.5, 3.0]]),
+    ("carpet-splice", [[0.5]]),
+    ("cantor", [[math.nan]]),
+    ("carpet-splice", [[0.5, math.inf]]),
+    ("cantor", np.empty((0, 1))),
+    ("cantor", []),
+], ids=["extra-column", "extra-column-1d", "short-row", "nan", "inf",
+        "no-rows", "empty"])
+def test_cylinder_images_refuse_malformed_seeds(name, seeds):
+    # extra columns came back as uninitialised memory or garbage, a short
+    # row raised IndexError, and non-finite seeds flowed through
+    rifs = load_corpus(name).rifs
+    with pytest.raises(UsageError, match="seeds must be"):
+        cylinder_images(rifs, OmegaSeq((), (1,)), 1, seeds)
 
 
 def test_resolution_depth_arithmetic():
